@@ -43,7 +43,6 @@ from .errors import (
 )
 from .jost import (
     JostData,
-    b_series,
     blaschke,
     e_from_z,
     finite_range_jost_data,

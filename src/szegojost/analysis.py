@@ -18,7 +18,13 @@ from .errors import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .jost import b_series_from_deltas, geronimus_deltas, jost_g_ell, u_from_dinv
+from .jost import (
+    _disk_roots,
+    b_series_from_deltas,
+    geronimus_deltas,
+    jost_g_ell,
+    u_from_dinv,
+)
 from .oprl import JacobiParams, spectral_measure_oracle
 from .opuc import VerblunskyCoeffs
 from .series import LaurentSeries, TaylorSeries
@@ -269,7 +275,12 @@ def _mapped_decay_radius(coeffs: VerblunskyCoeffs, order: int, window):
         if window is None:
             window = (count - 9, count - 1)
     else:
-        count = max(16, (len(coeffs.alpha) - 2) // 2)
+        count = (len(coeffs.alpha) - 2) // 2
+        if count < 16:
+            raise InvalidParameterError(
+                f"{len(coeffs.alpha)} stored alphas give {max(count, 0)} mapped "
+                "coefficients; the decay fit needs 16"
+            )
     b, asq1 = geronimus_deltas(coeffs, count)
     delta = np.abs(b) + np.abs(asq1)
     if not np.any(delta > UNDERFLOW_FLOOR):
@@ -322,13 +333,7 @@ def canonical_weight_check(params: JacobiParams, z0: complex | None = None,
     check = "canonical-weights"
     u = jost_g_ell(params)
     c = u.coeffs
-    nz = np.nonzero(np.abs(c) > 1e-300)[0]
-    if nz.size == 0 or nz[-1] == 0:
-        roots = np.empty(0, dtype=complex)
-    else:
-        roots = np.polynomial.polynomial.polyroots(c[: nz[-1] + 1])
-        roots = roots[np.abs(roots) < 1.0 - 1e-12]
-        roots = roots[np.abs(u(roots)) < 1e-10 * float(np.max(np.abs(c)))]
+    roots = _disk_roots(u)
     if z0 is not None:
         if abs(u(z0)) > 1e-8 * float(np.max(np.abs(c))):
             raise InvalidParameterError("supplied z0 is not a zero of the Jost polynomial")
@@ -338,7 +343,6 @@ def canonical_weight_check(params: JacobiParams, z0: complex | None = None,
             check_id=check, measured={"n_zeros": 0.0}, tolerance=rel_tol,
             passed=True, notes="no disk zeros; nothing to check",
         )
-    roots = np.array(sorted(roots, key=lambda w: (w.real, w.imag)))
     oracle = spectral_measure_oracle(params, oracle_size)
     du = TaylorSeries(np.polynomial.polynomial.polyder(u.coeffs))
     measured = {"n_zeros": float(roots.size)}

@@ -29,15 +29,12 @@ __all__ = [
     "geronimus_deltas",
     "geronimus_map",
     "u_from_dinv",
-    "b_series",
     "m_function",
     "m_finite_range",
     "blaschke",
     "z_from_e",
     "e_from_z",
 ]
-
-_polyval = np.polynomial.polynomial.polyval
 
 
 def e_from_z(z):
@@ -164,38 +161,33 @@ class JostData:
         object.__setattr__(self, "eigenvalues", eigs)
 
 
-def u_from_dinv(
-    coeffs: VerblunskyCoeffs,
-    dinv: TaylorSeries | None = None,
-    order: int = 64,
-    refine_step: int = 8,
-) -> JostData:
+def u_from_dinv(coeffs: VerblunskyCoeffs, order: int = 64) -> JostData:
     """Jost series u = sqrt((1 - alpha_0^2)(1 - alpha_1)) / D for real alpha.
 
-    Disk zeros of the truncated series are found by companion rootfinding,
-    then filtered by residual and by stability under truncation refinement
-    (relative movement < 1e-6 when the order grows by ``refine_step``), which
-    discards spurious truncation zeros.
+    1/D is the reciprocal Szego series of ``coeffs`` through ``order``.  Its
+    disk zeros come from :func:`_disk_roots`; a candidate is kept only when
+    the series built 8 orders deeper has a disk zero within relative
+    distance 1e-6 of it.  Truncation zeros of a slowly decaying series move
+    as the order grows and are discarded; genuine zeros stay.  The deeper
+    series is built only when there are candidates.
     """
     if not coeffs.is_real():
         raise InvalidParameterError("the Jost correspondence needs real alpha")
-    if dinv is None:
-        dinv = dinv_from_alphas(coeffs, order)
     a0 = coeffs.entry(0).real
     a1 = coeffs.entry(1).real
     scale = float(np.sqrt((1.0 - a0 * a0) * (1.0 - a1)))
+    dinv = dinv_from_alphas(coeffs, order)
     u = TaylorSeries(scale * dinv.coeffs, note=dinv.note)
     zeros = _disk_roots(u)
-    refined = TaylorSeries(
-        scale * dinv_from_alphas(coeffs, u.order + refine_step).coeffs
-    )
-    stable = []
-    for z in zeros:
-        candidates = _disk_roots(refined, near=z)
-        if candidates.size and np.min(np.abs(candidates - z)) < 1e-6 * max(abs(z), 1e-3):
-            stable.append(z)
-    zeros = np.array(sorted(stable, key=lambda w: (w.real, w.imag)), dtype=complex)
-    return JostData(u=u, zeros_in_disk=zeros, eigenvalues=e_from_z(zeros) if zeros.size else np.empty(0, dtype=complex))
+    if zeros.size:
+        deeper = TaylorSeries(scale * dinv_from_alphas(coeffs, order + 8).coeffs)
+        refined = _disk_roots(deeper)
+        zeros = np.array(
+            [z for z in zeros
+             if refined.size and np.min(np.abs(refined - z)) < 1e-6 * max(abs(z), 1e-3)],
+            dtype=complex,
+        )
+    return JostData(u=u, zeros_in_disk=zeros, eigenvalues=e_from_z(zeros))
 
 
 def finite_range_jost_data(params: JacobiParams, ell: int | None = None) -> JostData:
@@ -205,30 +197,34 @@ def finite_range_jost_data(params: JacobiParams, ell: int | None = None) -> Jost
     genuine bound state; the eigenvalues are the Joukowski images z + 1/z.
     """
     u = jost_g_ell(params, ell)
-    zeros = np.array(
-        sorted(_disk_roots(u), key=lambda w: (w.real, w.imag)), dtype=complex
-    )
-    eigs = e_from_z(zeros) if zeros.size else np.empty(0, dtype=complex)
-    return JostData(u=u, zeros_in_disk=zeros, eigenvalues=eigs)
+    zeros = _disk_roots(u)
+    return JostData(u=u, zeros_in_disk=zeros, eigenvalues=e_from_z(zeros))
 
 
-def _disk_roots(series: TaylorSeries, near: complex | None = None) -> np.ndarray:
-    """Roots of the truncated polynomial inside the open unit disk."""
+def _disk_roots(series: TaylorSeries) -> np.ndarray:
+    """Zeros of a Taylor series inside the open unit disk, sorted by (real, imag).
+
+    The companion matrix is built at the numerical degree K, the smallest
+    degree whose dropped tail sum_{k>K} |c_k| is at most eps * max|c|.  On
+    the closed disk the dropped tail moves the series by no more than that,
+    which is the size of the backward error of ``polyroots`` itself, so the
+    trimmed solve resolves every disk zero the full-degree solve can.  A
+    root is kept when |z| < 1 and |series(z)| < 1e-8 * max|c|.
+    """
     c = series.coeffs
-    nz = np.nonzero(np.abs(c) > 1e-300)[0]
-    if nz.size == 0 or nz[-1] == 0:
+    mag = np.abs(c)
+    scale = float(np.max(mag))
+    tail = np.cumsum(mag[::-1])[::-1]
+    degree = int(np.count_nonzero(tail[1:] > np.finfo(float).eps * scale))
+    if degree == 0:
         return np.empty(0, dtype=complex)
-    roots = np.polynomial.polynomial.polyroots(c[: nz[-1] + 1])
+    roots = np.polynomial.polynomial.polyroots(c[: degree + 1])
     roots = roots[np.abs(roots) < 1.0]
-    if roots.size:
-        scale = float(np.max(np.abs(c)))
-        roots = roots[np.abs(series(roots)) < 1e-8 * scale]
-    if near is not None and roots.size:
-        roots = roots[np.abs(roots - near) < 0.1]
-    return roots
+    roots = roots[np.abs(series(roots)) < 1e-8 * scale]
+    return np.array(sorted(roots, key=lambda w: (w.real, w.imag)), dtype=complex)
 
 
-def b_series(params: JacobiParams, order: int = 64) -> TaylorSeries:
+def b_series_from_deltas(b, asq1, order: int = 64) -> TaylorSeries:
     """B(z) = 1 - sum_n [b_{n+1} z^{2n+1} + (a_{n+1}^2 - 1) z^{2n+2}].
 
     First-order kernel of the Jost function: stripping one row off the
@@ -238,26 +234,9 @@ def b_series(params: JacobiParams, order: int = 64) -> TaylorSeries:
     -(a_{n+1}-1)(1 + 2z^2 + ... + 2z^{2n+2}).  B keeps exactly the top
     power of each kernel; that is the part the reflected combination
     (1-z^2)u(z) + z^2 u(1/z)B(z) needs in order to cancel the slow tail.
-    """
-    if order < 2:
-        raise InvalidParameterError("series order must be >= 2")
-    c = np.zeros(order + 1, dtype=float)
-    c[0] = 1.0
-    n = 0
-    while 2 * n + 1 <= order:
-        c[2 * n + 1] = -params.b_entry(n + 1)
-        if 2 * n + 2 <= order:
-            c[2 * n + 2] = -(params.a_entry(n + 1) ** 2 - 1.0)
-        n += 1
-    return TaylorSeries(c)
-
-
-def b_series_from_deltas(b, asq1, order: int = 64) -> TaylorSeries:
-    """B(z) assembled from exact (b_n, a_n^2 - 1) arrays.
-
-    Placing a_n^2 - 1 directly (rather than reconstituting a_n and
-    subtracting 1) keeps full relative precision when a_n is within
-    rounding distance of 1.
+    Built from exact (b_n, a_n^2 - 1) arrays: placing a_n^2 - 1 directly
+    (rather than reconstituting a_n and subtracting 1) keeps full relative
+    precision when a_n is within rounding distance of 1.
     """
     if order < 2:
         raise InvalidParameterError("series order must be >= 2")

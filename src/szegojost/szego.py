@@ -42,24 +42,14 @@ def dinv_from_alphas(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     """
     if order < 1:
         raise InvalidParameterError("series order must be >= 1")
-    if coeffs.is_finitely_supported:
-        steps = len(coeffs.alpha) + 1
-        star = _star_poly(coeffs, steps)
-        c = np.zeros(order + 1, dtype=complex)
-        upto = min(order + 1, len(star))
-        c[:upto] = star[:upto]
-        return TaylorSeries(c)
-    steps = len(coeffs.alpha)
+    steps = len(coeffs.alpha) + (1 if coeffs.is_finitely_supported else 0)
     if steps < 1:
         raise InvalidParameterError("truncated coefficients are empty")
-    star = _star_poly(coeffs, steps)
-    prev = _star_poly(coeffs, steps - 1)
-    c = np.zeros(order + 1, dtype=complex)
-    upto = min(order + 1, len(star))
-    c[:upto] = star[:upto]
-    prev_c = np.zeros(order + 1, dtype=complex)
-    upto_prev = min(order + 1, len(prev))
-    prev_c[:upto_prev] = prev[:upto_prev]
+    monic = _monic_sequence(coeffs, steps)
+    c = _star_coeffs(coeffs, monic, steps, order)
+    if coeffs.is_finitely_supported:
+        return TaylorSeries(c)
+    prev_c = _star_coeffs(coeffs, monic, steps - 1, order)
     drift = float(np.max(np.abs(c - prev_c)))
     note = None
     if drift > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
@@ -71,10 +61,13 @@ def dinv_from_alphas(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     return TaylorSeries(c, note=note)
 
 
-def _star_poly(coeffs: VerblunskyCoeffs, n: int) -> np.ndarray:
-    """kappa_n * Phi_n* as an ascending coefficient array."""
-    monic = _monic_sequence(coeffs, n)[n]
-    return coeffs.kappa(n) * np.conj(monic[::-1])
+def _star_coeffs(coeffs: VerblunskyCoeffs, monic: list, n: int, order: int) -> np.ndarray:
+    """kappa_n * Phi_n* from a monic sequence, cut or zero-padded to order + 1."""
+    star = coeffs.kappa(n) * np.conj(monic[n][::-1])
+    c = np.zeros(order + 1, dtype=complex)
+    upto = min(order + 1, len(star))
+    c[:upto] = star[:upto]
+    return c
 
 
 def d_from_weight(measure: CircleMeasure, order: int = 64) -> TaylorSeries:

@@ -214,6 +214,17 @@ def test_verify_failing_suite_exits_one(capsys):
     assert passes[0]["value"] == "false"
 
 
+def test_verify_low_order_is_inconclusive(capsys):
+    """Too few stored alphas for the mapped-decay fit: inconclusive, exit 1."""
+    code, out = run(capsys, ["verify", "all", "--alpha", "geometric:C=0.5,R=2",
+                             "--order", "16"])
+    assert code == 1
+    _, rows = parse_table(out)
+    notes = {r["suite"]: r["value"] for r in rows if r["field"] == "notes"}
+    assert notes["damanik-simon"].startswith("inconclusive")
+    assert notes["jost-combination"].startswith("inconclusive")
+
+
 def test_config_overrides_default_order(capsys, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"seriesOrder": 16, "gridSize": 128}))
