@@ -246,7 +246,7 @@ def verify_nevai_totik(coeffs: VerblunskyCoeffs, order: int = 64, rel_tol: float
     """
     check = "nevai-totik"
     try:
-        alpha = np.array([coeffs.entry(m) for m in range(order + 1)])
+        alpha = coeffs.slice(order + 1)
         r_alpha = decay_rate(alpha, window=window)
         dinv = dinv_from_alphas(coeffs, order)
         r_d = radius_estimate(dinv, window=window)
@@ -387,7 +387,7 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
     """
     check = "r-minus-s"
     try:
-        alpha = np.array([coeffs.entry(m) for m in range(order + 1)])
+        alpha = coeffs.slice(order + 1)
         dinv = dinv_from_alphas(coeffs, order)
         s = s_series(coeffs, order)
         r = r_series(dinv, order, method="product")
@@ -446,9 +446,18 @@ def jost_b_combination(u: TaylorSeries, b: TaylorSeries, order: int):
     Returns (series, pos_scale, neg_scale) where the scale arrays hold the
     absolute-value sums that entered each coefficient, the natural yardstick
     for rounding noise in the heavily cancelling positive tail.
+
+    The result is bitwise equal to the scalar double loop over (k, j) that
+    adds u_k b_j at exponent 2 - k + j: one row of u is added at a time, so
+    every coefficient still receives its terms in increasing k.  The
+    products are formed from split real arrays and the scales with
+    ``np.hypot``, because numpy's vectorized complex multiply and complex
+    ``abs`` can differ from the scalar ones in the last bit; a convolution
+    or dot product would also change the summation order.
     """
     uc = u.coeffs
     bc = b.coeffs
+    nb = len(bc)
     pos = np.zeros(order + 1, dtype=complex)
     neg = np.zeros(order + 1, dtype=complex)
     pos_scale = np.zeros(order + 1)
@@ -458,16 +467,24 @@ def jost_b_combination(u: TaylorSeries, b: TaylorSeries, order: int):
         shifted = uc[m - 2] if m >= 2 else 0.0
         pos[m] += direct - shifted
         pos_scale[m] += abs(direct) + abs(shifted)
+    br, bi = bc.real, bc.imag
+
+    def add_row(out, scale, at, ur, ui, lo, hi):
+        re = ur * br[lo:hi] - ui * bi[lo:hi]
+        im = ur * bi[lo:hi] + ui * br[lo:hi]
+        out.real[at] += re
+        out.imag[at] += im
+        scale[at] += np.hypot(re, im)
+
     for k in range(len(uc)):
-        for j in range(len(bc)):
-            e = 2 - k + j
-            term = uc[k] * bc[j]
-            if 0 <= e <= order:
-                pos[e] += term
-                pos_scale[e] += abs(term)
-            elif -order <= e < 0:
-                neg[-e] += term
-                neg_scale[-e] += abs(term)
+        ur, ui = uc[k].real, uc[k].imag
+        # u_k b_j lands at e = 2 - k + j: e >= 0 in pos[e], e < 0 in neg[-e].
+        lo, hi = max(0, k - 2), min(nb, order + k - 1)
+        if lo < hi:
+            add_row(pos, pos_scale, slice(2 - k + lo, 2 - k + hi), ur, ui, lo, hi)
+        lo, hi = max(0, k - 2 - order), min(nb, k - 2)
+        if lo < hi:
+            add_row(neg, neg_scale, slice(k - 2 - lo, k - 2 - hi, -1), ur, ui, lo, hi)
     series = LaurentSeries.from_tails(pos[0], pos[1:], neg[1:])
     return series, pos_scale, neg_scale
 

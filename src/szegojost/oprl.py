@@ -9,7 +9,6 @@ spectral-measure oracle used by the verification suites.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     InvalidParameterError,
@@ -293,6 +292,9 @@ def spectral_measure_oracle(params: JacobiParams, n: int, shift: float = 0.0) ->
     to the last entry); weights are squared first components of the
     orthonormal eigenvectors.
     """
+    # scipy.linalg dominates the package import time; only this oracle needs it.
+    from scipy.linalg import eigh_tridiagonal
+
     if n < 1:
         raise InvalidParameterError("truncation size must be >= 1")
     if n > EIGEN_ORACLE_MAX_SIZE:

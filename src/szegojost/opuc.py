@@ -6,6 +6,8 @@ point measures, Bernstein-Szego approximants, and the Caratheodory transform
 of a sampled circle measure.
 """
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +89,14 @@ class VerblunskyCoeffs:
         raise OutOfRangeError(n, "alpha")
 
     def slice(self, n: int) -> np.ndarray:
-        """alpha_0 .. alpha_{n-1} as an array."""
-        return np.array([self.entry(j) for j in range(n)], dtype=complex)
+        """alpha_0 .. alpha_{n-1} as an array, zero past a finite support."""
+        n = max(n, 0)
+        if n > len(self.alpha) and not self.is_finitely_supported:
+            raise OutOfRangeError(len(self.alpha), "alpha")
+        out = np.zeros(n, dtype=complex)
+        stored = min(n, len(self.alpha))
+        out[:stored] = self.alpha[:stored]
+        return out
 
     def rho(self, n: int) -> float:
         return float(np.sqrt(1.0 - abs(self.entry(n)) ** 2))
@@ -114,23 +122,30 @@ class VerblunskyCoeffs:
         return bool(np.all(self.alpha.imag == 0.0))
 
 
-def _monic_sequence(coeffs: VerblunskyCoeffs, n: int) -> list[np.ndarray]:
-    """Monic Phi_0 .. Phi_n as ascending coefficient arrays.
+def _monic_sequence(coeffs: VerblunskyCoeffs, n: int) -> Iterator[np.ndarray]:
+    """Yield monic Phi_0 .. Phi_n as ascending coefficient arrays.
 
     Each step uses Phi_{m+1} = z Phi_m - conj(alpha_m) Phi_m*, with the star
-    polynomial realized exactly as conjugate-and-reverse.
+    polynomial realized exactly as conjugate-and-reverse.  Only the current
+    polynomial is held, so the recursion runs in O(n) memory; a caller that
+    needs earlier iterates keeps them itself.
     """
     if n < 0:
         raise InvalidParameterError("order must be nonnegative")
-    seq = [np.ones(1, dtype=complex)]
+    phi = np.ones(1, dtype=complex)
+    yield phi
     for m in range(n):
-        phi = seq[m]
         star = np.conj(phi[::-1])
         nxt = np.zeros(m + 2, dtype=complex)
         nxt[1:] = phi
         nxt[: m + 1] -= np.conj(coeffs.entry(m)) * star
-        seq.append(nxt)
-    return seq
+        phi = nxt
+        yield phi
+
+
+def _monic(coeffs: VerblunskyCoeffs, n: int) -> np.ndarray:
+    """Monic Phi_n: the last polynomial of :func:`_monic_sequence`."""
+    return deque(_monic_sequence(coeffs, n), maxlen=1)[0]
 
 
 @dataclass(frozen=True)
@@ -171,7 +186,7 @@ class CirclePolyPair:
 
 def szego_recursion(coeffs: VerblunskyCoeffs, n: int) -> CirclePolyPair:
     """(phi_n, phi_n*) after n recursion steps."""
-    monic = _monic_sequence(coeffs, n)[n]
+    monic = _monic(coeffs, n)
     kappa = coeffs.kappa(n)
     phi = kappa * monic
     return CirclePolyPair(phi=phi, phi_star=np.conj(phi[::-1]), kappa=kappa)
@@ -207,7 +222,7 @@ def popuc(coeffs: VerblunskyCoeffs, n: int, omega: complex) -> ParaOrthogonalPol
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-12:
         raise InvalidParameterError(f"omega must be unimodular, got |omega|={abs(omega)!r}")
-    phi = _monic_sequence(coeffs, n)[n]
+    phi = _monic(coeffs, n)
     poly = np.zeros(n + 2, dtype=complex)
     poly[1:] = phi
     poly[: n + 1] -= np.conj(omega) * np.conj(phi[::-1])
@@ -231,10 +246,9 @@ class PopucMeasure:
 def popuc_point_measure(coeffs: VerblunskyCoeffs, n: int, omega: complex) -> PopucMeasure:
     """Zeros plus Christoffel weights 1/sum_{k<=n} |phi_k(z_j)|^2."""
     para = popuc(coeffs, n, omega)
-    monic = _monic_sequence(coeffs, n)
     acc = np.zeros(len(para.zeros))
-    for k in range(n + 1):
-        vals = _polyval(para.zeros, monic[k]) * coeffs.kappa(k)
+    for k, monic in enumerate(_monic_sequence(coeffs, n)):
+        vals = _polyval(para.zeros, monic) * coeffs.kappa(k)
         acc += np.abs(vals) ** 2
     weights = 1.0 / acc
     return PopucMeasure(zeros=para.zeros, weights=weights, omega=para.omega)

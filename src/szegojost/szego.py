@@ -7,6 +7,7 @@ weight-side construction of D itself lives in :func:`d_from_weight`.
 """
 
 import warnings
+from collections import deque
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .errors import (
     PreconditionError,
     SzegoConditionError,
 )
-from .opuc import CircleMeasure, VerblunskyCoeffs, _monic_sequence
+from .opuc import CircleMeasure, VerblunskyCoeffs, _monic, _monic_sequence
 from .series import LaurentSeries, TaylorSeries, taylor_exp, taylor_reciprocal
 
 __all__ = [
@@ -45,11 +46,11 @@ def dinv_from_alphas(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     steps = len(coeffs.alpha) + (1 if coeffs.is_finitely_supported else 0)
     if steps < 1:
         raise InvalidParameterError("truncated coefficients are empty")
-    monic = _monic_sequence(coeffs, steps)
-    c = _star_coeffs(coeffs, monic, steps, order)
+    prev, last = deque(_monic_sequence(coeffs, steps), maxlen=2)
+    c = _star_coeffs(coeffs, last, steps, order)
     if coeffs.is_finitely_supported:
         return TaylorSeries(c)
-    prev_c = _star_coeffs(coeffs, monic, steps - 1, order)
+    prev_c = _star_coeffs(coeffs, prev, steps - 1, order)
     drift = float(np.max(np.abs(c - prev_c)))
     note = None
     if drift > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
@@ -61,9 +62,9 @@ def dinv_from_alphas(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     return TaylorSeries(c, note=note)
 
 
-def _star_coeffs(coeffs: VerblunskyCoeffs, monic: list, n: int, order: int) -> np.ndarray:
-    """kappa_n * Phi_n* from a monic sequence, cut or zero-padded to order + 1."""
-    star = coeffs.kappa(n) * np.conj(monic[n][::-1])
+def _star_coeffs(coeffs: VerblunskyCoeffs, monic: np.ndarray, n: int, order: int) -> np.ndarray:
+    """kappa_n * Phi_n* from the monic Phi_n, cut or zero-padded to order + 1."""
+    star = coeffs.kappa(n) * np.conj(monic[::-1])
     c = np.zeros(order + 1, dtype=complex)
     upto = min(order + 1, len(star))
     c[:upto] = star[:upto]
@@ -120,7 +121,7 @@ def recover_alpha_geronimus_freud(
         raise PreconditionError("the recovery integral needs a mass-free measure")
     kappa_inf = dinv.coeffs[0]
     zeta = measure.points()
-    phi_next = _monic_sequence(coeffs, n + 1)[n + 1]
+    phi_next = _monic(coeffs, n + 1)
     vals = np.conj(_polyval(zeta, phi_next)) * dinv(zeta)
     return complex(-kappa_inf * _boundary_integral(measure, vals))
 
@@ -142,7 +143,7 @@ def recover_alpha_simon(
         raise PreconditionError("the recovery integral needs a mass-free measure")
     kappa_inf = dinv.coeffs[0]
     zeta = measure.points()
-    phi_n = _monic_sequence(coeffs, n)[n]
+    phi_n = _monic(coeffs, n)
     centered = dinv(zeta) - dinv.coeffs[0]
     vals = np.conj(_polyval(zeta, phi_n)) * centered * np.conj(zeta)
     kappa_n_sq = coeffs.kappa(n) ** 2

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import geometric_alphas, real_alphas
 from szegojost.analysis import (
@@ -217,6 +219,58 @@ def test_combination_free_is_constant():
     series, _, _ = jost_b_combination(u, b, order=8)
     assert np.isclose(series.coeff(0), 1.0)
     assert np.max(np.abs(np.delete(series.coeffs, series.order))) < 1e-15
+
+
+def _reference_combination(u, b, order):
+    """The scalar double loop that jost_b_combination must match bit for bit."""
+    uc = u.coeffs
+    bc = b.coeffs
+    pos = np.zeros(order + 1, dtype=complex)
+    neg = np.zeros(order + 1, dtype=complex)
+    pos_scale = np.zeros(order + 1)
+    neg_scale = np.zeros(order + 1)
+    for m in range(min(order, len(uc) + 1) + 1):
+        direct = uc[m] if m < len(uc) else 0.0
+        shifted = uc[m - 2] if m >= 2 else 0.0
+        pos[m] += direct - shifted
+        pos_scale[m] += abs(direct) + abs(shifted)
+    for k in range(len(uc)):
+        for j in range(len(bc)):
+            e = 2 - k + j
+            term = uc[k] * bc[j]
+            if 0 <= e <= order:
+                pos[e] += term
+                pos_scale[e] += abs(term)
+            elif -order <= e < 0:
+                neg[-e] += term
+                neg_scale[-e] += abs(term)
+    series = LaurentSeries.from_tails(pos[0], pos[1:], neg[1:])
+    return series, pos_scale, neg_scale
+
+
+def _draw_coeffs(rng, n, is_complex):
+    """Coefficients over 16 decades, with some exact and signed zeros."""
+    c = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
+    if is_complex:
+        c = c + 1j * rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
+    zeros = rng.random(n) < 0.1
+    c[zeros] = np.copysign(0.0, rng.normal(size=int(np.count_nonzero(zeros))))
+    return TaylorSeries(c)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 24), st.integers(1, 52),
+       st.integers(1, 52), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_combination_matches_scalar_loop_bitwise(seed, order, nu, nb, u_complex, b_complex):
+    """Lengths of u and B range below and above order + 1."""
+    rng = np.random.default_rng(seed)
+    u = _draw_coeffs(rng, nu, u_complex)
+    b = _draw_coeffs(rng, nb, b_complex)
+    got = jost_b_combination(u, b, order)
+    want = _reference_combination(u, b, order)
+    assert got[0].coeffs.tobytes() == want[0].coeffs.tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()
 
 
 def test_combination_suite_geometric_family():

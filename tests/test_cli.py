@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import szegojost
 from szegojost.cli import main
 
 
@@ -261,3 +266,15 @@ def test_output_files_are_byte_stable(capsys, tmp_path):
     assert meta["table"] == "alpha"
     assert meta["tool"] == "szegojost"
     capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy.linalg is imported by the eigen-oracle on first use only."""
+    src = str(Path(szegojost.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, szegojost.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "False"

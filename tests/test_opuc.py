@@ -38,6 +38,25 @@ def test_coefficient_tail_policies():
     assert VerblunskyCoeffs.zero().entry(3) == 0.0
 
 
+def test_slice_zero_pads_finite_support():
+    finite = VerblunskyCoeffs.finitely_supported([0.5, -0.25j])
+    got = finite.slice(5)
+    assert got.dtype == complex
+    assert got.tolist() == [finite.entry(m) for m in range(5)]
+    assert got.tolist() == [0.5, -0.25j, 0.0, 0.0, 0.0]
+    assert finite.slice(0).size == 0
+
+
+def test_slice_past_truncation_raises_like_entry():
+    truncated = VerblunskyCoeffs(alpha=[0.5, 0.25, 0.125])
+    assert truncated.slice(3).tolist() == [0.5, 0.25, 0.125]
+    with pytest.raises(OutOfRangeError) as from_entry:
+        truncated.entry(3)
+    with pytest.raises(OutOfRangeError) as from_slice:
+        truncated.slice(7)
+    assert str(from_slice.value) == str(from_entry.value)
+
+
 def test_coefficient_validation():
     with pytest.raises(InvalidParameterError):
         VerblunskyCoeffs(alpha=[1.0])

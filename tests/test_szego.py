@@ -1,5 +1,7 @@
 """Outer-function layer: 1/D, D from the weight, S, r, coefficient recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from szegojost.errors import (
     PreconditionError,
     SzegoConditionError,
 )
+from szegojost.measures import parse_alpha_spec
 from szegojost.opuc import CircleMeasure, VerblunskyCoeffs, bernstein_szego
 from szegojost.series import taylor_mul
 from szegojost.szego import (
@@ -65,6 +68,18 @@ def test_dinv_truncated_quiet_when_tail_is_negligible():
         warnings.simplefilter("error")
         dinv = dinv_from_alphas(c, order=64)
     assert dinv.note is None
+
+
+def test_dinv_recursion_keeps_only_the_last_iterates():
+    """Holding all N + 1 monic polynomials would peak near 8.6 MB here."""
+    coeffs = parse_alpha_spec("geometric:C=0.5,R=2", 1024)
+    tracemalloc.start()
+    try:
+        dinv_from_alphas(coeffs, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_d_from_weight_uniform_is_one():
