@@ -3,7 +3,10 @@
 Every subcommand writes one CSV table (stdout, or a file with a JSON
 sidecar carrying config and provenance).  Output is deterministic: fixed
 column order, fixed row order, floats at full round-trip precision, no
-timestamps, so repeated runs are byte-identical.
+timestamps, so repeated runs at a fixed BLAS thread count are
+byte-identical.  Across thread counts the last bits of values that come
+from LAPACK eigensolvers (``polyroots`` for paraorthogonal and Jost zeros,
+``eigh_tridiagonal`` for the spectral-measure oracle) may differ.
 
 Exit codes: 0 success, 1 failed verification (report still written),
 2 malformed input or invalid parameters.
@@ -232,15 +235,13 @@ def _cmd_popuc(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def _run_suite(name: str, args, config: ExperimentConfig):
-    order = args.order if args.order is not None else config.series_order
+def _run_suite(name: str, args, config: ExperimentConfig, coeffs, order: int):
     rel = config.tolerance("radius_rel")
     slack = config.tolerance("one_sided_slack")
     if name == "canonical-weights":
         params = _jacobi_from_args(args) if (args.b1 is not None or args.a) else JacobiParams(
             a=np.array([1.0]), b=np.array([1.5]), free_after=1)
         return canonical_weight_check(params)
-    coeffs = parse_alpha_spec(args.alpha, order)
     if name == "nevai-totik":
         return verify_nevai_totik(coeffs, order, rel_tol=rel, window=config.window)
     if name == "damanik-simon":
@@ -256,10 +257,15 @@ def _cmd_verify(args, config: ExperimentConfig) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     if args.suite != "canonical-weights" and args.alpha is None:
         raise SzegojostError("verification needs --alpha (except canonical-weights)")
+    order = args.order if args.order is not None else config.series_order
+    # One parse serves every suite, so they share the series cached on it.
+    coeffs = None
     rows = []
     all_passed = True
     for name in names:
-        report = _run_suite(name, args, config)
+        if coeffs is None and name != "canonical-weights":
+            coeffs = parse_alpha_spec(args.alpha, order)
+        report = _run_suite(name, args, config, coeffs, order)
         all_passed &= report.passed
         rows.extend((name, key, _fmt(val)) for key, val in report.rows())
     _write_output(args, "reports", ["suite", "field", "value"], rows, config, _hash_input(args))

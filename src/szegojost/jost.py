@@ -95,6 +95,10 @@ def geronimus_deltas(coeffs: VerblunskyCoeffs, count: int | None = None):
                     - a2n+3 a2n+1
     Returned without the square root so callers needing a_n - 1 to full
     relative precision can avoid the cancellation in sqrt(1 + delta) - 1.
+
+    The pair is cached on ``coeffs`` under ``("deltas", count)``, with
+    ``count`` resolved first, for the lifetime of that instance; a repeated
+    call returns the same read-only arrays.
     """
     if not coeffs.is_real():
         raise InvalidParameterError("the coefficient map needs real alpha")
@@ -103,6 +107,9 @@ def geronimus_deltas(coeffs: VerblunskyCoeffs, count: int | None = None):
             count = len(coeffs.alpha) // 2 + 3
         else:
             count = max(0, (len(coeffs.alpha) - 2) // 2)
+    key = ("deltas", count)
+    if key in coeffs._cache:
+        return coeffs._cache[key]
     al = np.array([coeffs.entry(j).real for j in range(2 * count + 2)])
     b = np.empty(count)
     asq1 = np.empty(count)
@@ -111,6 +118,9 @@ def geronimus_deltas(coeffs: VerblunskyCoeffs, count: int | None = None):
         a3 = al[2 * n + 3] if 2 * n + 3 < len(al) else coeffs.entry(2 * n + 3).real
         b[n] = a0 - a2 - a1 * (a0 + a2)
         asq1[n] = a1 - a3 - a2**2 * (1.0 - a3) * (1.0 + a1) - a3 * a1
+    b.setflags(write=False)
+    asq1.setflags(write=False)
+    coeffs._cache[key] = (b, asq1)
     return b, asq1
 
 
@@ -170,6 +180,11 @@ def u_from_dinv(coeffs: VerblunskyCoeffs, order: int = 64) -> JostData:
     distance 1e-6 of it.  Truncation zeros of a slowly decaying series move
     as the order grows and are discarded; genuine zeros stay.  The deeper
     series is built only when there are candidates.
+
+    The result is cached on ``coeffs`` under ``("jost", order)`` for the
+    lifetime of that instance, and its arrays are read-only.  A repeated
+    call returns the same object; it still fetches 1/D first, so an
+    unconverged series warns again as on the first call.
     """
     if not coeffs.is_real():
         raise InvalidParameterError("the Jost correspondence needs real alpha")
@@ -177,6 +192,9 @@ def u_from_dinv(coeffs: VerblunskyCoeffs, order: int = 64) -> JostData:
     a1 = coeffs.entry(1).real
     scale = float(np.sqrt((1.0 - a0 * a0) * (1.0 - a1)))
     dinv = dinv_from_alphas(coeffs, order)
+    key = ("jost", order)
+    if key in coeffs._cache:
+        return coeffs._cache[key]
     u = TaylorSeries(scale * dinv.coeffs, note=dinv.note)
     zeros = _disk_roots(u)
     if zeros.size:
@@ -187,7 +205,11 @@ def u_from_dinv(coeffs: VerblunskyCoeffs, order: int = 64) -> JostData:
              if refined.size and np.min(np.abs(refined - z)) < 1e-6 * max(abs(z), 1e-3)],
             dtype=complex,
         )
-    return JostData(u=u, zeros_in_disk=zeros, eigenvalues=e_from_z(zeros))
+    data = JostData(u=u, zeros_in_disk=zeros, eigenvalues=e_from_z(zeros))
+    for arr in (u.coeffs, data.zeros_in_disk, data.eigenvalues):
+        arr.setflags(write=False)
+    coeffs._cache[key] = data
+    return data
 
 
 def finite_range_jost_data(params: JacobiParams, ell: int | None = None) -> JostData:

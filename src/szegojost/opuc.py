@@ -46,13 +46,21 @@ class VerblunskyCoeffs:
     finitely supported); ``zero_after = None`` means the sequence is known
     only up to the stored length and reading past it raises
     :class:`OutOfRangeError`.
+
+    Each instance carries a private cache of the series derived from it
+    (:func:`~szegojost.szego.dinv_from_alphas`,
+    :func:`~szegojost.jost.u_from_dinv`,
+    :func:`~szegojost.jost.geronimus_deltas`), so the suites of one
+    ``verify`` run share them.  It lives as long as the instance and is not
+    a dataclass field (it takes no part in ``repr`` or ``==``).  ``alpha``
+    is stored as a read-only copy, so the cache cannot go stale.
     """
 
     alpha: np.ndarray
     zero_after: int | None = None
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=complex)
+        alpha = np.array(self.alpha, dtype=complex)
         if alpha.ndim != 1:
             raise InvalidParameterError("alpha must be a 1-d array")
         if not np.all(np.isfinite(alpha)):
@@ -64,7 +72,9 @@ class VerblunskyCoeffs:
                 alpha = np.concatenate(
                     [alpha, np.zeros(self.zero_after + 1 - len(alpha), dtype=complex)]
                 )
+        alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_cache", {})
 
     @classmethod
     def finitely_supported(cls, alphas) -> "VerblunskyCoeffs":

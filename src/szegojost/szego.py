@@ -40,26 +40,39 @@ def dinv_from_alphas(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     the support ends and the result is a polynomial; for truncated input the
     last two iterates are compared and an unconverged result carries a note
     (and emits :class:`ConvergenceWarning`).  The constant term is kappa_inf.
+
+    The series is cached on ``coeffs`` under ``("dinv", order)`` for the
+    lifetime of that instance, and its coefficient array is read-only.  A
+    repeated call returns the same object and, when the series carries a
+    note, emits the :class:`ConvergenceWarning` again at the caller's line.
     """
     if order < 1:
         raise InvalidParameterError("series order must be >= 1")
+    key = ("dinv", order)
+    cached = coeffs._cache.get(key)
+    if cached is not None:
+        if cached.note:
+            warnings.warn(cached.note, ConvergenceWarning, stacklevel=2)
+        return cached
     steps = len(coeffs.alpha) + (1 if coeffs.is_finitely_supported else 0)
     if steps < 1:
         raise InvalidParameterError("truncated coefficients are empty")
     prev, last = deque(_monic_sequence(coeffs, steps), maxlen=2)
     c = _star_coeffs(coeffs, last, steps, order)
-    if coeffs.is_finitely_supported:
-        return TaylorSeries(c)
-    prev_c = _star_coeffs(coeffs, prev, steps - 1, order)
-    drift = float(np.max(np.abs(c - prev_c)))
     note = None
-    if drift > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
-        note = (
-            f"series unconverged: last step moved coefficients by {drift:.3e}; "
-            "supply more coefficients"
-        )
-        warnings.warn(note, ConvergenceWarning, stacklevel=2)
-    return TaylorSeries(c, note=note)
+    if not coeffs.is_finitely_supported:
+        prev_c = _star_coeffs(coeffs, prev, steps - 1, order)
+        drift = float(np.max(np.abs(c - prev_c)))
+        if drift > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
+            note = (
+                f"series unconverged: last step moved coefficients by {drift:.3e}; "
+                "supply more coefficients"
+            )
+            warnings.warn(note, ConvergenceWarning, stacklevel=2)
+    series = TaylorSeries(c, note=note)
+    series.coeffs.setflags(write=False)
+    coeffs._cache[key] = series
+    return series
 
 
 def _star_coeffs(coeffs: VerblunskyCoeffs, monic: np.ndarray, n: int, order: int) -> np.ndarray:
@@ -160,8 +173,7 @@ def s_series(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
         raise InvalidParameterError("series order must be >= 1")
     c = np.zeros(order + 1, dtype=complex)
     c[0] = 1.0
-    for j in range(1, order + 1):
-        c[j] = -coeffs.entry(j - 1)
+    c[1:] = -coeffs.slice(order)
     return TaylorSeries(c)
 
 
@@ -199,15 +211,12 @@ def r_series(
                 "product method needs dinv order >= requested Laurent order"
             )
         c_dinv = dinv.coeffs
-        d = taylor_reciprocal(dinv, length).coeffs
+        d_conj = np.conj(taylor_reciprocal(dinv, length).coeffs)
         c = np.zeros(2 * order + 1, dtype=complex)
         for k in range(-order, order + 1):
             m_lo = max(0, -k)
             m_hi = length - max(0, k)
-            if m_hi < m_lo:
-                continue
-            ms = np.arange(m_lo, m_hi + 1)
-            c[k + order] = np.dot(np.conj(d[ms]), c_dinv[ms + k])
+            c[k + order] = np.dot(d_conj[m_lo : m_hi + 1], c_dinv[m_lo + k : m_hi + k + 1])
         return LaurentSeries(c)
     raise InvalidParameterError(f"unknown method {method!r}")
 

@@ -230,6 +230,33 @@ def test_verify_low_order_is_inconclusive(capsys):
     assert notes["jost-combination"].startswith("inconclusive")
 
 
+def test_verify_all_runs_one_szego_recursion(capsys, monkeypatch):
+    """The suites share the 1/D cached on one parsed coefficient set."""
+    from szegojost import opuc, szego
+
+    starts = []
+    original = opuc._monic_sequence
+
+    def counting(coeffs, n):
+        starts.append(n)
+        return original(coeffs, n)
+
+    monkeypatch.setattr(opuc, "_monic_sequence", counting)
+    monkeypatch.setattr(szego, "_monic_sequence", counting)
+    code, _ = run(capsys, ["verify", "all", "--alpha", "geometric:C=0.5,R=2",
+                           "--order", "64"])
+    assert code == 0
+    assert len(starts) == 1
+
+
+def test_verify_canonical_weights_ignores_alpha(capsys):
+    """Only the suites that read alpha parse it."""
+    code, out = run(capsys, ["verify", "canonical-weights", "--b1", "1.5",
+                             "--alpha", "not-a-spec"])
+    assert code == 0
+    assert parse_table(out)[0] == "reports"
+
+
 def test_config_overrides_default_order(capsys, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"seriesOrder": 16, "gridSize": 128}))

@@ -1,9 +1,13 @@
 """Byte-for-byte pins of CLI stdout against checked-in golden files.
 
-The files under ``tests/data/golden/`` were written by the CLI before the
-row-wise ``jost_b_combination`` and the O(N) Szego recursion, which must not
-change a single output byte.  Regenerate a file only together with a
-CHANGES.md entry that declares the output change.
+The files under ``tests/data/golden/`` were written by the CLI before
+changes that must not move a single output byte: the first four before the
+row-wise ``jost_b_combination`` and the O(N) Szego recursion, the other
+three (the costliest ``verify all`` of the benchmark panel, ``s_series``
+and ``geronimus_deltas`` through ``coeffs --map``) before the series
+derived from one coefficient set were cached on it and shared by the
+``verify`` suites.  Regenerate a file only together with a CHANGES.md
+entry that declares the output change.
 
 Each command runs in a fresh interpreter with BLAS pinned to one thread:
 the paraorthogonal zeros come from a LAPACK eigensolver whose last bits
@@ -27,6 +31,11 @@ CASES = {
     "szego_dinv_order1024": ["szego", "--series", "dinv", "--alpha", "geometric:C=0.5,R=3",
                              "--order", "1024"],
     "popuc_n256": ["popuc", "--alpha", "geometric:C=0.5,R=3", "--n", "256", "--omega=1,0"],
+    "verify_all_c-0.3_r1.2_order1024": ["verify", "all", "--alpha", "geometric:C=-0.3,R=1.2",
+                                        "--order", "1024"],
+    "szego_s_order1024": ["szego", "--series", "s", "--alpha", "geometric:C=0.5,R=3",
+                          "--order", "1024"],
+    "coeffs_map_order64": ["coeffs", "--alpha", "geometric:C=0.5,R=3", "--order", "64", "--map"],
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import mild_jacobi, real_alphas
 from szegojost.errors import (
+    ConvergenceWarning,
     DomainError,
     InvalidParameterError,
     OutOfRangeError,
@@ -118,6 +119,36 @@ def test_deltas_truncated_count_cap():
     assert len(b) == 4  # entries through alpha_9 support four mapped rows
     with pytest.raises(OutOfRangeError):
         geronimus_deltas(c, count=5)
+
+
+def test_deltas_are_cached_per_count():
+    c = VerblunskyCoeffs(alpha=np.full(10, 0.1))
+    b, asq1 = geronimus_deltas(c)
+    again = geronimus_deltas(c, count=4)
+    assert again[0] is b and again[1] is asq1
+    assert geronimus_deltas(c, count=3)[0] is not b
+    with pytest.raises(ValueError):
+        b[0] = 0.0
+    with pytest.raises(ValueError):
+        asq1[0] = 0.0
+
+
+def test_u_is_cached_per_instance_and_order():
+    c = parse_alpha_spec("geometric:C=0.5,R=2", 96)
+    data = u_from_dinv(c, order=64)
+    assert u_from_dinv(c, order=64) is data
+    assert u_from_dinv(c, order=48) is not data
+    for arr in (data.u.coeffs, data.zeros_in_disk, data.eigenvalues):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
+def test_u_cache_hit_warns_again_when_unconverged():
+    c = VerblunskyCoeffs(alpha=0.5 * 0.5 ** np.arange(8))
+    with pytest.warns(ConvergenceWarning):
+        first = u_from_dinv(c, order=16)
+    with pytest.warns(ConvergenceWarning, match="unconverged"):
+        assert u_from_dinv(c, order=16) is first
 
 
 def test_u_single_coefficient_closed_form():

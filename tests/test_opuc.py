@@ -57,6 +57,16 @@ def test_slice_past_truncation_raises_like_entry():
     assert str(from_slice.value) == str(from_entry.value)
 
 
+def test_alpha_is_a_read_only_copy():
+    """The series cached on an instance must not go stale under its caller."""
+    source = np.array([0.5, 0.25, 0.125], dtype=complex)
+    coeffs = VerblunskyCoeffs(alpha=source)
+    source[0] = 0.0
+    assert coeffs.entry(0) == 0.5
+    with pytest.raises(ValueError):
+        coeffs.alpha[0] = 0.0
+
+
 def test_coefficient_validation():
     with pytest.raises(InvalidParameterError):
         VerblunskyCoeffs(alpha=[1.0])

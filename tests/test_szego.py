@@ -82,6 +82,24 @@ def test_dinv_recursion_keeps_only_the_last_iterates():
     assert peak < 1_000_000
 
 
+def test_dinv_is_cached_per_instance_and_order():
+    c = geometric_alphas(0.5, 2.0, order=96)
+    dinv = dinv_from_alphas(c, order=64)
+    assert dinv_from_alphas(c, order=64) is dinv
+    assert dinv_from_alphas(c, order=32) is not dinv
+    assert dinv_from_alphas(geometric_alphas(0.5, 2.0, order=96), order=64) is not dinv
+    with pytest.raises(ValueError):
+        dinv.coeffs[0] = 0.0
+
+
+def test_dinv_cache_hit_warns_again_when_unconverged():
+    c = VerblunskyCoeffs(alpha=0.5 * 0.5 ** np.arange(8))
+    with pytest.warns(ConvergenceWarning):
+        first = dinv_from_alphas(c, order=16)
+    with pytest.warns(ConvergenceWarning, match="unconverged"):
+        assert dinv_from_alphas(c, order=16) is first
+
+
 def test_d_from_weight_uniform_is_one():
     d = d_from_weight(CircleMeasure.lebesgue(512), order=12)
     assert np.allclose(d.coeffs, np.eye(13)[0], atol=1e-13)
