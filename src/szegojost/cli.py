@@ -123,7 +123,7 @@ def _cmd_coeffs(args, config: ExperimentConfig) -> int:
         spec = MeasureSpec.from_file(args.from_measure)
         n = args.n if args.n is not None else 8
         if spec.kind == "circle":
-            coeffs = ingest_circle(spec, n)
+            coeffs = ingest_circle(realize_circle(spec, config.grid_size), n)
             rows = [(m, coeffs.entry(m).real, coeffs.entry(m).imag) for m in range(n)]
             _write_output(args, "alpha", ["n", "re", "im"], rows, config, _hash_input(args))
             return 0

@@ -289,35 +289,33 @@ def realize_line(spec: MeasureSpec, size: int = _GAUSS_REFERENCE_SIZE) -> PointM
     return PointMeasure(nodes=np.array(xs), weights=np.array(ws))
 
 
-def _circle_expectation(measure: CircleMeasure, poly: np.ndarray, extra_power: int = 0):
-    """Mean of z^extra_power * poly(z) against the measure."""
-    z = measure.points()
-    vals = np.polynomial.polynomial.polyval(z, poly) * z**extra_power
-    total = np.mean(measure.weight * vals)
-    for loc, mass in measure.point_masses:
-        total += mass * np.polynomial.polynomial.polyval(loc, poly) * loc**extra_power
-    return complex(total)
-
-
 def ingest_circle(measure, n: int) -> VerblunskyCoeffs:
     """Recursion coefficients of a sampled circle measure, first n entries.
 
-    Runs the monic recursion, choosing each alpha_m so the next monic
-    polynomial integrates to zero: alpha_m = conj(<z Phi_m> / <Phi_m^*>).
-    The denominator is the squared monic norm; when it degenerates (or an
-    alpha reaches the unit circle) the sampled measure cannot support the
-    requested order.
+    The moments mu_j = integral of z^j d mu, j = 0..n, come from one inverse
+    FFT of the grid weight (taken at j mod G, since the grid measure's
+    moments are G-periodic) plus the atoms.  The monic recursion then runs
+    on the moments alone, choosing each alpha_m so the next monic
+    polynomial integrates to zero: alpha_m = conj(<z Phi_m> / <Phi_m^*>),
+    with <z Phi_m> = sum_i phi_i mu_{i+1} and <Phi_m^*> = sum_i phi*_i mu_i.
+    The cost is O(G log G + n^2).  The denominator is the squared monic
+    norm; when it degenerates (or an alpha reaches the unit circle) the
+    sampled measure cannot support the requested order.
     """
     if isinstance(measure, MeasureSpec):
         measure = realize_circle(measure)
     if float(np.min(measure.weight)) <= 0.0:
         raise PreconditionError("ingestion needs a strictly positive a.c. weight")
+    powers = np.arange(n + 1)
+    mu = np.fft.ifft(measure.weight)[powers % measure.grid_size]
+    for loc, mass in measure.point_masses:
+        mu = mu + mass * loc**powers
     alphas = np.zeros(n, dtype=complex)
     phi = np.array([1.0 + 0.0j])
     for m in range(n):
         phi_star = np.conj(phi[::-1])
-        num = _circle_expectation(measure, phi, extra_power=1)
-        den = _circle_expectation(measure, phi_star)
+        num = np.dot(phi, mu[1 : m + 2])
+        den = np.dot(phi_star, mu[: m + 1])
         if abs(den) < 1e-13:
             raise DegenerateMeasureError(m, "monic norm collapsed; measure is numerically trivial")
         alpha = np.conj(num / den)

@@ -107,13 +107,11 @@ def taylor_exp(a: TaylorSeries, order: int | None = None) -> TaylorSeries:
     g = a.coeffs
     e = np.zeros(order + 1, dtype=complex)
     e[0] = np.exp(g[0])
-    # (n+1) e_{n+1} = sum_{k=0..n} (k+1) g_{k+1} e_{n-k}
+    # (n+1) e_{n+1} = sum_{k=0..n} (k+1) g_{k+1} e_{n-k}, with absent g_k treated as 0
+    dg = np.arange(1, len(g)) * g[1:]
     for n in range(order):
-        acc = 0.0 + 0.0j
         kmax = min(n, len(g) - 2)
-        for k in range(kmax + 1):
-            acc += (k + 1) * g[k + 1] * e[n - k]
-        e[n + 1] = acc / (n + 1)
+        e[n + 1] = np.dot(dg[: kmax + 1], e[n - kmax : n + 1][::-1]) / (n + 1)
     return TaylorSeries(e)
 
 

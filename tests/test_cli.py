@@ -12,6 +12,38 @@ import pytest
 
 import szegojost
 from szegojost.cli import main
+from szegojost.measures import MeasureSpec, ingest_circle, realize_circle
+
+
+def test_package_exports_are_pinned():
+    assert len(szegojost.__all__) == 89
+    assert set(szegojost.__all__) == {
+        "analysis", "errors", "jost", "measures", "oprl", "opuc", "series", "szego",
+        "PadePole", "ProductSet", "RadiusEstimate", "VerificationReport",
+        "canonical_weight_check", "decay_rate", "gset", "jost_b_combination",
+        "pade_pole_probe", "radius_estimate", "verify_damanik_simon",
+        "verify_jost_b_combination", "verify_nevai_totik", "verify_r_minus_s",
+        "AliasingError", "ConvergenceWarning", "DegenerateMeasureError", "DomainError",
+        "IllConditionedError", "InvalidParameterError", "NumericalDegeneracyError",
+        "OutOfRangeError", "PoleError", "PreconditionError", "SzegoConditionError",
+        "SzegojostError", "SzegojostWarning",
+        "JostData", "blaschke", "e_from_z", "finite_range_jost_data", "geronimus_deltas",
+        "geronimus_map", "jost_g_ell", "m_finite_range", "m_function", "u_from_dinv",
+        "z_from_e",
+        "ExperimentConfig", "MeasureSpec", "ingest_circle", "ingest_line", "load_config",
+        "parse_alpha_spec", "realize_circle", "realize_line",
+        "JacobiParams", "PointMeasure", "PolyEval", "carmona_density", "carmona_moment",
+        "dombrowski_nevai_s", "eval_polys", "m_n_b", "orthonormal_poly_coeffs",
+        "spectral_measure_oracle", "truncated_matrix",
+        "CircleMeasure", "CirclePolyPair", "ParaOrthogonalPoly", "PopucMeasure",
+        "VerblunskyCoeffs", "bernstein_szego", "caratheodory", "popuc",
+        "popuc_average_check", "popuc_point_measure", "roots_of_unity", "second_kind",
+        "szego_recursion",
+        "LaurentSeries", "TaylorSeries", "taylor_exp", "taylor_mul", "taylor_reciprocal",
+        "d_from_weight", "dinv_from_alphas", "r_series", "recover_alpha_geronimus_freud",
+        "recover_alpha_simon", "s_series",
+    }
+    assert all(hasattr(szegojost, name) for name in szegojost.__all__)
 
 
 def run(capsys, argv):
@@ -62,6 +94,23 @@ def test_coeffs_ingest_circle(capsys, tmp_path):
     for r in rows:
         assert abs(float(r["re"])) < 1e-12
         assert abs(float(r["im"])) < 1e-12
+
+
+def test_coeffs_ingest_circle_uses_config_grid_size(capsys, tmp_path):
+    doc = tmp_path / "bs.json"
+    doc.write_text(json.dumps({"kind": "circle", "acWeight": "bernstein-szego:0.6,-0.5",
+                               "pointMasses": [["1j", 0.1]]}))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"gridSize": 512}))
+    code, out = run(capsys, ["--config", str(cfg), "coeffs", "--from-measure", str(doc),
+                             "--n", "64"])
+    assert code == 0
+    _, rows = parse_table(out)
+    got = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
+    spec = MeasureSpec.from_file(str(doc))
+    want = ingest_circle(realize_circle(spec, 512), 64).alpha
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, ingest_circle(realize_circle(spec, 4096), 64).alpha)
 
 
 def test_coeffs_ingest_line(capsys, tmp_path):

@@ -2,11 +2,15 @@
 
 The files under ``tests/data/golden/`` were written by the CLI before
 changes that must not move a single output byte: the first four before the
-row-wise ``jost_b_combination`` and the O(N) Szego recursion, the other
+row-wise ``jost_b_combination`` and the O(N) Szego recursion, the next
 three (the costliest ``verify all`` of the benchmark panel, ``s_series``
 and ``geronimus_deltas`` through ``coeffs --map``) before the series
 derived from one coefficient set were cached on it and shared by the
-``verify`` suites.  Regenerate a file only together with a CHANGES.md
+``verify`` suites.  The two measure-side files (``coeffs --from-measure``
+on a Bernstein-Szego document with an atom, ``szego --from-measure`` on a
+cosine-polynomial document, both under ``tests/data/measures/``) were
+written after circle ingestion moved to moments and ``taylor_exp`` to one
+dot per coefficient.  Regenerate a file only together with a CHANGES.md
 entry that declares the output change.
 
 Each command runs in a fresh interpreter with BLAS pinned to one thread:
@@ -24,6 +28,7 @@ import pytest
 import szegojost
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+MEASURES = Path(__file__).parent / "data" / "measures"
 
 CASES = {
     "verify_all_order64": ["verify", "all", "--alpha", "geometric:C=0.5,R=2", "--order", "64"],
@@ -36,6 +41,12 @@ CASES = {
     "szego_s_order1024": ["szego", "--series", "s", "--alpha", "geometric:C=0.5,R=3",
                           "--order", "1024"],
     "coeffs_map_order64": ["coeffs", "--alpha", "geometric:C=0.5,R=3", "--order", "64", "--map"],
+    "coeffs_from_measure_bs_atom_n256": ["coeffs", "--from-measure",
+                                         str(MEASURES / "bernstein_szego_atom.json"),
+                                         "--n", "256"],
+    "szego_from_measure_cosine_order1024": ["szego", "--from-measure",
+                                            str(MEASURES / "cosine_polynomial.json"),
+                                            "--order", "1024"],
 }
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szegojost.errors import (
     DegenerateMeasureError,
@@ -288,3 +290,149 @@ def test_parse_alpha_spec_rejects_bad_input():
         parse_alpha_spec("")
     with pytest.raises(InvalidParameterError):
         parse_alpha_spec("0.5,zebra")
+
+
+def _expectation_by_horner(measure, poly, extra_power=0):
+    """Verbatim copy of the grid expectation the moment route replaced."""
+    z = measure.points()
+    vals = np.polynomial.polynomial.polyval(z, poly) * z**extra_power
+    total = np.mean(measure.weight * vals)
+    for loc, mass in measure.point_masses:
+        total += mass * np.polynomial.polynomial.polyval(loc, poly) * loc**extra_power
+    return complex(total)
+
+
+def _ingest_circle_by_horner(measure, n):
+    """Verbatim copy of the O(n^2 G) ingestion loop the moment route replaced."""
+    if float(np.min(measure.weight)) <= 0.0:
+        raise PreconditionError("ingestion needs a strictly positive a.c. weight")
+    alphas = np.zeros(n, dtype=complex)
+    phi = np.array([1.0 + 0.0j])
+    for m in range(n):
+        phi_star = np.conj(phi[::-1])
+        num = _expectation_by_horner(measure, phi, extra_power=1)
+        den = _expectation_by_horner(measure, phi_star)
+        if abs(den) < 1e-13:
+            raise DegenerateMeasureError(m, "monic norm collapsed; measure is numerically trivial")
+        alpha = np.conj(num / den)
+        if abs(alpha) >= 1.0 - 1e-13:
+            raise DegenerateMeasureError(
+                m, f"|alpha_{m}| = {abs(alpha):.6f} reached the unit circle"
+            )
+        alphas[m] = alpha
+        phi = np.concatenate(([0.0], phi)) - np.conj(alpha) * np.concatenate(
+            (phi_star, [0.0])
+        )
+    return VerblunskyCoeffs(alpha=alphas)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).alpha, None
+    except DegenerateMeasureError as exc:
+        return None, exc.order
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(3, 9), st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_ingest_circle_matches_horner_loop(seed, log_grid, with_atom, data):
+    """Moments from one inverse FFT give the grid loop's alphas and its errors.
+
+    A measure on S points has |alpha_{S-1}| = 1 exactly, so both routes agree
+    on every step below S - 1.  From there on the computed modulus sits
+    within rounding of the 1 - 1e-13 guard, and whether a route stops at
+    step S - 1, at S (norm collapse) or not at all is decided by rounding.
+    """
+    rng = np.random.default_rng(seed)
+    grid = 2**log_grid
+    n = data.draw(st.integers(1, grid + 3), label="n")
+    w = rng.uniform(0.05, 2.0, grid)
+    atoms = ()
+    if with_atom:
+        atoms = ((complex(np.exp(2j * np.pi * rng.uniform())), float(rng.uniform(0.01, 0.3))),)
+    w *= (1.0 - sum(m for _, m in atoms)) / np.mean(w)
+    measure = CircleMeasure(weight=w, point_masses=atoms)
+    support = grid + len(atoms)
+    sure = min(n, support - 1)
+    got, got_error = _outcome(ingest_circle, measure, sure)
+    want, want_error = _outcome(_ingest_circle_by_horner, measure, sure)
+    assert got_error is None and want_error is None
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for fn in (ingest_circle, _ingest_circle_by_horner):
+        alphas, step = _outcome(fn, measure, n)
+        assert step is None or step >= support - 1
+        if alphas is not None:
+            assert np.array_equal(alphas[:sure], got if fn is ingest_circle else want)
+
+
+def _monic_star(alphas):
+    """Coefficients of Phi_k^* for Verblunsky coefficients alpha_0..alpha_{k-1}."""
+    phi = np.array([1.0 + 0.0j])
+    for a in alphas:
+        star = np.conj(phi[::-1])
+        phi = np.concatenate(([0.0], phi)) - np.conj(a) * np.concatenate((star, [0.0]))
+    return np.conj(phi[::-1])
+
+
+def _exact_bs_moments(alphas, count, atoms):
+    """mu_j = integral of z^j d mu, j < count, for the Bernstein-Szego measure plus atoms.
+
+    On the circle the weight is proportional to |f|^2 with f = 1/Phi_k^* =
+    sum_j a_j z^j analytic past the closed disk, so mu_m is proportional to
+    sum_j a_j conj(a_{j+m}).
+    """
+    star = _monic_star(alphas)
+    length = count + 4000
+    a = np.zeros(length, dtype=complex)
+    a[0] = 1.0
+    for j in range(1, length):
+        i = min(j, len(star) - 1)
+        a[j] = -np.dot(star[1 : i + 1], a[j - 1 :: -1][:i])
+    assert np.max(np.abs(a[-50:])) < 1e-30 * np.max(np.abs(a))
+    mu = np.array([np.dot(a[: length - m], np.conj(a[m:])) for m in range(count)])
+    mu *= (1.0 - sum(mass for _, mass in atoms)) / mu[0].real
+    for loc, mass in atoms:
+        mu += mass * loc ** np.arange(count)
+    return mu
+
+
+def _levinson(mu, n):
+    """alpha_0..alpha_{n-1} from exact moments, with the norm carried by the recursion."""
+    alphas = np.zeros(n, dtype=complex)
+    phi = np.array([1.0 + 0.0j])
+    norm = mu[0].real
+    for m in range(n):
+        alpha = np.conj(np.dot(phi, mu[1 : m + 2])) / norm
+        alphas[m] = alpha
+        phi = np.concatenate(([0.0], phi)) - np.conj(alpha) * np.concatenate(
+            (np.conj(phi[::-1]), [0.0])
+        )
+        norm *= 1.0 - abs(alpha) ** 2
+    return alphas
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ingest_circle_matches_exact_moment_levinson(seed):
+    """A Bernstein-Szego document with an atom, against its exact moments."""
+    rng = np.random.default_rng(seed)
+    alphas = tuple(rng.uniform(-0.3, 0.3, int(rng.integers(1, 9))))
+    atoms = ((complex(np.exp(2j * np.pi * rng.uniform())), float(rng.uniform(0.01, 0.2))),)
+    spec = MeasureSpec(kind="circle", family="bernstein-szego", family_params=alphas,
+                       point_masses=atoms)
+    got = ingest_circle(spec, 256).alpha
+    want = _levinson(_exact_bs_moments(alphas, 257, spec.point_masses), 256)
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+       st.integers(0, 256))
+@settings(max_examples=40, deadline=None)
+def test_ingest_circle_recovers_bernstein_szego_alphas(polar, extra):
+    """The measure with density 1/|phi_k|^2 has alpha_0..alpha_{k-1} and then zeros."""
+    alphas = np.array([r * np.exp(2j * np.pi * t) for r, t in polar])
+    k = len(alphas)
+    n = k + extra
+    measure = bernstein_szego(VerblunskyCoeffs.finitely_supported(alphas), k, 4096)
+    got = ingest_circle(measure, n).alpha
+    assert np.max(np.abs(got[:k] - alphas)) < 1e-13
+    assert np.max(np.abs(got[k:]), initial=0.0) < 1e-13

@@ -102,6 +102,30 @@ def test_taylor_exp_inverts_log_of_polynomial(rng):
     assert np.allclose(ident.coeffs, np.eye(13)[0], atol=1e-13)
 
 
+def _taylor_exp_scalar_loop(g, order):
+    """Verbatim copy of the scalar double loop the dot-per-row form replaced."""
+    e = np.zeros(order + 1, dtype=complex)
+    e[0] = np.exp(g[0])
+    for n in range(order):
+        acc = 0.0 + 0.0j
+        kmax = min(n, len(g) - 2)
+        for k in range(kmax + 1):
+            acc += (k + 1) * g[k + 1] * e[n - k]
+        e[n + 1] = acc / (n + 1)
+    return e
+
+
+@pytest.mark.parametrize("length,order", [(1, 6), (2, 40), (9, 64), (65, 64), (300, 256),
+                                          (513, 1024)])
+def test_taylor_exp_matches_scalar_loop(rng, length, order):
+    """One dot per coefficient keeps the old recursion's values to rounding."""
+    g = rng.uniform(-0.5, 0.5, length) + 1j * rng.uniform(-0.5, 0.5, length)
+    g[1:] *= 0.9 ** np.arange(1, length)
+    got = taylor_exp(TaylorSeries(g), order).coeffs
+    want = _taylor_exp_scalar_loop(g, order)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_laurent_indexing_and_tails():
     ls = LaurentSeries([5.0, 3.0, 1.0, 2.0, 4.0])  # c_{-2}..c_2
     assert ls.order == 2
