@@ -161,8 +161,7 @@ def _cmd_szego(args, config: ExperimentConfig) -> int:
     dinv = dinv_from_alphas(coeffs, order)
     if args.series == "r":
         ser = r_series(dinv, order)
-        rows = [(k, ser.coeff(k).real, ser.coeff(k).imag)
-                for k in range(-ser.order, ser.order + 1)]
+        rows = [(k, c.real, c.imag) for k, c in enumerate(ser.coeffs, start=-ser.order)]
         _write_output(args, "r", ["k", "re", "im"], rows, config, _hash_input(args))
         return 0
     rows = [(k, c.real, c.imag) for k, c in enumerate(dinv.coeffs)]

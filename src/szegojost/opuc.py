@@ -6,6 +6,7 @@ point measures, Bernstein-Szego approximants, and the Caratheodory transform
 of a sampled circle measure.
 """
 
+import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -232,7 +233,12 @@ def popuc(coeffs: VerblunskyCoeffs, n: int, omega: complex) -> ParaOrthogonalPol
     omega = complex(omega)
     if abs(abs(omega) - 1.0) > 1e-12:
         raise InvalidParameterError(f"omega must be unimodular, got |omega|={abs(omega)!r}")
-    phi = _monic(coeffs, n)
+    return _paraorthogonal(_monic(coeffs, n), omega)
+
+
+def _paraorthogonal(phi: np.ndarray, omega: complex) -> ParaOrthogonalPoly:
+    """z Phi_n - conj(omega) Phi_n* and its zeros, from the monic Phi_n."""
+    n = len(phi) - 1
     poly = np.zeros(n + 2, dtype=complex)
     poly[1:] = phi
     poly[: n + 1] -= np.conj(omega) * np.conj(phi[::-1])
@@ -254,14 +260,35 @@ class PopucMeasure:
 
 
 def popuc_point_measure(coeffs: VerblunskyCoeffs, n: int, omega: complex) -> PopucMeasure:
-    """Zeros plus Christoffel weights 1/sum_{k<=n} |phi_k(z_j)|^2."""
+    """Zeros plus Christoffel weights 1/sum_{k<=n} |phi_k(z_j)|^2.
+
+    The zeros are those of :func:`popuc`; the weights come from stepping the
+    orthonormal Szego recursion on the zeros themselves (see
+    :func:`_christoffel_weights`), O(n) vector steps with no polynomial
+    evaluation.
+    """
     para = popuc(coeffs, n, omega)
-    acc = np.zeros(len(para.zeros))
-    for k, monic in enumerate(_monic_sequence(coeffs, n)):
-        vals = _polyval(para.zeros, monic) * coeffs.kappa(k)
-        acc += np.abs(vals) ** 2
-    weights = 1.0 / acc
+    weights = _christoffel_weights(coeffs.slice(n), para.zeros)
     return PopucMeasure(zeros=para.zeros, weights=weights, omega=para.omega)
+
+
+def _christoffel_weights(alpha: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """1/sum_{k<=n} |phi_k(z)|^2 for alpha_0 .. alpha_{n-1}.
+
+    phi_0 = phi_0* = 1 and
+    phi_{k+1} = (z phi_k - conj(alpha_k) phi_k*) / rho_k,
+    phi_{k+1}* = (phi_k* - alpha_k z phi_k) / rho_k,
+    so each step costs a few vector operations on the points.
+    """
+    rho = np.sqrt(1.0 - np.abs(alpha) ** 2)
+    phi = np.ones(len(z), dtype=complex)
+    star = np.ones(len(z), dtype=complex)
+    acc = np.ones(len(z))
+    for a, r in zip(alpha.tolist(), rho.tolist()):
+        zphi = z * phi
+        phi, star = (zphi - a.conjugate() * star) / r, (star - a * zphi) / r
+        acc += phi.real**2 + phi.imag**2
+    return 1.0 / acc
 
 
 @dataclass(frozen=True)
@@ -324,10 +351,29 @@ def bernstein_szego(coeffs: VerblunskyCoeffs, n: int, grid_size: int = 4096) -> 
     This is the measure whose Verblunsky coefficients equal the first n
     entries of ``coeffs`` and vanish from index n on, so its trigonometric
     moments for |k| <= n agree with those of the full measure.
+
+    The weight's Fourier coefficients decay like R^-|k|, with R the modulus
+    of the nearest zero of phi_n*, and the grid folds them back onto the
+    mass.  When that aliasing moves the mass by more than the
+    :class:`CircleMeasure` tolerance, :class:`AliasingError` names a grid
+    size on which R^-G falls below 1e-16.
     """
     pair = szego_recursion(coeffs, n)
     z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
     w = 1.0 / np.abs(pair(z)) ** 2
+    total = float(w.mean())
+    if abs(total - 1.0) > CircleMeasure.mass_tol:
+        # trailing coefficients below rounding only add zeros near infinity
+        star = np.polynomial.polynomial.polytrim(
+            pair.phi_star, 1e-16 * float(np.max(np.abs(pair.phi_star))))
+        radius = float(np.min(np.abs(np.polynomial.polynomial.polyroots(star))))
+        resolving = math.ceil(16 * math.log(10) / max(math.log(radius), 1e-15))
+        need = max(2 * grid_size, 1 << (resolving - 1).bit_length())
+        raise AliasingError(
+            f"a {grid_size}-point grid cannot resolve the weight 1/|phi_{n}|^2: the nearest "
+            f"zero of phi_{n}* lies at radius {radius:.6g}, and the grid mass is "
+            f"{total:.17g}; use grid_size >= {need}"
+        )
     return CircleMeasure(weight=w)
 
 
@@ -346,7 +392,9 @@ def popuc_average_check(
 
     Each moment is a polynomial in omega of degree <= |k| <= n, so a uniform
     root-of-unity grid of size >= 2n+2 averages it exactly; the average must
-    match the k-th moment of the degree-n approximant measure.
+    match the k-th moment of the degree-n approximant measure.  Phi_n and
+    the alphas are read once and shared by every omega; each omega gets the
+    zeros and weights :func:`popuc_point_measure` would return.
     """
     omegas = np.asarray(omegas, dtype=complex)
     if abs(k) > n:
@@ -357,9 +405,14 @@ def popuc_average_check(
         )
     if np.max(np.abs(np.abs(omegas) - 1.0)) > 1e-12:
         raise InvalidParameterError("all omega values must be unimodular")
-    avg = complex(
-        np.mean([popuc_point_measure(coeffs, n, w).moment(k) for w in omegas])
-    )
+    phi = _monic(coeffs, n)
+    alpha = coeffs.slice(n)
+    moments = []
+    for w in omegas.tolist():
+        zeros = _paraorthogonal(phi, w).zeros
+        weights = _christoffel_weights(alpha, zeros)
+        moments.append(PopucMeasure(zeros=zeros, weights=weights, omega=w).moment(k))
+    avg = complex(np.mean(moments))
     reference = bernstein_szego(coeffs, n, grid_size).moment(k)
     return avg, reference
 

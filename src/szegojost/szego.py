@@ -187,23 +187,24 @@ def r_series(
 
     On the unit circle r has modulus one.  ``method="grid"`` reads the
     coefficients off boundary values by FFT (grid of at least 8 * order
-    points); ``method="product"`` convolves the reflected-D series with the
-    1/D series, which keeps relative accuracy deep into the tails and is what
-    the wide-annulus checks use.
+    points): the values of 1/D at the ``size`` roots of unity come from one
+    inverse FFT of its coefficients folded modulo ``size`` (exact also when
+    the series is longer than the grid), and the coefficients of r from one
+    forward FFT of (1/D) / conj(1/D) there.  ``method="product"`` convolves
+    the reflected-D series with the 1/D series, which keeps relative
+    accuracy deep into the tails and is what the wide-annulus checks use.
     """
     if abs(dinv.coeffs[0]) < 1e-280:
         raise PoleError(0.0, context="reciprocal Szego series has no constant term")
     if method == "grid":
         size = grid_size or max(512, _next_pow2(8 * (order + 1)))
-        theta = 2.0 * np.pi * np.arange(size) / size
-        zeta = np.exp(1j * theta)
-        vals = dinv(zeta)
+        rows = -(-len(dinv.coeffs) // size)
+        folded = np.zeros(rows * size, dtype=complex)
+        folded[: len(dinv.coeffs)] = dinv.coeffs
+        vals = size * np.fft.ifft(folded.reshape(rows, size).sum(axis=0))
         ratio = vals / np.conj(vals)
         hat = np.fft.fft(ratio) / size
-        c = np.zeros(2 * order + 1, dtype=complex)
-        for k in range(-order, order + 1):
-            c[k + order] = hat[k % size]
-        return LaurentSeries(c)
+        return LaurentSeries(hat[np.arange(-order, order + 1) % size])
     if method == "product":
         length = dinv.order
         if order > length:

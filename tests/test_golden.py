@@ -10,8 +10,12 @@ derived from one coefficient set were cached on it and shared by the
 on a Bernstein-Szego document with an atom, ``szego --from-measure`` on a
 cosine-polynomial document, both under ``tests/data/measures/``) were
 written after circle ingestion moved to moments and ``taylor_exp`` to one
-dot per coefficient.  Regenerate a file only together with a CHANGES.md
-entry that declares the output change.
+dot per coefficient.  ``popuc_n256`` was rewritten when the Christoffel
+weights moved to the Szego recursion on the zeros, and the two
+``szego --series r`` files (an eight-entry list at order 1024, a geometric
+tail at order 64) were written when the grid path of ``r_series`` moved to
+one inverse FFT.  Regenerate a file only together with a CHANGES.md entry
+that declares the output change.
 
 Each command runs in a fresh interpreter with BLAS pinned to one thread:
 the paraorthogonal zeros come from a LAPACK eigensolver whose last bits
@@ -40,6 +44,11 @@ CASES = {
                                         "--order", "1024"],
     "szego_s_order1024": ["szego", "--series", "s", "--alpha", "geometric:C=0.5,R=3",
                           "--order", "1024"],
+    "szego_r_list_order1024": ["szego", "--series", "r",
+                               "--alpha=0.1,-0.2,0.25,0.05,-0.1,0.2,0.15,-0.05",
+                               "--order", "1024"],
+    "szego_r_order64": ["szego", "--series", "r", "--alpha", "geometric:C=0.5,R=3",
+                        "--order", "64"],
     "coeffs_map_order64": ["coeffs", "--alpha", "geometric:C=0.5,R=3", "--order", "64", "--map"],
     "coeffs_from_measure_bs_atom_n256": ["coeffs", "--from-measure",
                                          str(MEASURES / "bernstein_szego_atom.json"),

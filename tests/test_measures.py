@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from szegojost.errors import (
+    AliasingError,
     DegenerateMeasureError,
     InvalidParameterError,
     PreconditionError,
@@ -27,7 +28,7 @@ from szegojost.measures import (
     realize_line,
 )
 from szegojost.oprl import PointMeasure
-from szegojost.opuc import CircleMeasure, VerblunskyCoeffs, bernstein_szego
+from szegojost.opuc import CircleMeasure, VerblunskyCoeffs, bernstein_szego, szego_recursion
 
 
 def test_spec_validation():
@@ -426,13 +427,34 @@ def test_ingest_circle_matches_exact_moment_levinson(seed):
 
 @given(st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 1.0)), min_size=1, max_size=8),
        st.integers(0, 256))
+@example(polar=[(0.5, 0.0)] * 5, extra=0)
+@example(polar=[(0.0, 0.0)] * 2 + [(0.5, 0.0)] * 4, extra=0)
+@example(polar=[(0.0, 0.0), (2.225073858507e-311, 0.0)], extra=0)
 @settings(max_examples=40, deadline=None)
 def test_ingest_circle_recovers_bernstein_szego_alphas(polar, extra):
-    """The measure with density 1/|phi_k|^2 has alpha_0..alpha_{k-1} and then zeros."""
+    """The measure with density 1/|phi_k|^2 has alpha_0..alpha_{k-1} and then zeros.
+
+    The G-point grid folds the weight's Fourier coefficients, which decay
+    like |z0|^-|j| for the nearest zero z0 of phi_k*, back onto the moments,
+    so the recovery is only as good as the alias level L = max |z0|^-G.
+    Where L <= 1e-14 the 1e-13 bound holds; above that the sampling either
+    raises :class:`AliasingError` or recovers the alphas within 10 L.
+    """
+    grid = 4096
     alphas = np.array([r * np.exp(2j * np.pi * t) for r, t in polar])
     k = len(alphas)
     n = k + extra
-    measure = bernstein_szego(VerblunskyCoeffs.finitely_supported(alphas), k, 4096)
+    coeffs = VerblunskyCoeffs.finitely_supported(alphas)
+    star = szego_recursion(coeffs, k).phi_star
+    # coefficients below rounding (subnormal alphas) only add zeros near infinity
+    star = np.polynomial.polynomial.polytrim(star, 1e-16 * np.max(np.abs(star)))
+    level = float(np.max(np.abs(np.polynomial.polynomial.polyroots(star)) ** -grid, initial=0.0))
+    bound = 1e-13 if level <= 1e-14 else 10 * level
+    try:
+        measure = bernstein_szego(coeffs, k, grid)
+    except AliasingError:
+        assert level > 1e-14
+        return
     got = ingest_circle(measure, n).alpha
-    assert np.max(np.abs(got[:k] - alphas)) < 1e-13
-    assert np.max(np.abs(got[k:]), initial=0.0) < 1e-13
+    assert np.max(np.abs(got[:k] - alphas)) < bound
+    assert np.max(np.abs(got[k:]), initial=0.0) < bound

@@ -1,17 +1,20 @@
 """Circle recursion: orthonormal pairs, paraorthogonal zeros, approximants."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complex_alphas, real_alphas
+from szegojost.measures import parse_alpha_spec
 from szegojost.errors import (
     AliasingError,
     DomainError,
     InvalidParameterError,
     OutOfRangeError,
 )
+from szegojost import opuc
 from szegojost.opuc import (
     CircleMeasure,
     VerblunskyCoeffs,
@@ -164,6 +167,72 @@ def test_popuc_point_measure_is_probability(rng):
     assert np.isclose(measure.moment(0), 1.0, atol=1e-10)
 
 
+def _christoffel_sum_mp(alpha, zeros, dps=50):
+    """sum_{k<=n} kappa_k^2 |Phi_k(z)|^2 at each point, in dps-digit arithmetic.
+
+    Phi_k and Phi_k* are stepped in monic form (Simon, OPUC 1.5.1-2),
+    Phi_{k+1} = z Phi_k - conj(alpha_k) Phi_k*, Phi_{k+1}* = Phi_k* - alpha_k z Phi_k,
+    and kappa_k^2 = prod_{j<k} 1/(1 - |alpha_j|^2).
+    """
+    with mpmath.workdps(dps):
+        al = [mpmath.mpc(complex(a)) for a in alpha]
+        steps, kappa_sq = [], mpmath.mpf(1)
+        for a in al:
+            kappa_sq /= 1 - (a.real**2 + a.imag**2)
+            steps.append((a, mpmath.conj(a), kappa_sq))
+        out = []
+        for z0 in zeros:
+            z = mpmath.mpc(complex(z0))
+            phi, star, total = mpmath.mpc(1), mpmath.mpc(1), mpmath.mpf(1)
+            for a, a_bar, k_sq in steps:
+                zphi = z * phi
+                phi, star = zphi - a_bar * star, star - a * zphi
+                total += k_sq * (phi.real**2 + phi.imag**2)
+            out.append(total)
+        return out
+
+
+def _spiral_alphas(n):
+    """Complex alpha_k = 0.6 e^{0.7ik} 1.15^-k, so alpha and conj(alpha) differ."""
+    k = np.arange(n)
+    return VerblunskyCoeffs(alpha=0.6 * np.exp(0.7j * k) * 1.15 ** -k)
+
+
+@pytest.mark.parametrize(
+    ("coeffs", "n", "omega"),
+    [
+        (parse_alpha_spec("geometric:C=-0.7,R=1.1", 300), 300, 1j),
+        (parse_alpha_spec("geometric:C=0.5,R=3", 128), 128, 1.0),
+        (_spiral_alphas(120), 120, np.exp(0.4j)),
+        (VerblunskyCoeffs.finitely_supported([0.3 + 0.4j, -0.5j, 0.2, 0.6 - 0.1j]), 40, -1.0),
+    ],
+)
+def test_popuc_weights_match_high_precision_christoffel_sum(coeffs, n, omega):
+    """Weights are 1/sum |phi_k(z_j)|^2 at the returned zeros to 1e-13 relative."""
+    measure = popuc_point_measure(coeffs, n, omega)
+    sums = _christoffel_sum_mp(coeffs.slice(n), measure.zeros)
+    want = np.array([float(1 / s) for s in sums])
+    assert np.max(np.abs(measure.weights - want) / want) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 3, 12, 40])
+def test_popuc_average_reuses_one_recursion_bitwise(rng, n):
+    """The average check sees the zeros and weights of per-omega calls exactly."""
+    c = VerblunskyCoeffs.finitely_supported(
+        0.5 * 1.25 ** -np.arange(n) * np.exp(2j * np.pi * rng.uniform(size=n)))
+    omegas = roots_of_unity(2 * n + 2)
+    for k in (0, 1, -n):
+        avg, _ = popuc_average_check(c, n, omegas, k)
+        per_omega = [popuc_point_measure(c, n, w) for w in omegas]
+        assert avg == complex(np.mean([m.moment(k) for m in per_omega]))
+    phi = opuc._monic(c, n)
+    for w, m in zip(omegas, per_omega):
+        zeros = opuc._paraorthogonal(phi, complex(w)).zeros
+        assert zeros.tobytes() == m.zeros.tobytes()
+        weights = opuc._christoffel_weights(c.slice(n), zeros)
+        assert weights.tobytes() == m.weights.tobytes()
+
+
 def test_bernstein_szego_order_zero_is_lebesgue():
     c = VerblunskyCoeffs.finitely_supported([0.5])
     measure = bernstein_szego(c, 0, grid_size=256)
@@ -177,6 +246,19 @@ def test_bernstein_szego_closed_form_weight():
     z = measure.points()
     assert np.allclose(measure.weight, 0.75 / np.abs(z - 0.5) ** 2)
     assert np.isclose(np.mean(measure.weight), 1.0, atol=1e-12)
+
+
+def test_bernstein_szego_names_a_resolving_grid():
+    """Five alphas of 1/2 put a zero of phi_5* at radius 1.0055: 4096 points alias."""
+    c = VerblunskyCoeffs.finitely_supported([0.5] * 5)
+    with pytest.raises(AliasingError, match="use grid_size >= 8192"):
+        bernstein_szego(c, 5, 4096)
+    measure = bernstein_szego(c, 5, 8192)
+    assert abs(np.mean(measure.weight) - 1.0) < 1e-13
+    # a subnormal last alpha leaves phi_2* of numerical degree 1
+    c = VerblunskyCoeffs.finitely_supported([0.99999, 1e-320])
+    with pytest.raises(AliasingError, match="radius 1.00001"):
+        bernstein_szego(c, 2, 4096)
 
 
 def test_bernstein_szego_matches_low_moments(rng):

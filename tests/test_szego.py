@@ -176,6 +176,42 @@ def test_r_series_methods_agree():
     assert np.max(np.abs(grid.coeffs - product.coeffs)) < 1e-12
 
 
+def _r_series_grid_by_polyval(dinv, order, size):
+    """The grid path as it evaluated 1/D by Horner before the inverse FFT."""
+    theta = 2.0 * np.pi * np.arange(size) / size
+    zeta = np.exp(1j * theta)
+    vals = dinv(zeta)
+    ratio = vals / np.conj(vals)
+    hat = np.fft.fft(ratio) / size
+    c = np.zeros(2 * order + 1, dtype=complex)
+    for k in range(-order, order + 1):
+        c[k + order] = hat[k % size]
+    return c
+
+
+@pytest.mark.parametrize(
+    ("spec", "dinv_order", "order", "grid_size"),
+    [
+        ("geometric:C=0.5,R=3", 64, 64, None),
+        ("geometric:C=-0.7,R=1.5", 256, 200, None),
+        ("0.1,-0.2,0.25,0.05,-0.1,0.2,0.15,-0.05", 1024, 1024, None),
+        ("0.3,-0.45,0.2", 32, 7, 16),
+        ("geometric:C=0.6,R=1.2", 96, 8, 32),
+        ("geometric:C=-0.4,R=2", 200, 5, 32),
+    ],
+)
+def test_r_series_grid_matches_polyval_path(spec, dinv_order, order, grid_size):
+    """One inverse FFT of the folded series gives the Horner boundary values.
+
+    The last three cases have a series longer than the grid, so the fold
+    modulo the grid size carries terms."""
+    dinv = dinv_from_alphas(parse_alpha_spec(spec, dinv_order), dinv_order)
+    size = grid_size or max(512, 1 << (8 * (order + 1) - 1).bit_length())
+    want = _r_series_grid_by_polyval(dinv, order, size)
+    got = r_series(dinv, order, grid_size=grid_size).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_r_series_unimodular_on_circle():
     # single alpha: dinv = (2 - z)/sqrt(3) has its only zero at 2, so the
     # truncated tails decay at rate 2 and the circle values are clean
