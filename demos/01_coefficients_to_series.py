@@ -29,12 +29,19 @@ print(f"decay radius of alpha: {est_alpha.radius:.4f}")
 print(f"decay radius of 1/D:   {est_dinv.radius:.4f}   (both should be near {R})")
 
 # S keeps only the first-order alpha contribution; r is the full phase.
-# Their difference decays at rate R^-3, which hits the rounding floor by
-# k of about 20, so the fit window must stay on the early coefficients.
+# Their difference decays at rate R^-3 and soon cancels down to rounding
+# noise.  The product method keeps r accurate deep into its tail, and the
+# fit window ends where the r-minus-s suite ends it: at the last index of
+# the run that clears 64 times a 20-eps rounding floor.
 s = s_series(alphas, order=ORDER)
-r = r_series(dinv, order=ORDER)
-diff = r.positive_tail() - s.coeffs[1:]
-est_diff = decay_rate(np.abs(diff), window=(4, 16))
+r = r_series(dinv, order=ORDER, method="product")
+r_pos = np.concatenate(([r.coeff(0)], r.positive_tail()))
+diff = r_pos - s.coeffs
+floor = 64 * 20 * np.finfo(float).eps * (np.abs(r_pos) + np.abs(s.coeffs))
+hi = 4
+while hi + 1 < len(diff) and abs(diff[hi + 1]) > floor[hi + 1]:
+    hi += 1
+est_diff = decay_rate(np.abs(diff), window=(4, hi))
 print(f"decay radius of the positive tail of r - S: {est_diff.radius:.3f}"
       f"   (should be near R^3 = {R**3:.0f})")
 

@@ -5,8 +5,10 @@ sidecar carrying config and provenance).  Output is deterministic: fixed
 column order, fixed row order, floats at full round-trip precision, no
 timestamps, so repeated runs at a fixed BLAS thread count are
 byte-identical.  Across thread counts the last bits of values that come
-from LAPACK eigensolvers (``polyroots`` for paraorthogonal and Jost zeros,
-``eigh_tridiagonal`` for the spectral-measure oracle) may differ.
+from LAPACK eigensolvers may differ: ``polyroots`` for paraorthogonal
+zeros, and for Jost zeros only when the zero-free certificate fails, and
+``eigh_tridiagonal`` for the spectral-measure oracle, which only
+``carmona`` uses.
 
 Exit codes: 0 success, 1 failed verification (report still written),
 2 malformed input or invalid parameters.

@@ -36,6 +36,8 @@ __all__ = [
     "e_from_z",
 ]
 
+_EPS = np.finfo(float).eps
+
 
 def e_from_z(z):
     """Joukowski map E = z + 1/z."""
@@ -232,18 +234,56 @@ def _disk_roots(series: TaylorSeries) -> np.ndarray:
     which is the size of the backward error of ``polyroots`` itself, so the
     trimmed solve resolves every disk zero the full-degree solve can.  A
     root is kept when |z| < 1 and |series(z)| < 1e-8 * max|c|.
+
+    The solve is skipped when an argument-principle certificate shows that
+    no root can pass that filter.  The trimmed polynomial p is evaluated at
+    the M >= 8(K + 1) roots of unity by one inverse FFT.  Between adjacent
+    nodes p moves by at most (2 pi / M) sum k |c_k|, so with ``lower`` =
+    min |p(node)| minus that bound and the FFT rounding bound, |p| >= lower
+    on the whole circle, and each ratio p(next node) / p(node) lies in the
+    right half-plane.  The principal arguments of those ratios then sum to
+    2 pi times the winding number.  When that sum is 0, p has no zero in
+    the disk, and by the minimum modulus principle |p| >= lower on the
+    closed disk.  The full series differs from p by at most eps * max|c|
+    there, and Horner evaluates it within 4(N + 1) eps sum |c_k|.  So when
+    ``lower`` exceeds 1e-8 * max|c| plus both of those, every root the solve
+    could return inside the disk fails the residual filter, and the result
+    is the same empty array.  Otherwise the solve runs as before.
     """
     c = series.coeffs
     mag = np.abs(c)
     scale = float(np.max(mag))
     tail = np.cumsum(mag[::-1])[::-1]
-    degree = int(np.count_nonzero(tail[1:] > np.finfo(float).eps * scale))
+    degree = int(np.count_nonzero(tail[1:] > _EPS * scale))
     if degree == 0:
         return np.empty(0, dtype=complex)
-    roots = np.polynomial.polynomial.polyroots(c[: degree + 1])
+    p = c[: degree + 1]
+    floor = 1e-8 * scale + _EPS * scale + 4.0 * len(c) * _EPS * float(tail[0])
+    if _zero_free_above(p, floor):
+        return np.empty(0, dtype=complex)
+    roots = np.polynomial.polynomial.polyroots(p)
     roots = roots[np.abs(roots) < 1.0]
     roots = roots[np.abs(series(roots)) < 1e-8 * scale]
     return np.array(sorted(roots, key=lambda w: (w.real, w.imag)), dtype=complex)
+
+
+def _zero_free_above(p: np.ndarray, floor: float) -> bool:
+    """True when |p| > floor on the closed unit disk, by the argument principle.
+
+    See :func:`_disk_roots` for the argument; a False answer decides nothing.
+    """
+    size = 64
+    while size < 8 * len(p):
+        size *= 2
+    vals = size * np.fft.ifft(p, size)
+    mag = np.abs(p)
+    drift = 2.0 * np.pi / size * float(np.dot(np.arange(len(p)), mag))
+    fft_error = 8.0 * np.log2(size) * _EPS * np.sqrt(size) * float(np.linalg.norm(mag))
+    lower = float(np.min(np.abs(vals))) - drift - fft_error
+    if not lower > floor:
+        return False
+    turn = float(np.sum(np.angle(np.roll(vals, -1) / vals)))
+    return abs(turn) < np.pi
 
 
 def b_series_from_deltas(b, asq1, order: int = 64) -> TaylorSeries:

@@ -289,6 +289,17 @@ def realize_line(spec: MeasureSpec, size: int = _GAUSS_REFERENCE_SIZE) -> PointM
     return PointMeasure(nodes=np.array(xs), weights=np.array(ws))
 
 
+def _circle_support_size(measure) -> int:
+    """Grid nodes plus the distinct atoms that sit on no grid node."""
+    g = measure.grid_size
+    off_grid = []
+    for loc, _ in measure.point_masses:
+        node = np.exp(2j * np.pi * round(np.angle(loc) * g / (2.0 * np.pi)) / g)
+        if abs(loc - node) > 1e-12 and all(abs(loc - z) > 1e-12 for z in off_grid):
+            off_grid.append(loc)
+    return g + len(off_grid)
+
+
 def ingest_circle(measure, n: int) -> VerblunskyCoeffs:
     """Recursion coefficients of a sampled circle measure, first n entries.
 
@@ -301,11 +312,22 @@ def ingest_circle(measure, n: int) -> VerblunskyCoeffs:
     The cost is O(G log G + n^2).  The denominator is the squared monic
     norm; when it degenerates (or an alpha reaches the unit circle) the
     sampled measure cannot support the requested order.
+
+    A measure on S points has alpha_0 .. alpha_{S-2} inside the disk and
+    |alpha_{S-1}| = 1, where S is G plus the atoms off the grid nodes.  So
+    n >= S raises at step S - 1 before any arithmetic, instead of letting
+    rounding place the computed |alpha_{S-1}| on either side of the guard.
     """
     if isinstance(measure, MeasureSpec):
         measure = realize_circle(measure)
     if float(np.min(measure.weight)) <= 0.0:
         raise PreconditionError("ingestion needs a strictly positive a.c. weight")
+    support = _circle_support_size(measure)
+    if n >= support:
+        raise DegenerateMeasureError(
+            support - 1, f"the measure has {support} support points, so alpha_{support - 1} "
+            "is unimodular"
+        )
     powers = np.arange(n + 1)
     mu = np.fft.ifft(measure.weight)[powers % measure.grid_size]
     for loc, mass in measure.point_masses:

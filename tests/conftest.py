@@ -13,6 +13,19 @@ from szegojost.oprl import JacobiParams
 from szegojost.opuc import VerblunskyCoeffs
 
 
+# (a, b), free past the stored rows, with a bound state near the band edge:
+# |z0| = 0.9914 in the first, 0.9982 in the second
+NEAR_EDGE = {
+    "verdict": ((0.9844362531836187, 0.6447342246442308, 1.2359342555219917,
+                 0.9285928871411308, 0.7562196289261546, 1.0),
+                (-0.7771076481603483, 0.6616557117116593, 0.922022053207276,
+                 -2.389180932932973, -0.8540752246754151, -0.7295448290200539)),
+    "threshold": ((0.8514459329304024, 1.340226887768875, 0.9640334165917497, 1.0),
+                  (-0.5014732717278794, 3.0117896475734116, 0.8319772238710474,
+                   0.6370699399402302)),
+}
+
+
 def mild_jacobi(rng, n, free=True):
     a = rng.uniform(0.85, 1.2, size=n)
     b = rng.uniform(-0.25, 0.25, size=n)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import geometric_alphas, real_alphas
+from conftest import NEAR_EDGE, geometric_alphas, real_alphas
 from szegojost.analysis import (
     PadePole,
     ProductSet,
@@ -29,8 +29,8 @@ from szegojost.errors import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from szegojost.jost import b_series_from_deltas, jost_g_ell
-from szegojost.oprl import JacobiParams
+from szegojost.jost import b_series_from_deltas, finite_range_jost_data, jost_g_ell
+from szegojost.oprl import JacobiParams, spectral_measure_oracle
 from szegojost.opuc import VerblunskyCoeffs
 from szegojost.series import LaurentSeries, TaylorSeries
 from szegojost.szego import dinv_from_alphas, s_series
@@ -173,9 +173,72 @@ def test_canonical_weights_single_b_closed_form():
     report = canonical_weight_check(params)
     assert report.passed
     assert report.value("n_zeros") == 1.0
-    assert abs(report.value("weight_0") - 5.0 / 9.0) < 1e-10
+    assert abs(report.value("weight_0") - 5.0 / 9.0) <= np.spacing(5.0 / 9.0)
     assert abs(report.value("jost_residue_0") - (-4.0 / 9.0)) < 1e-10
     assert report.value("worst_relative_deviation") < 1e-6
+
+
+def _near_edge_params(name):
+    a, b = NEAR_EDGE[name]
+    return JacobiParams(a=np.array(a), b=np.array(b), free_after=len(a))
+
+
+def _mp_weight(params, z_start):
+    """50-digit bound-state weight from the same closed form.
+
+    The zero of z^-l g_l(z) = p_l(E) - z p_{l-1}(E), E = z + 1/z, is refined
+    from ``z_start``; then 1/w = sum_{k<l-1} p_k(E)^2 + p_{l-1}(E)^2 / (1 - z^2).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    mp.dps = 50
+    ell = max(params.free_range_order(), 1)
+
+    def polys(e):
+        p = [mp.mpf(1)]
+        prev, a_prev = mp.mpf(0), mp.mpf(1)
+        for k in range(ell):
+            a_next = mp.mpf(params.a_entry(k + 1))
+            new = ((e - mp.mpf(params.b_entry(k + 1))) * p[k] - a_prev * prev) / a_next
+            prev, a_prev = p[k], a_next
+            p.append(new)
+        return p
+
+    def jost(z):
+        p = polys(z + 1 / z)
+        return p[ell] - z * p[ell - 1]
+
+    z0 = mp.findroot(jost, mp.mpf(float(np.real(z_start))))
+    p = polys(z0 + 1 / z0)
+    inv = sum(pk**2 for pk in p[: ell - 1]) + p[ell - 1] ** 2 / (1 - z0**2)
+    return float(1 / inv)
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_EDGE))
+def test_canonical_weights_near_edge_match_high_precision(name):
+    """Both states of each input match a 50-digit evaluation to 1e-13."""
+    params = _near_edge_params(name)
+    report = canonical_weight_check(params)
+    assert report.passed
+    roots = finite_range_jost_data(params).zeros_in_disk
+    assert report.value("n_zeros") == roots.size == 2
+    for i, z in enumerate(roots):
+        want = _mp_weight(params, z)
+        assert abs(report.value(f"weight_{i}") - want) <= 1e-13 * want
+
+
+def test_canonical_weights_near_edge_match_the_eigen_oracle():
+    """The |z0| = 0.9914 state fits in 2000 rows (its eigenvector decays by
+    0.9914^2000 ~ 3e-8), and the eigen-oracle's weight agrees."""
+    params = _near_edge_params("verdict")
+    roots = finite_range_jost_data(params).zeros_in_disk
+    i = int(np.argmax(np.abs(roots)))
+    assert abs(abs(roots[i]) - 0.9914) < 1e-4
+    e0 = (roots[i] + 1.0 / roots[i]).real
+    oracle = spectral_measure_oracle(params, 2000)
+    j = int(np.argmin(np.abs(oracle.nodes - e0)))
+    weight = canonical_weight_check(params).value(f"weight_{i}")
+    assert abs(oracle.weights[j] - weight) <= 1e-10 * weight
 
 
 def test_r_minus_s_geometric_family():

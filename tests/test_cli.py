@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import szegojost
+from conftest import NEAR_EDGE
 from szegojost.cli import main
 from szegojost.measures import MeasureSpec, ingest_circle, realize_circle
 
@@ -304,6 +305,37 @@ def test_verify_canonical_weights_ignores_alpha(capsys):
                              "--alpha", "not-a-spec"])
     assert code == 0
     assert parse_table(out)[0] == "reports"
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_EDGE))
+def test_verify_canonical_weights_near_the_band_edge(capsys, name):
+    """Bound states at |z0| = 0.9914 and 0.9982 pass with exact weights.
+
+    A 500-row eigen-oracle cannot hold eigenvectors that decay this slowly:
+    it put the first weight 0.26 % off and found no node near the second.
+    """
+    a, b = (",".join(repr(v) for v in values) for values in NEAR_EDGE[name])
+    code, out = run(capsys, ["verify", "canonical-weights", f"--a={a}", f"--b={b}"])
+    assert code == 0
+    _, rows = parse_table(out)
+    measured = {row["field"]: row["value"] for row in rows}
+    assert measured["n_zeros"] == "2"
+    assert float(measured["worst_relative_deviation"]) < 1e-12
+
+
+def test_verify_all_leaves_scipy_unloaded():
+    """No verification suite needs a dense eigensolver from scipy."""
+    src = str(Path(szegojost.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import io, sys, contextlib\n"
+            "from szegojost.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['verify', 'all', '--alpha', 'geometric:C=0.5,R=2', '--order', '64'])\n"
+            "print('scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
 
 
 def test_config_overrides_default_order(capsys, tmp_path):

@@ -14,8 +14,11 @@ dot per coefficient.  ``popuc_n256`` was rewritten when the Christoffel
 weights moved to the Szego recursion on the zeros, and the two
 ``szego --series r`` files (an eight-entry list at order 1024, a geometric
 tail at order 64) were written when the grid path of ``r_series`` moved to
-one inverse FFT.  Regenerate a file only together with a CHANGES.md entry
-that declares the output change.
+one inverse FFT.  The three ``verify_all`` files were rewritten when the
+canonical-weights suite moved from a 500-row eigen-oracle to the exact
+bound-state weight; only its ``residue_0``, ``weight_0`` and
+``worst_relative_deviation`` rows changed.  Regenerate a file only together
+with a CHANGES.md entry that declares the output change.
 
 Each command runs in a fresh interpreter with BLAS pinned to one thread:
 the paraorthogonal zeros come from a LAPACK eigensolver whose last bits

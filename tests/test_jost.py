@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import mild_jacobi, real_alphas
+from conftest import NEAR_EDGE, mild_jacobi, real_alphas
+from szegojost.cli import main
 from szegojost.errors import (
     ConvergenceWarning,
     DomainError,
@@ -206,6 +209,98 @@ def test_u_refinement_discards_truncation_zeros(c):
     assert _disk_roots(data.u).size > 0
     assert data.zeros_in_disk.size == 0
     assert data.eigenvalues.size == 0
+
+
+def _disk_roots_by_companion(series):
+    """Verbatim copy of the disk-zero routine before the zero-free certificate."""
+    c = series.coeffs
+    mag = np.abs(c)
+    scale = float(np.max(mag))
+    tail = np.cumsum(mag[::-1])[::-1]
+    degree = int(np.count_nonzero(tail[1:] > np.finfo(float).eps * scale))
+    if degree == 0:
+        return np.empty(0, dtype=complex)
+    roots = np.polynomial.polynomial.polyroots(c[: degree + 1])
+    roots = roots[np.abs(roots) < 1.0]
+    roots = roots[np.abs(series(roots)) < 1e-8 * scale]
+    return np.array(sorted(roots, key=lambda w: (w.real, w.imag)), dtype=complex)
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["real", "complex", "factors", "damped"]),
+       st.integers(2, 160), st.floats(1.02, 3.0))
+@settings(max_examples=300, deadline=None)
+def test_disk_roots_matches_companion_solve_bitwise(seed, kind, length, rate):
+    """The certificate only skips solves whose answer is the empty array.
+
+    Decaying real and complex series are mostly zero-free in the disk;
+    products of factors with zeros at radius 0.9 to 1.1 (optionally times a
+    decaying series) put zeros on both sides of the circle and near it.
+    """
+    rng = np.random.default_rng(seed)
+    decay = rate ** -np.arange(length, dtype=float)
+    if kind == "real":
+        c = rng.standard_normal(length) * decay
+    elif kind == "complex":
+        c = (rng.standard_normal(length) + 1j * rng.standard_normal(length)) * decay
+    else:
+        count = int(rng.integers(1, 7))
+        zeros = rng.uniform(0.9, 1.1, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+        c = np.polynomial.polynomial.polyfromroots(zeros)
+        if kind == "damped":
+            c = np.convolve(c, decay)
+    series = TaylorSeries(c)
+    got = _disk_roots(series)
+    want = _disk_roots_by_companion(series)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# (R, C) of the alpha_n = C R^-n panel timed at order 1024
+_PANEL = ((1.2, -0.3), (2.5, -0.6), (3.0, 0.2), (3.2, -0.15), (3.4, 0.1))
+
+
+def _polyroots_degrees(monkeypatch):
+    """Record the degree of every ``polyroots`` call from now on."""
+    degrees = []
+    solve = np.polynomial.polynomial.polyroots
+
+    def counted(c):
+        degrees.append(len(c) - 1)
+        return solve(c)
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyroots", counted)
+    return degrees
+
+
+@pytest.mark.parametrize("r, c", _PANEL)
+def test_panel_runs_no_companion_solve(r, c, monkeypatch, capsys):
+    """u = c/D is zero-free, so the certificate answers for every Jost series.
+
+    ``jost --what zeros`` solves nothing.  ``verify all`` solves only the
+    Jost polynomial 1 - 1.5 z of its canonical-weights suite, which has a
+    genuine zero and which numpy solves in closed form at degree 1.
+    """
+    degrees = _polyroots_degrees(monkeypatch)
+    spec = f"geometric:C={c},R={r}"
+    assert main(["jost", "--what", "zeros", "--alpha", spec, "--order", "1024"]) == 0
+    assert degrees == []
+    main(["verify", "all", "--alpha", spec, "--order", "1024"])
+    assert degrees == [1]
+    capsys.readouterr()
+
+
+def test_bound_state_falls_back_to_the_companion_solve(monkeypatch):
+    """A genuine disk zero fails the certificate, and the solve still finds it."""
+    a, b = NEAR_EDGE["threshold"]
+    params = JacobiParams(a=np.array(a), b=np.array(b), free_after=len(a))
+    degrees = _polyroots_degrees(monkeypatch)
+    data = finite_range_jost_data(params)
+    assert degrees == [7]
+    assert data.zeros_in_disk.size == 2
+    single = finite_range_jost_data(JacobiParams(a=[1.0], b=[1.5], free_after=1))
+    assert degrees == [7, 1]
+    assert data.zeros_in_disk.tobytes() == _disk_roots_by_companion(data.u).tobytes()
+    assert abs(single.zeros_in_disk[0] - 2.0 / 3.0) < 1e-15
 
 
 def test_jost_data_accepts_a_genuine_bound_state():

@@ -340,9 +340,10 @@ def test_ingest_circle_matches_horner_loop(seed, log_grid, with_atom, data):
     """Moments from one inverse FFT give the grid loop's alphas and its errors.
 
     A measure on S points has |alpha_{S-1}| = 1 exactly, so both routes agree
-    on every step below S - 1.  From there on the computed modulus sits
-    within rounding of the 1 - 1e-13 guard, and whether a route stops at
-    step S - 1, at S (norm collapse) or not at all is decided by rounding.
+    on every step below S - 1.  From there on the grid loop's computed
+    modulus sits within rounding of the 1 - 1e-13 guard, and whether it
+    stops at step S - 1, at S (norm collapse) or not at all is decided by
+    rounding; ``ingest_circle`` counts the support and stops at S - 1.
     """
     rng = np.random.default_rng(seed)
     grid = 2**log_grid
@@ -359,11 +360,43 @@ def test_ingest_circle_matches_horner_loop(seed, log_grid, with_atom, data):
     want, want_error = _outcome(_ingest_circle_by_horner, measure, sure)
     assert got_error is None and want_error is None
     assert np.max(np.abs(got - want)) <= 1e-12
-    for fn in (ingest_circle, _ingest_circle_by_horner):
-        alphas, step = _outcome(fn, measure, n)
-        assert step is None or step >= support - 1
-        if alphas is not None:
-            assert np.array_equal(alphas[:sure], got if fn is ingest_circle else want)
+    alphas, step = _outcome(ingest_circle, measure, n)
+    if n >= support:
+        assert alphas is None and step == support - 1
+    else:
+        assert step is None and np.array_equal(alphas, got)
+    alphas, step = _outcome(_ingest_circle_by_horner, measure, n)
+    assert step is None or step >= support - 1
+    if alphas is not None:
+        assert np.array_equal(alphas[:sure], want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 53, 77, 144])
+def test_ingest_circle_stops_at_the_support_size(seed):
+    """G = 8 grid points and one atom off the grid: alpha_8 is unimodular.
+
+    n = 9 raises at step 8 whatever rounding does to |alpha_8|; n = 8
+    returns eight alphas strictly inside the disk.  On seeds 53, 77 and 144
+    the computed |alpha_8| lands below the 1 - 1e-13 guard, so a loop that
+    relies on the guard returns nine alphas.  An atom on a grid node adds no
+    support point, and n = 8 then raises at step 7.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 2.0, 8)
+    loc = complex(np.exp(2j * np.pi * rng.uniform()))
+    mass = float(rng.uniform(0.01, 0.3))
+    w *= (1.0 - mass) / np.mean(w)
+    measure = CircleMeasure(weight=w, point_masses=((loc, mass),))
+    with pytest.raises(DegenerateMeasureError) as info:
+        ingest_circle(measure, 9)
+    assert info.value.order == 8
+    alphas = ingest_circle(measure, 8).alpha
+    assert alphas.shape == (8,) and np.max(np.abs(alphas)) < 1.0
+    on_node = CircleMeasure(weight=measure.weight,
+                            point_masses=((complex(np.exp(2j * np.pi * 3 / 8)), mass),))
+    with pytest.raises(DegenerateMeasureError) as info:
+        ingest_circle(on_node, 8)
+    assert info.value.order == 7
 
 
 def _monic_star(alphas):
