@@ -5,10 +5,10 @@ sidecar carrying config and provenance).  Output is deterministic: fixed
 column order, fixed row order, floats at full round-trip precision, no
 timestamps, so repeated runs at a fixed BLAS thread count are
 byte-identical.  Across thread counts the last bits of values that come
-from LAPACK eigensolvers may differ: ``polyroots`` for paraorthogonal
-zeros, and for Jost zeros only when the zero-free certificate fails, and
-``eigh_tridiagonal`` for the spectral-measure oracle, which only
-``carmona`` uses.
+from LAPACK may differ.  LAPACK output reaches the CLI only through
+``polyroots`` (paraorthogonal zeros, finite-range Jost zeros, the residue
+moments of ``carmona`` and the Pade poles of ``probe``) and the linear
+solve of ``probe``; no command runs ``eigh_tridiagonal``.
 
 Exit codes: 0 success, 1 failed verification (report still written),
 2 malformed input or invalid parameters.
@@ -42,7 +42,7 @@ from .measures import (
     parse_alpha_spec,
     realize_circle,
 )
-from .oprl import JacobiParams, carmona_density, carmona_moment, spectral_measure_oracle
+from .oprl import JacobiParams, carmona_density, carmona_moment, truncated_matrix
 from .opuc import popuc_point_measure
 from .szego import d_from_weight, dinv_from_alphas, r_series, s_series
 
@@ -207,14 +207,16 @@ def _cmd_carmona(args, config: ExperimentConfig) -> int:
     n = args.n
     xs = _parse_grid(args.grid)
     dens = carmona_density(params, n, xs)
-    oracle = spectral_measure_oracle(params, 300)
+    # (J_n^ell)_00 is the ell-th moment of J itself for ell <= 2n - 1
+    mat = truncated_matrix(params, n)
+    vec = np.zeros(n)
+    vec[0] = 1.0
     header = ["x", "density"]
     moment_cols = []
-    for ell in range(0, max(2 * n - 1, 1)):
-        if ell > 2 * n - 2:
-            break
+    for ell in range(2 * n - 1):
         header.extend([f"moment{ell}_carmona", f"moment{ell}_oracle"])
-        moment_cols.append((carmona_moment(params, n, ell), oracle.moment(ell)))
+        moment_cols.append((carmona_moment(params, n, ell), vec[0]))
+        vec = mat @ vec
     rows = []
     for x, d in zip(xs, dens):
         row = [x, d]

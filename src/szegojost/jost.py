@@ -176,17 +176,13 @@ class JostData:
 def u_from_dinv(coeffs: VerblunskyCoeffs, order: int = 64) -> JostData:
     """Jost series u = sqrt((1 - alpha_0^2)(1 - alpha_1)) / D for real alpha.
 
-    1/D is the reciprocal Szego series of ``coeffs`` through ``order``.  Its
-    disk zeros come from :func:`_disk_roots`; a candidate is kept only when
-    the series built 8 orders deeper has a disk zero within relative
-    distance 1e-6 of it.  Truncation zeros of a slowly decaying series move
-    as the order grows and are discarded; genuine zeros stay.  The deeper
-    series is built only when there are candidates.
-
-    The result is cached on ``coeffs`` under ``("jost", order)`` for the
-    lifetime of that instance, and its arrays are read-only.  A repeated
-    call returns the same object; it still fetches 1/D first, so an
-    unconverged series warns again as on the first call.
+    1/D is the reciprocal Szego series of ``coeffs`` through ``order``,
+    cached on ``coeffs`` (an unconverged series warns on every call).  D is
+    outer, so u has no zeros in the open disk: the Szego-mapped Jacobi
+    matrix has its spectrum in [-2, 2] and no bound states (Damanik-Simon,
+    Jost functions and Jost solutions for Jacobi matrices I; Simon, OPUC
+    vol. 1).  The zero and eigenvalue arrays are therefore empty; disk
+    roots of the truncated series are truncation artefacts.
     """
     if not coeffs.is_real():
         raise InvalidParameterError("the Jost correspondence needs real alpha")
@@ -194,24 +190,9 @@ def u_from_dinv(coeffs: VerblunskyCoeffs, order: int = 64) -> JostData:
     a1 = coeffs.entry(1).real
     scale = float(np.sqrt((1.0 - a0 * a0) * (1.0 - a1)))
     dinv = dinv_from_alphas(coeffs, order)
-    key = ("jost", order)
-    if key in coeffs._cache:
-        return coeffs._cache[key]
     u = TaylorSeries(scale * dinv.coeffs, note=dinv.note)
-    zeros = _disk_roots(u)
-    if zeros.size:
-        deeper = TaylorSeries(scale * dinv_from_alphas(coeffs, order + 8).coeffs)
-        refined = _disk_roots(deeper)
-        zeros = np.array(
-            [z for z in zeros
-             if refined.size and np.min(np.abs(refined - z)) < 1e-6 * max(abs(z), 1e-3)],
-            dtype=complex,
-        )
-    data = JostData(u=u, zeros_in_disk=zeros, eigenvalues=e_from_z(zeros))
-    for arr in (u.coeffs, data.zeros_in_disk, data.eigenvalues):
-        arr.setflags(write=False)
-    coeffs._cache[key] = data
-    return data
+    none = np.empty(0, dtype=complex)
+    return JostData(u=u, zeros_in_disk=none, eigenvalues=none)
 
 
 def finite_range_jost_data(params: JacobiParams, ell: int | None = None) -> JostData:
@@ -234,21 +215,6 @@ def _disk_roots(series: TaylorSeries) -> np.ndarray:
     which is the size of the backward error of ``polyroots`` itself, so the
     trimmed solve resolves every disk zero the full-degree solve can.  A
     root is kept when |z| < 1 and |series(z)| < 1e-8 * max|c|.
-
-    The solve is skipped when an argument-principle certificate shows that
-    no root can pass that filter.  The trimmed polynomial p is evaluated at
-    the M >= 8(K + 1) roots of unity by one inverse FFT.  Between adjacent
-    nodes p moves by at most (2 pi / M) sum k |c_k|, so with ``lower`` =
-    min |p(node)| minus that bound and the FFT rounding bound, |p| >= lower
-    on the whole circle, and each ratio p(next node) / p(node) lies in the
-    right half-plane.  The principal arguments of those ratios then sum to
-    2 pi times the winding number.  When that sum is 0, p has no zero in
-    the disk, and by the minimum modulus principle |p| >= lower on the
-    closed disk.  The full series differs from p by at most eps * max|c|
-    there, and Horner evaluates it within 4(N + 1) eps sum |c_k|.  So when
-    ``lower`` exceeds 1e-8 * max|c| plus both of those, every root the solve
-    could return inside the disk fails the residual filter, and the result
-    is the same empty array.  Otherwise the solve runs as before.
     """
     c = series.coeffs
     mag = np.abs(c)
@@ -257,33 +223,10 @@ def _disk_roots(series: TaylorSeries) -> np.ndarray:
     degree = int(np.count_nonzero(tail[1:] > _EPS * scale))
     if degree == 0:
         return np.empty(0, dtype=complex)
-    p = c[: degree + 1]
-    floor = 1e-8 * scale + _EPS * scale + 4.0 * len(c) * _EPS * float(tail[0])
-    if _zero_free_above(p, floor):
-        return np.empty(0, dtype=complex)
-    roots = np.polynomial.polynomial.polyroots(p)
+    roots = np.polynomial.polynomial.polyroots(c[: degree + 1])
     roots = roots[np.abs(roots) < 1.0]
     roots = roots[np.abs(series(roots)) < 1e-8 * scale]
     return np.array(sorted(roots, key=lambda w: (w.real, w.imag)), dtype=complex)
-
-
-def _zero_free_above(p: np.ndarray, floor: float) -> bool:
-    """True when |p| > floor on the closed unit disk, by the argument principle.
-
-    See :func:`_disk_roots` for the argument; a False answer decides nothing.
-    """
-    size = 64
-    while size < 8 * len(p):
-        size *= 2
-    vals = size * np.fft.ifft(p, size)
-    mag = np.abs(p)
-    drift = 2.0 * np.pi / size * float(np.dot(np.arange(len(p)), mag))
-    fft_error = 8.0 * np.log2(size) * _EPS * np.sqrt(size) * float(np.linalg.norm(mag))
-    lower = float(np.min(np.abs(vals))) - drift - fft_error
-    if not lower > floor:
-        return False
-    turn = float(np.sum(np.angle(np.roll(vals, -1) / vals)))
-    return abs(turn) < np.pi
 
 
 def b_series_from_deltas(b, asq1, order: int = 64) -> TaylorSeries:

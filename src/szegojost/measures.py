@@ -384,13 +384,12 @@ def ingest_line(measure, n: int) -> JacobiParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Run-wide defaults: series order, grid size, tolerances, window, format."""
+    """Run-wide defaults: series order, grid size, tolerances, window."""
 
     series_order: int = 64
     grid_size: int = 4096
     tolerances: tuple = (("one_sided_slack", 0.1), ("radius_rel", 0.05))
     window: tuple | None = None
-    output_format: str = "csv"
 
     def __post_init__(self):
         if self.series_order < 8:
@@ -404,8 +403,6 @@ class ExperimentConfig:
             object.__setattr__(self, "tolerances", tuple(sorted(self.tolerances.items())))
         else:
             object.__setattr__(self, "tolerances", tuple(sorted(self.tolerances)))
-        if self.output_format not in ("csv", "structured"):
-            raise InvalidParameterError("output format must be csv or structured")
         if self.window is not None:
             object.__setattr__(self, "window", (int(self.window[0]), int(self.window[1])))
 
@@ -421,12 +418,11 @@ class ExperimentConfig:
             "gridSize": self.grid_size,
             "tolerances": {k: v for k, v in self.tolerances},
             "window": list(self.window) if self.window else None,
-            "outputFormat": self.output_format,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {"seriesOrder", "gridSize", "tolerances", "window", "outputFormat"}
+        known = {"seriesOrder", "gridSize", "tolerances", "window"}
         extra = set(doc) - known
         if extra:
             raise InvalidParameterError(f"unknown config field(s): {sorted(extra)}")
@@ -437,7 +433,6 @@ class ExperimentConfig:
             grid_size=int(doc.get("gridSize", base.grid_size)),
             tolerances=tuple(sorted(tol.items())) if tol else base.tolerances,
             window=tuple(doc["window"]) if doc.get("window") else None,
-            output_format=doc.get("outputFormat", base.output_format),
         )
 
 

@@ -19,6 +19,7 @@ from .errors import (
     InvalidParameterError,
     OutOfRangeError,
 )
+from .series import TaylorSeries, taylor_mul, taylor_reciprocal
 
 __all__ = [
     "VerblunskyCoeffs",
@@ -50,7 +51,6 @@ class VerblunskyCoeffs:
 
     Each instance carries a private cache of the series derived from it
     (:func:`~szegojost.szego.dinv_from_alphas`,
-    :func:`~szegojost.jost.u_from_dinv`,
     :func:`~szegojost.jost.geronimus_deltas`), so the suites of one
     ``verify`` run share them.  It lives as long as the instance and is not
     a dataclass field (it takes no part in ``repr`` or ``==``).  ``alpha``
@@ -386,7 +386,6 @@ def popuc_average_check(
     n: int,
     omegas,
     k: int,
-    grid_size: int = 4096,
 ) -> tuple[complex, complex]:
     """Average the k-th paraorthogonal moment over omega vs. the cut measure.
 
@@ -395,6 +394,10 @@ def popuc_average_check(
     match the k-th moment of the degree-n approximant measure.  Phi_n and
     the alphas are read once and shared by every omega; each omega gets the
     zeros and weights :func:`popuc_point_measure` would return.
+
+    The reference moment is exact: the approximant's Caratheodory function
+    is psi_n*/phi_n* = 1 + 2 sum_{j>=1} mu_j z^j (Geronimus), so mu_|k| is
+    half its Taylor coefficient, conjugated for k < 0.
     """
     omegas = np.asarray(omegas, dtype=complex)
     if abs(k) > n:
@@ -413,8 +416,13 @@ def popuc_average_check(
         weights = _christoffel_weights(alpha, zeros)
         moments.append(PopucMeasure(zeros=zeros, weights=weights, omega=w).moment(k))
     avg = complex(np.mean(moments))
-    reference = bernstein_szego(coeffs, n, grid_size).moment(k)
-    return avg, reference
+    m = abs(k)
+    # psi_n and phi_n share kappa_n, so the monic stars have the same ratio
+    phi_star = TaylorSeries(np.conj(phi[::-1]))
+    psi_star = TaylorSeries(np.conj(_monic(coeffs.negated(), n)[::-1]))
+    carath = complex(taylor_mul(psi_star, taylor_reciprocal(phi_star, m), m).coeffs[m])
+    reference = carath if k == 0 else carath / 2.0
+    return avg, reference.conjugate() if k < 0 else reference
 
 
 def caratheodory(measure: CircleMeasure, z: complex) -> complex:

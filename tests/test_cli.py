@@ -218,6 +218,17 @@ def test_carmona_moment_columns(capsys):
                             "moment2_carmona", "moment2_oracle"}
 
 
+def test_carmona_oracle_columns_are_exact_moments(capsys):
+    """(J_n^l)_00 is the moment of J for l <= 2n - 1: b_1 = 1.5 gives
+    1, 3/2, 13/4, 51/8, 221/16 with no rounding."""
+    code, out = run(capsys, ["carmona", "--b1", "1.5", "--n", "3", "--grid=-1:1:2"])
+    assert code == 0
+    _, rows = parse_table(out)
+    for row in rows:
+        got = [float(row[f"moment{ell}_oracle"]) for ell in range(5)]
+        assert got == [1.0, 1.5, 3.25, 6.375, 13.8125]
+
+
 def test_popuc_weights(capsys):
     code, out = run(capsys, ["popuc", "--alpha", "0.5,0.25", "--n", "2", "--omega", "1"])
     assert code == 0
@@ -373,6 +384,7 @@ def test_output_files_are_byte_stable(capsys, tmp_path):
     assert meta["schema"] == "szegojost.meta.v1"
     assert meta["table"] == "alpha"
     assert meta["tool"] == "szegojost"
+    assert set(meta["config"]) == {"seriesOrder", "gridSize", "tolerances", "window"}
     capsys.readouterr()
 
 
@@ -386,3 +398,36 @@ def test_cli_import_leaves_scipy_unloaded():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_no_subcommand_loads_scipy():
+    """No other CLI path needs a dense eigensolver; scipy is left for the tests."""
+    src = str(Path(szegojost.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    docs = Path(__file__).parent / "data" / "measures"
+    atom, cosine = str(docs / "bernstein_szego_atom.json"), str(docs / "cosine_polynomial.json")
+    argvs = [
+        ["coeffs", "--alpha", "geometric:C=0.5,R=2", "--order", "16", "--map"],
+        ["coeffs", "--from-measure", atom, "--n", "8"],
+        ["szego", "--series", "r", "--alpha", "geometric:C=0.5,R=2", "--order", "16"],
+        ["szego", "--from-measure", cosine, "--order", "16"],
+        ["jost", "--what", "zeros", "--alpha", "geometric:C=0.5,R=2", "--order", "64"],
+        ["jost", "--what", "zeros", "--b1", "1.5"],
+        ["carmona", "--b1", "1.5", "--n", "3", "--grid=-1:1:3"],
+        ["popuc", "--alpha", "0.5,0.25", "--n", "2"],
+        ["gset", "--generators", "2,3j", "--cutoff", "40"],
+        ["probe", "--alpha", "geometric:C=0.5,R=2", "--order", "32"],
+    ]
+    code = ("import io, json, sys, contextlib\n"
+            "from szegojost.cli import main\n"
+            "loaded = []\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) in (0, 1), argv\n"
+            "    if 'scipy' in sys.modules and not loaded:\n"
+            "        loaded.append(argv[0])\n"
+            "print(json.dumps(loaded))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert json.loads(proc.stdout) == []

@@ -232,8 +232,6 @@ def test_config_defaults_and_validation():
         ExperimentConfig(grid_size=1000)
     with pytest.raises(InvalidParameterError):
         ExperimentConfig(series_order=64, grid_size=128)
-    with pytest.raises(InvalidParameterError):
-        ExperimentConfig(output_format="yaml")
 
 
 def test_config_dict_round_trip():
@@ -243,6 +241,8 @@ def test_config_dict_round_trip():
     assert again == cfg
     with pytest.raises(InvalidParameterError):
         ExperimentConfig.from_dict({"seriesorder": 32})
+    with pytest.raises(InvalidParameterError, match="outputFormat"):
+        ExperimentConfig.from_dict({"outputFormat": "csv"})
 
 
 def test_load_config_sources(tmp_path, monkeypatch):

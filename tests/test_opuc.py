@@ -278,6 +278,26 @@ def test_popuc_average_matches_cut_measure(rng):
         assert abs(avg - ref) < 1e-12
 
 
+@pytest.mark.parametrize("n", [12, 40])
+def test_popuc_average_reference_is_exact_where_a_grid_aliases(rng, n):
+    """phi_n* of these draws has a zero within 0.3 % of the circle, so a
+    4096-point grid aliases; the Caratheodory reference does not.
+
+    At n = 40 the zero is 3e-6 from the circle, and the popuc weight sums
+    average to 1 - 1.4e-12 over the omegas, which sets the tolerance.
+    """
+    c = complex_alphas(rng, n)
+    with pytest.raises(AliasingError):
+        bernstein_szego(c, n)
+    omegas = roots_of_unity(2 * n + 2)
+    grid = bernstein_szego(c, n, 16384) if n == 12 else None
+    for k in range(-n, n + 1):
+        avg, ref = popuc_average_check(c, n, omegas, k)
+        assert abs(avg - ref) < 1e-11
+        if grid is not None:
+            assert abs(grid.moment(k) - ref) < 1e-13
+
+
 def test_popuc_average_guards():
     c = VerblunskyCoeffs.finitely_supported([0.4, -0.2])
     with pytest.raises(AliasingError):
