@@ -112,14 +112,12 @@ def geronimus_deltas(coeffs: VerblunskyCoeffs, count: int | None = None):
     key = ("deltas", count)
     if key in coeffs._cache:
         return coeffs._cache[key]
-    al = np.array([coeffs.entry(j).real for j in range(2 * count + 2)])
-    b = np.empty(count)
-    asq1 = np.empty(count)
-    for n in range(count):
-        a0, a1, a2 = al[2 * n], al[2 * n + 1], al[2 * n + 2]
-        a3 = al[2 * n + 3] if 2 * n + 3 < len(al) else coeffs.entry(2 * n + 3).real
-        b[n] = a0 - a2 - a1 * (a0 + a2)
-        asq1[n] = a1 - a3 - a2**2 * (1.0 - a3) * (1.0 + a1) - a3 * a1
+    al = coeffs.slice(2 * count + 2).real
+    a0, a1, a2, a3 = (al[i : 2 * count + i : 2] for i in range(4))
+    b = a0 - a2 - a1 * (a0 + a2)
+    # float_power calls libm pow, as a scalar ** does; an array ** 2
+    # multiplies instead, which rounds differently about once in 1200
+    asq1 = a1 - a3 - np.float_power(a2, 2) * (1.0 - a3) * (1.0 + a1) - a3 * a1
     b.setflags(write=False)
     asq1.setflags(write=False)
     coeffs._cache[key] = (b, asq1)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NEAR_EDGE, geometric_alphas, real_alphas
+from szegojost import analysis
 from szegojost.analysis import (
     PadePole,
     ProductSet,
@@ -334,6 +335,91 @@ def test_combination_matches_scalar_loop_bitwise(seed, order, nu, nb, u_complex,
     assert got[0].coeffs.tobytes() == want[0].coeffs.tobytes()
     assert got[1].tobytes() == want[1].tobytes()
     assert got[2].tobytes() == want[2].tobytes()
+
+
+def _envelope_coeffs(rng, n, r, is_complex, cut):
+    """Normal draws under the envelope r^-k, exactly 0 from index cut on."""
+    env = r ** -np.arange(n, dtype=float)
+    c = rng.normal(size=n) * env
+    if is_complex:
+        c = c + 1j * rng.normal(size=n) * env
+    c[cut:] = 0.0
+    return TaylorSeries(c)
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(1, 100),
+       st.integers(1, 100), st.floats(1.05, 6.0), st.booleans(), st.booleans(),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_combination_stop_rule_keeps_every_readable_bit(seed, order, nu, nb, r, u_complex,
+                                                        b_complex, cut_tails):
+    """The rows the early stop drops move no scale entry, no real or
+    imaginary part at or above 2^-52 of its scale, and no other part by more
+    than 2^-100 of its scale."""
+    rng = np.random.default_rng(seed)
+    u = _envelope_coeffs(rng, nu, r, u_complex, rng.integers(1, nu + 1) if cut_tails else nu)
+    b = _envelope_coeffs(rng, nb, r, b_complex, rng.integers(1, nb + 1) if cut_tails else nb)
+    got_series, got_pos_scale, got_neg_scale = jost_b_combination(u, b, order)
+    want_series, want_pos_scale, want_neg_scale = _reference_combination(u, b, order)
+    assert got_pos_scale.tobytes() == want_pos_scale.tobytes()
+    assert got_neg_scale.tobytes() == want_neg_scale.tobytes()
+    got_pos = np.concatenate(([got_series.coeff(0)], got_series.positive_tail()))
+    want_pos = np.concatenate(([want_series.coeff(0)], want_series.positive_tail()))
+    for got, want, scale in ((got_pos, want_pos, got_pos_scale),
+                             (got_series.negative_tail(), want_series.negative_tail(),
+                              got_neg_scale[1:])):
+        for got_part, want_part in ((got.real, want.real), (got.imag, want.imag)):
+            kept = np.abs(got_part) >= 2.0 ** -52 * scale
+            assert got_part[kept].tobytes() == want_part[kept].tobytes()
+            assert np.all(np.abs(got_part - want_part)[~kept] <= 2.0 ** -100 * scale[~kept])
+
+
+def _row_kernel_combination(u, b, order):
+    """jost_b_combination as it was before the early stop, verbatim."""
+    uc = u.coeffs
+    bc = b.coeffs
+    nb = len(bc)
+    pos = np.zeros(order + 1, dtype=complex)
+    neg = np.zeros(order + 1, dtype=complex)
+    pos_scale = np.zeros(order + 1)
+    neg_scale = np.zeros(order + 1)
+    for m in range(min(order, len(uc) + 1) + 1):
+        direct = uc[m] if m < len(uc) else 0.0
+        shifted = uc[m - 2] if m >= 2 else 0.0
+        pos[m] += direct - shifted
+        pos_scale[m] += abs(direct) + abs(shifted)
+    br, bi = bc.real, bc.imag
+
+    def add_row(out, scale, at, ur, ui, lo, hi):
+        re = ur * br[lo:hi] - ui * bi[lo:hi]
+        im = ur * bi[lo:hi] + ui * br[lo:hi]
+        out.real[at] += re
+        out.imag[at] += im
+        scale[at] += np.hypot(re, im)
+
+    for k in range(len(uc)):
+        ur, ui = uc[k].real, uc[k].imag
+        # u_k b_j lands at e = 2 - k + j: e >= 0 in pos[e], e < 0 in neg[-e].
+        lo, hi = max(0, k - 2), min(nb, order + k - 1)
+        if lo < hi:
+            add_row(pos, pos_scale, slice(2 - k + lo, 2 - k + hi), ur, ui, lo, hi)
+        lo, hi = max(0, k - 2 - order), min(nb, k - 2)
+        if lo < hi:
+            add_row(neg, neg_scale, slice(k - 2 - lo, k - 2 - hi, -1), ur, ui, lo, hi)
+    series = LaurentSeries.from_tails(pos[0], pos[1:], neg[1:])
+    return series, pos_scale, neg_scale
+
+
+# the benchmark's verify panel, (C, R), at its order 1024, and R = 2 at 4096
+@pytest.mark.parametrize("c, r, order", [
+    (-0.3, 1.2, 1024), (-0.6, 2.5, 1024), (0.2, 3.0, 1024), (-0.15, 3.2, 1024),
+    (0.1, 3.4, 1024), (0.5, 2.0, 4096),
+])
+def test_combination_suite_rows_match_the_row_kernel(monkeypatch, c, r, order):
+    new = verify_jost_b_combination(geometric_alphas(c, r, order), order=order)
+    monkeypatch.setattr(analysis, "jost_b_combination", _row_kernel_combination)
+    old = verify_jost_b_combination(geometric_alphas(c, r, order), order=order)
+    assert repr(new.rows()) == repr(old.rows())
 
 
 def test_combination_suite_geometric_family():

@@ -124,6 +124,47 @@ def test_deltas_truncated_count_cap():
         geronimus_deltas(c, count=5)
 
 
+def _deltas_by_loop(coeffs, count):
+    """geronimus_deltas' former scalar loop, verbatim."""
+    al = np.array([coeffs.entry(j).real for j in range(2 * count + 2)])
+    b = np.empty(count)
+    asq1 = np.empty(count)
+    for n in range(count):
+        a0, a1, a2 = al[2 * n], al[2 * n + 1], al[2 * n + 2]
+        a3 = al[2 * n + 3] if 2 * n + 3 < len(al) else coeffs.entry(2 * n + 3).real
+        b[n] = a0 - a2 - a1 * (a0 + a2)
+        asq1[n] = a1 - a3 - a2**2 * (1.0 - a3) * (1.0 + a1) - a3 * a1
+    return b, asq1
+
+
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_deltas_match_the_scalar_loop_bitwise(seed, finite, even_only, past_end):
+    """Alpha over twelve decades, or of order 1 with the odd entries 0, where
+    a_n^2 - 1 = -alpha_2n^2 shows every bit of the square.  A count past the
+    stored range raises the same error as the loop."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 2000))
+    alpha = rng.uniform(-0.95, 0.95, n)
+    if even_only:
+        alpha[1::2] = 0.0
+    else:
+        alpha *= 10.0 ** rng.uniform(-12.0, 0.0, n)
+    coeffs = VerblunskyCoeffs.finitely_supported(alpha) if finite else VerblunskyCoeffs(alpha)
+    stored = max(0, (n - 2) // 2)
+    count = stored + 1 + int(rng.integers(0, 3)) if past_end else int(rng.integers(0, stored + 1))
+    try:
+        want = _deltas_by_loop(coeffs, count)
+    except OutOfRangeError as exc:
+        with pytest.raises(OutOfRangeError) as got:
+            geronimus_deltas(coeffs, count)
+        assert str(got.value) == str(exc)
+        return
+    got = geronimus_deltas(coeffs, count)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
 def test_deltas_are_cached_per_count():
     c = VerblunskyCoeffs(alpha=np.full(10, 0.1))
     b, asq1 = geronimus_deltas(c)
