@@ -6,9 +6,10 @@ column order, fixed row order, floats at full round-trip precision, no
 timestamps, so repeated runs at a fixed BLAS thread count are
 byte-identical.  Across thread counts the last bits of values that come
 from LAPACK may differ.  LAPACK output reaches the CLI only through
-``polyroots`` (paraorthogonal zeros, finite-range Jost zeros, the residue
-moments of ``carmona`` and the Pade poles of ``probe``) and the linear
-solve of ``probe``; no command runs ``eigh_tridiagonal``.
+``polyroots`` (finite-range Jost zeros, the residue moments of ``carmona``
+and the Pade poles of ``probe``), the inverse and ``eigvalsh`` that give
+the paraorthogonal zeros of ``popuc``, and the linear solve of ``probe``;
+no command runs ``eigh_tridiagonal``.
 
 Exit codes: 0 success, 1 failed verification (report still written),
 2 malformed input or invalid parameters.

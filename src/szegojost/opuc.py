@@ -6,9 +6,8 @@ point measures, Bernstein-Szego approximants, and the Caratheodory transform
 of a sampled circle measure.
 """
 
+import cmath
 import math
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,30 +132,35 @@ class VerblunskyCoeffs:
         return bool(np.all(self.alpha.imag == 0.0))
 
 
-def _monic_sequence(coeffs: VerblunskyCoeffs, n: int) -> Iterator[np.ndarray]:
-    """Yield monic Phi_0 .. Phi_n as ascending coefficient arrays.
+def _monic_pair(coeffs: VerblunskyCoeffs, n: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """Monic (Phi_{n-1}, Phi_n) as ascending coefficient arrays; Phi_{-1} is None.
 
     Each step uses Phi_{m+1} = z Phi_m - conj(alpha_m) Phi_m*, with the star
-    polynomial realized exactly as conjugate-and-reverse.  Only the current
-    polynomial is held, so the recursion runs in O(n) memory; a caller that
-    needs earlier iterates keeps them itself.
+    polynomial realized exactly as conjugate-and-reverse.  Two buffers of
+    length n + 1 take turns holding the current and the next polynomial, so
+    the recursion runs in O(n) memory and allocates nothing per step.
     """
     if n < 0:
         raise InvalidParameterError("order must be nonnegative")
-    phi = np.ones(1, dtype=complex)
-    yield phi
+    ca = np.conj(coeffs.slice(n))
+    cur = np.zeros(n + 1, dtype=complex)
+    nxt = np.zeros(n + 1, dtype=complex)
+    star = np.empty(n + 1, dtype=complex)
+    cur[0] = 1.0
     for m in range(n):
-        star = np.conj(phi[::-1])
-        nxt = np.zeros(m + 2, dtype=complex)
-        nxt[1:] = phi
-        nxt[: m + 1] -= np.conj(coeffs.entry(m)) * star
-        phi = nxt
-        yield phi
+        term = star[: m + 1]
+        np.conjugate(cur[m::-1], out=term)
+        np.multiply(ca[m], term, out=term)
+        nxt[0] = 0.0
+        nxt[1 : m + 2] = cur[: m + 1]
+        nxt[: m + 1] -= term
+        cur, nxt = nxt, cur
+    return (nxt[:n] if n else None), cur[: n + 1]
 
 
 def _monic(coeffs: VerblunskyCoeffs, n: int) -> np.ndarray:
-    """Monic Phi_n: the last polynomial of :func:`_monic_sequence`."""
-    return deque(_monic_sequence(coeffs, n), maxlen=1)[0]
+    """Monic Phi_n: the second array of :func:`_monic_pair`."""
+    return _monic_pair(coeffs, n)[1]
 
 
 @dataclass(frozen=True)
@@ -227,23 +231,119 @@ class ParaOrthogonalPoly:
 def popuc(coeffs: VerblunskyCoeffs, n: int, omega: complex) -> ParaOrthogonalPoly:
     """Paraorthogonal polynomial of degree n+1 for boundary parameter omega.
 
-    Zeros come from the companion matrix of the coefficient array and are
-    reported as computed, without projection onto the circle.
+    Zeros are the eigenvalues of the cut-off CMV matrix (see
+    :func:`_paraorthogonal_zeros`), so they lie on the circle to rounding.
     """
-    omega = complex(omega)
-    if abs(abs(omega) - 1.0) > 1e-12:
-        raise InvalidParameterError(f"omega must be unimodular, got |omega|={abs(omega)!r}")
-    return _paraorthogonal(_monic(coeffs, n), omega)
-
-
-def _paraorthogonal(phi: np.ndarray, omega: complex) -> ParaOrthogonalPoly:
-    """z Phi_n - conj(omega) Phi_n* and its zeros, from the monic Phi_n."""
-    n = len(phi) - 1
+    omega = _boundary_parameter(n, omega)
+    phi = _monic(coeffs, n)
     poly = np.zeros(n + 2, dtype=complex)
     poly[1:] = phi
     poly[: n + 1] -= np.conj(omega) * np.conj(phi[::-1])
-    zeros = np.polynomial.polynomial.polyroots(poly)
+    zeros = _paraorthogonal_zeros(coeffs.slice(n), omega)
     return ParaOrthogonalPoly(coeffs=poly, zeros=zeros, omega=omega)
+
+
+def _boundary_parameter(n: int, omega) -> complex:
+    if n < 0:
+        raise InvalidParameterError("order must be nonnegative")
+    omega = complex(omega)
+    if abs(abs(omega) - 1.0) > 1e-12:
+        raise InvalidParameterError(f"omega must be unimodular, got |omega|={abs(omega)!r}")
+    return omega
+
+
+# |t| above which the first pole counts as too near a zero (about 2e-13 of angle)
+_POLE_LIMIT = 1e3
+
+
+def _paraorthogonal_zeros(alpha: np.ndarray, omega: complex) -> np.ndarray:
+    """Zeros of z Phi_n - conj(omega) Phi_n* for alpha_0 .. alpha_{n-1}, sorted.
+
+    They are the eigenvalues of the unitary cut-off CMV matrix U of
+    :func:`_cut_cmv` (Cantero-Moral-Velazquez; Simon, OPUC 1, ch. 4).  For
+    a pole e^{i phi} off the spectrum, W = e^{-i phi} U has the Hermitian
+    Cayley transform H = i (I - W)^{-1} (I + W), whose eigenvalue
+    t = -cot((theta - phi) / 2) belongs to the zero e^{i theta}.  Each t
+    carries an error of about eps * max|t|, so the pole should sit far from
+    every zero.  It starts where the zeros of free coefficients leave their
+    gaps; when that pole lands near a zero (or on one), the widest gap of
+    the first angles gives the pole of a second, final solve.
+    """
+    size = len(alpha) + 1
+    phi = (cmath.phase(omega.conjugate()) + math.pi) / size
+    try:
+        theta, t_max = _cayley_angles(alpha, omega, phi)
+    except np.linalg.LinAlgError:
+        theta, t_max = None, math.inf
+    # evenly spread zeros put every pole within half the mean gap of a zero,
+    # where |t| is about 2 size / pi; no second pole could do better.  An
+    # inverse that overflowed leaves t_max nan, which fails the test too.
+    if not t_max <= max(_POLE_LIMIT, size):
+        phi = phi + 0.5 * math.pi / size if theta is None else _widest_gap_midpoint(theta)
+        theta, _ = _cayley_angles(alpha, omega, phi)
+    return np.sort(np.exp(1j * theta))
+
+
+def _cut_cmv(alpha: np.ndarray, omega: complex) -> np.ndarray:
+    """(n+1) x (n+1) cut-off CMV matrix U = L M with alpha_n replaced by omega.
+
+    L = Theta_0 + Theta_2 + ... and M = 1 + Theta_1 + Theta_3 + ... (direct
+    sums) with Theta_j = [[conj a_j, rho_j], [rho_j, -a_j]] on rows and
+    columns j, j+1, a_j = alpha_j for j < n and a_n = omega, rho_n = 0; a
+    block that would reach past the matrix keeps its one entry conj a_n.
+    Then det(z - U) = z Phi_n - conj(omega) Phi_n*.  Row r of L has its
+    second entry in the row r ^ 1 it shares a block with, so row r of U is
+    L[r, r] M[r] + L[r, r ^ 1] M[r ^ 1], and no matrix product is formed.
+    """
+    n = len(alpha)
+    size = n + 1
+    a = np.append(alpha, omega)
+    rho = np.zeros(size)
+    rho[:n] = np.sqrt(1.0 - np.abs(alpha) ** 2)
+    m = np.zeros((size, size), dtype=complex)
+    flat = m.reshape(-1)
+    diag, upper, lower = flat[:: size + 1], flat[1 :: size + 1], flat[size :: size + 1]
+    diag[0] = 1.0
+    diag[1::2] = np.conj(a[1::2])
+    diag[2::2] = -a[1:-1:2]
+    upper[1::2] = lower[1::2] = rho[1:-1:2]
+    l_diag = np.empty(size, dtype=complex)
+    l_diag[0::2] = np.conj(a[0::2])
+    l_diag[1::2] = -a[:-1:2]
+    l_off = np.repeat(rho[0::2], 2)[:size, None]
+    u = m[np.minimum(np.arange(size) ^ 1, n)]
+    u *= l_off
+    m *= l_diag[:, None]
+    u += m
+    return u
+
+
+def _cayley_angles(alpha: np.ndarray, omega: complex, phi: float) -> tuple[np.ndarray, float]:
+    """Eigenangles of the cut-off CMV matrix from its Cayley transform about e^{i phi}.
+
+    With X = (I - W)^{-1}, the transform i (I - W)^{-1} (I + W) = i (2X - I)
+    has Hermitian part i (X - X^H), so one inverse and one ``eigvalsh`` of
+    that part give every t.  U is rebuilt for each pole and turned into
+    I - W in place, which keeps one fewer (n+1)^2 array alive.  Returns the
+    angles and max|t|.
+    """
+    size = len(alpha) + 1
+    x = _cut_cmv(alpha, omega)
+    x *= -cmath.exp(-1j * phi)
+    x.reshape(-1)[:: size + 1] += 1.0
+    x = np.linalg.inv(x)
+    h = x.conj().T
+    h -= x
+    h *= -1j
+    t = np.linalg.eigvalsh(h)
+    return phi + 2.0 * np.arctan2(1.0, -t), float(np.max(np.abs(t)))
+
+
+def _widest_gap_midpoint(theta: np.ndarray) -> float:
+    ang = np.sort(np.mod(theta, 2.0 * math.pi))
+    gaps = np.diff(ang, append=ang[0] + 2.0 * math.pi)
+    k = int(np.argmax(gaps))
+    return float(ang[k] + 0.5 * gaps[k])
 
 
 @dataclass(frozen=True)
@@ -262,14 +362,15 @@ class PopucMeasure:
 def popuc_point_measure(coeffs: VerblunskyCoeffs, n: int, omega: complex) -> PopucMeasure:
     """Zeros plus Christoffel weights 1/sum_{k<=n} |phi_k(z_j)|^2.
 
-    The zeros are those of :func:`popuc`; the weights come from stepping the
-    orthonormal Szego recursion on the zeros themselves (see
-    :func:`_christoffel_weights`), O(n) vector steps with no polynomial
-    evaluation.
+    The zeros are those of :func:`popuc`, read straight off the alphas; the
+    weights come from stepping the orthonormal Szego recursion on the zeros
+    themselves (see :func:`_christoffel_weights`), O(n) vector steps with no
+    polynomial evaluation.
     """
-    para = popuc(coeffs, n, omega)
-    weights = _christoffel_weights(coeffs.slice(n), para.zeros)
-    return PopucMeasure(zeros=para.zeros, weights=weights, omega=para.omega)
+    omega = _boundary_parameter(n, omega)
+    alpha = coeffs.slice(n)
+    zeros = _paraorthogonal_zeros(alpha, omega)
+    return PopucMeasure(zeros=zeros, weights=_christoffel_weights(alpha, zeros), omega=omega)
 
 
 def _christoffel_weights(alpha: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -391,9 +492,9 @@ def popuc_average_check(
 
     Each moment is a polynomial in omega of degree <= |k| <= n, so a uniform
     root-of-unity grid of size >= 2n+2 averages it exactly; the average must
-    match the k-th moment of the degree-n approximant measure.  Phi_n and
-    the alphas are read once and shared by every omega; each omega gets the
-    zeros and weights :func:`popuc_point_measure` would return.
+    match the k-th moment of the degree-n approximant measure.  The alphas
+    are read once and shared by every omega; each omega gets the zeros and
+    weights :func:`popuc_point_measure` would return.
 
     The reference moment is exact: the approximant's Caratheodory function
     is psi_n*/phi_n* = 1 + 2 sum_{j>=1} mu_j z^j (Geronimus), so mu_|k| is
@@ -408,17 +509,16 @@ def popuc_average_check(
         )
     if np.max(np.abs(np.abs(omegas) - 1.0)) > 1e-12:
         raise InvalidParameterError("all omega values must be unimodular")
-    phi = _monic(coeffs, n)
     alpha = coeffs.slice(n)
     moments = []
     for w in omegas.tolist():
-        zeros = _paraorthogonal(phi, w).zeros
+        zeros = _paraorthogonal_zeros(alpha, w)
         weights = _christoffel_weights(alpha, zeros)
         moments.append(PopucMeasure(zeros=zeros, weights=weights, omega=w).moment(k))
     avg = complex(np.mean(moments))
     m = abs(k)
     # psi_n and phi_n share kappa_n, so the monic stars have the same ratio
-    phi_star = TaylorSeries(np.conj(phi[::-1]))
+    phi_star = TaylorSeries(np.conj(_monic(coeffs, n)[::-1]))
     psi_star = TaylorSeries(np.conj(_monic(coeffs.negated(), n)[::-1]))
     carath = complex(taylor_mul(psi_star, taylor_reciprocal(phi_star, m), m).coeffs[m])
     reference = carath if k == 0 else carath / 2.0

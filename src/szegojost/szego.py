@@ -7,7 +7,6 @@ weight-side construction of D itself lives in :func:`d_from_weight`.
 """
 
 import warnings
-from collections import deque
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .errors import (
     PreconditionError,
     SzegoConditionError,
 )
-from .opuc import CircleMeasure, VerblunskyCoeffs, _monic, _monic_sequence
+from .opuc import CircleMeasure, VerblunskyCoeffs, _monic, _monic_pair
 from .series import LaurentSeries, TaylorSeries, taylor_exp, taylor_reciprocal
 
 __all__ = [
@@ -57,7 +56,7 @@ def dinv_from_alphas(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     steps = len(coeffs.alpha) + (1 if coeffs.is_finitely_supported else 0)
     if steps < 1:
         raise InvalidParameterError("truncated coefficients are empty")
-    prev, last = deque(_monic_sequence(coeffs, steps), maxlen=2)
+    prev, last = _monic_pair(coeffs, steps)
     c = _star_coeffs(coeffs, last, steps, order)
     note = None
     if not coeffs.is_finitely_supported:

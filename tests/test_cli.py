@@ -296,14 +296,14 @@ def test_verify_all_runs_one_szego_recursion(capsys, monkeypatch):
     from szegojost import opuc, szego
 
     starts = []
-    original = opuc._monic_sequence
+    original = opuc._monic_pair
 
     def counting(coeffs, n):
         starts.append(n)
         return original(coeffs, n)
 
-    monkeypatch.setattr(opuc, "_monic_sequence", counting)
-    monkeypatch.setattr(szego, "_monic_sequence", counting)
+    monkeypatch.setattr(opuc, "_monic_pair", counting)
+    monkeypatch.setattr(szego, "_monic_pair", counting)
     code, _ = run(capsys, ["verify", "all", "--alpha", "geometric:C=0.5,R=2",
                            "--order", "64"])
     assert code == 0

@@ -11,18 +11,22 @@ on a Bernstein-Szego document with an atom, ``szego --from-measure`` on a
 cosine-polynomial document, both under ``tests/data/measures/``) were
 written after circle ingestion moved to moments and ``taylor_exp`` to one
 dot per coefficient.  ``popuc_n256`` was rewritten when the Christoffel
-weights moved to the Szego recursion on the zeros, and the two
-``szego --series r`` files (an eight-entry list at order 1024, a geometric
-tail at order 64) were written when the grid path of ``r_series`` moved to
-one inverse FFT.  The three ``verify_all`` files were rewritten when the
+weights moved to the Szego recursion on the zeros, and again when the
+zeros moved from the companion matrix to the cut-off CMV matrix: each zero
+moved by at most 1.5e-14 and each weight by at most 3.6e-12 relative, the
+weights now sum to 1 within 2.6e-15 (was 1.2e-12), and the two rows of a
+conjugate pair, whose real parts agree to rounding, may sort the other way
+round.  The two ``szego --series r`` files (an eight-entry list at order
+1024, a geometric tail at order 64) were written when the grid path of
+``r_series`` moved to one inverse FFT.  The three ``verify_all`` files were rewritten when the
 canonical-weights suite moved from a 500-row eigen-oracle to the exact
 bound-state weight; only its ``residue_0``, ``weight_0`` and
 ``worst_relative_deviation`` rows changed.  Regenerate a file only together
 with a CHANGES.md entry that declares the output change.
 
 Each command runs in a fresh interpreter with BLAS pinned to one thread:
-the paraorthogonal zeros come from a LAPACK eigensolver whose last bits
-depend on the thread count.
+the paraorthogonal zeros come from a LAPACK inverse and Hermitian
+eigensolver whose last bits depend on the thread count.
 """
 
 import os

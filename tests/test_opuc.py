@@ -29,6 +29,7 @@ from szegojost.opuc import (
 )
 
 SQ3 = np.sqrt(3.0)
+_polyval = np.polynomial.polynomial.polyval
 
 
 def test_coefficient_tail_policies():
@@ -167,6 +168,191 @@ def test_popuc_point_measure_is_probability(rng):
     assert np.isclose(measure.moment(0), 1.0, atol=1e-10)
 
 
+def _monic_sequence(coeffs, n):
+    """The Szego recursion as a generator of Phi_0 .. Phi_n, verbatim from
+    before it became :func:`opuc._monic_pair`."""
+    if n < 0:
+        raise InvalidParameterError("order must be nonnegative")
+    phi = np.ones(1, dtype=complex)
+    yield phi
+    for m in range(n):
+        star = np.conj(phi[::-1])
+        nxt = np.zeros(m + 2, dtype=complex)
+        nxt[1:] = phi
+        nxt[: m + 1] -= np.conj(coeffs.entry(m)) * star
+        phi = nxt
+        yield phi
+
+
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_monic_pair_matches_the_generator_bitwise(seed, finite, past_end):
+    """Complex alphas over twelve decades, some exactly 0; reading past a
+    truncated sequence raises the generator's error."""
+    gen = np.random.default_rng(seed)
+    size = int(gen.integers(0, 300))
+    alpha = gen.uniform(-0.7, 0.7, size) + 1j * gen.uniform(-0.7, 0.7, size)
+    alpha *= 10.0 ** gen.uniform(-12.0, 0.0, size)
+    alpha[gen.uniform(size=size) < 0.1] = 0.0
+    coeffs = VerblunskyCoeffs.finitely_supported(alpha) if finite else VerblunskyCoeffs(alpha)
+    n = size + int(gen.integers(1, 4)) if past_end else int(gen.integers(0, size + 1))
+    try:
+        want = list(_monic_sequence(coeffs, n))[-2:]
+    except OutOfRangeError as exc:
+        with pytest.raises(OutOfRangeError) as got:
+            opuc._monic_pair(coeffs, n)
+        assert str(got.value) == str(exc)
+        return
+    prev, last = opuc._monic_pair(coeffs, n)
+    assert last.tobytes() == want[-1].tobytes()
+    assert (prev is None) if n == 0 else prev.tobytes() == want[0].tobytes()
+
+
+def _companion_zeros(coeffs, n, omega):
+    """Paraorthogonal zeros from the companion matrix, verbatim from before
+    they came from the cut-off CMV matrix."""
+    phi = opuc._monic(coeffs, n)
+    poly = np.zeros(n + 2, dtype=complex)
+    poly[1:] = phi
+    poly[: n + 1] -= np.conj(omega) * np.conj(phi[::-1])
+    return np.polynomial.polynomial.polyroots(poly)
+
+
+def _polished_zeros(alpha, omega, zeros, dps=50):
+    """Each zero Newton-polished on z Phi_n - conj(omega) Phi_n*, built from
+    the float alphas in dps-digit arithmetic, as doubles."""
+    with mpmath.workdps(dps):
+        phi = [mpmath.mpc(1)]
+        for a in alpha:
+            a_bar = mpmath.conj(mpmath.mpc(complex(a)))
+            star = [mpmath.conj(c) for c in reversed(phi)]
+            phi = [mpmath.mpc(0)] + phi
+            for i, s in enumerate(star):
+                phi[i] -= a_bar * s
+        w_bar = mpmath.conj(mpmath.mpc(complex(omega)))
+        poly = [mpmath.mpc(0)] + phi
+        for i, c in enumerate(reversed(phi)):
+            poly[i] -= w_bar * mpmath.conj(c)
+        descending = poly[::-1]
+        tiny = mpmath.mpf(10) ** (25 - dps)
+        out = []
+        for z0 in zeros:
+            z = mpmath.mpc(complex(z0))
+            for _ in range(20):
+                val, slope = mpmath.polyval(descending, z, derivative=True)
+                z -= val / slope
+                if abs(val / slope) < tiny:  # quadratic: the next step is below 10^-dps
+                    break
+            else:
+                raise AssertionError(f"Newton did not settle from {z0!r}")
+            out.append(complex(z))
+    out = np.array(out)
+    gaps = np.abs(out[:, None] - out[None, :]) + np.eye(len(out))
+    assert np.min(gaps) > 1e-10, "two zeros polished onto one"
+    return out
+
+
+def _zero_error(coeffs, n, omega, zeros):
+    """Distance from each computed zero to the exact zero it polishes onto."""
+    return float(np.max(np.abs(zeros - _polished_zeros(coeffs.slice(n), omega, zeros))))
+
+
+def _nearest_error(zeros, exact):
+    return float(np.max(np.min(np.abs(zeros[:, None] - exact[None, :]), axis=1)))
+
+
+def test_popuc_zeros_match_50_digits_on_the_golden_input():
+    """The ``popuc_n256`` input: 257 zeros within 1e-12 of their exact
+    values, and no further off than the companion matrix put them."""
+    coeffs = parse_alpha_spec("geometric:C=0.5,R=3", 256)
+    zeros = popuc(coeffs, 256, 1.0).zeros
+    exact = _polished_zeros(coeffs.slice(256), 1.0, zeros)
+    err = float(np.max(np.abs(zeros - exact)))
+    assert err < 1e-12
+    assert err <= _nearest_error(_companion_zeros(coeffs, 256, 1.0), exact)
+
+
+def test_popuc_zeros_match_50_digits_where_phi_star_nears_the_circle(rng):
+    """phi_40* of this draw has a zero 3e-6 from the circle.  The companion
+    matrix put the paraorthogonal zeros up to 1.2e-13 off; the weight sums
+    of all 82 omegas now meet 1 to 1e-12 (the companion zeros: 9.6e-11)."""
+    n = 40
+    coeffs = complex_alphas(rng, n)
+    omegas = roots_of_unity(2 * n + 2)
+    worst = worst_companion = 0.0
+    for w in omegas[::9]:
+        zeros = popuc(coeffs, n, w).zeros
+        exact = _polished_zeros(coeffs.slice(n), w, zeros)
+        worst = max(worst, float(np.max(np.abs(zeros - exact))))
+        worst_companion = max(worst_companion,
+                              _nearest_error(_companion_zeros(coeffs, n, w), exact))
+    assert worst < 1e-12
+    assert worst <= worst_companion
+    sums = [np.sum(popuc_point_measure(coeffs, n, w).weights) for w in omegas]
+    assert np.max(np.abs(np.array(sums) - 1.0)) < 1e-12
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(0, 64))
+@settings(max_examples=25, deadline=None)
+def test_popuc_zeros_match_50_digits(seed, n):
+    """|alpha_k| up to 0.999, where the companion matrix lost up to 8 digits."""
+    gen = np.random.default_rng(seed)
+    alpha = 0.999 * gen.uniform(size=n) ** gen.uniform(0.05, 1.0)
+    coeffs = VerblunskyCoeffs(alpha * np.exp(2j * np.pi * gen.uniform(size=n)))
+    omega = np.exp(2j * np.pi * gen.uniform())
+    zeros = popuc(coeffs, n, omega).zeros
+    assert _zero_error(coeffs, n, omega, zeros) < 1e-12
+
+
+def _zero_at_first_pole(alpha):
+    """omega for which e^{i phi} with the first pole phi of
+    :func:`opuc._paraorthogonal_zeros` is itself a zero.
+
+    On the circle Phi_n* = z^n conj(Phi_n), so z Phi_n / Phi_n* equals
+    -z^(n + 1) exactly where Re(z^-n Phi_n) = 0; a root theta of that in
+    (0, 2 pi / (n + 1)] is the first pole (arg conj(omega) + pi) / (n + 1)
+    of the omega that makes e^{i theta} a zero.
+    """
+    n = len(alpha)
+    phi = opuc._monic(VerblunskyCoeffs(alpha), n)
+    re_phi = lambda t: (_polyval(np.exp(1j * t), phi) * np.exp(-1j * n * t)).real
+    lo, hi = 1e-9, 2.0 * np.pi / (n + 1)
+    assert re_phi(lo) * re_phi(hi) < 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if re_phi(lo) * re_phi(mid) > 0.0 else (lo, mid)
+    z = np.exp(1j * lo)
+    b = z * _polyval(z, phi) / _polyval(z, np.conj(phi[::-1]))
+    return complex(np.conj(b) / abs(b)), z
+
+
+def test_popuc_moves_a_pole_that_lands_on_a_zero(monkeypatch):
+    """A first pole on a zero gives a huge Cayley eigenvalue (or a singular
+    solve); the second pole, mid widest gap, keeps every zero exact."""
+    alpha = np.array([0.8j, 0.8, -0.8j])
+    coeffs = VerblunskyCoeffs.finitely_supported(alpha)
+    omega, on_pole = _zero_at_first_pole(alpha)
+    pole = (np.angle(np.conj(omega)) + np.pi) / 4
+    _, t_max = opuc._cayley_angles(alpha, omega, pole)
+    assert t_max > 1e3
+    zeros = popuc(coeffs, 3, omega).zeros
+    assert np.min(np.abs(zeros - on_pole)) < 1e-14
+    assert _zero_error(coeffs, 3, omega, zeros) < 1e-14
+
+    real_inv, calls = np.linalg.inv, []
+
+    def singular_once(a):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", singular_once)
+    again = popuc(coeffs, 3, omega).zeros
+    assert len(calls) == 2
+    assert _zero_error(coeffs, 3, omega, again) < 1e-14
+
+
 def _christoffel_sum_mp(alpha, zeros, dps=50):
     """sum_{k<=n} kappa_k^2 |Phi_k(z)|^2 at each point, in dps-digit arithmetic.
 
@@ -225,9 +411,8 @@ def test_popuc_average_reuses_one_recursion_bitwise(rng, n):
         avg, _ = popuc_average_check(c, n, omegas, k)
         per_omega = [popuc_point_measure(c, n, w) for w in omegas]
         assert avg == complex(np.mean([m.moment(k) for m in per_omega]))
-    phi = opuc._monic(c, n)
     for w, m in zip(omegas, per_omega):
-        zeros = opuc._paraorthogonal(phi, complex(w)).zeros
+        zeros = opuc._paraorthogonal_zeros(c.slice(n), complex(w))
         assert zeros.tobytes() == m.zeros.tobytes()
         weights = opuc._christoffel_weights(c.slice(n), zeros)
         assert weights.tobytes() == m.weights.tobytes()
@@ -283,8 +468,9 @@ def test_popuc_average_reference_is_exact_where_a_grid_aliases(rng, n):
     """phi_n* of these draws has a zero within 0.3 % of the circle, so a
     4096-point grid aliases; the Caratheodory reference does not.
 
-    At n = 40 the zero is 3e-6 from the circle, and the popuc weight sums
-    average to 1 - 1.4e-12 over the omegas, which sets the tolerance.
+    At n = 40 the zero is 3e-6 from the circle.  The weights are exact at the
+    zeros they are given, so the average is as good as the paraorthogonal
+    zeros: with zeros from the companion matrix it missed by 1.6e-12.
     """
     c = complex_alphas(rng, n)
     with pytest.raises(AliasingError):
@@ -293,7 +479,7 @@ def test_popuc_average_reference_is_exact_where_a_grid_aliases(rng, n):
     grid = bernstein_szego(c, n, 16384) if n == 12 else None
     for k in range(-n, n + 1):
         avg, ref = popuc_average_check(c, n, omegas, k)
-        assert abs(avg - ref) < 1e-11
+        assert abs(avg - ref) < 1e-12
         if grid is not None:
             assert abs(grid.moment(k) - ref) < 1e-13
 
