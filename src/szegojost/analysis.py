@@ -53,7 +53,8 @@ INFINITE_RADIUS_CUTOFF = 1e6
 _EPS = np.finfo(float).eps
 # jost_b_combination drops rows whose sum stays below this share of each scale
 _ROW_STOP = 2.0 ** -110
-_METHODS = ("cauchy-hadamard-regression", "ratio")
+# margin of a difference series over its rounding floor, see _signal_prefix
+_SIGNAL_GUARD = 64.0
 
 
 @dataclass(frozen=True)
@@ -69,15 +70,12 @@ class RadiusEstimate:
     radius: float
     window: tuple
     fit_residual: float
-    method: str
     n_points: int
 
     def __post_init__(self):
         lo, hi = self.window
         if hi - lo + 1 < 8:
             raise InvalidParameterError("estimation window must span >= 8 indices")
-        if self.method not in _METHODS:
-            raise InvalidParameterError(f"unknown method {self.method!r}")
         if not (self.radius >= 0.0):
             raise InvalidParameterError("radius must be nonnegative")
 
@@ -86,7 +84,7 @@ class RadiusEstimate:
         return math.isinf(self.radius)
 
 
-def decay_rate(seq, window=None, floor=UNDERFLOW_FLOOR, method="cauchy-hadamard-regression") -> RadiusEstimate:
+def decay_rate(seq, window=None, floor=UNDERFLOW_FLOOR) -> RadiusEstimate:
     """Radius R with R^-1 estimating limsup |c_n|^(1/n) over the window.
 
     ``floor`` may be a scalar or an array aligned with ``seq``; entries at or
@@ -112,33 +110,22 @@ def decay_rate(seq, window=None, floor=UNDERFLOW_FLOOR, method="cauchy-hadamard-
     mask = w_vals > fl[lo : hi + 1]
     used = int(np.count_nonzero(mask))
     if used == 0:
-        return RadiusEstimate(math.inf, (lo, hi), 0.0, method, 0)
+        return RadiusEstimate(math.inf, (lo, hi), 0.0, 0)
     if used < 4:
         raise NumericalDegeneracyError(
             f"only {used} usable points in window ({lo}, {hi}); need >= 4"
         )
     x = idx[mask].astype(float)
     y = np.log(w_vals[mask])
-    if method == "ratio":
-        # consecutive-index ratios; robust to a slowly varying prefactor
-        keep = mask[:-1] & mask[1:]
-        if int(np.count_nonzero(keep)) < 4:
-            raise NumericalDegeneracyError("too few consecutive pairs for ratio method")
-        ratios = w_vals[:-1][keep] / w_vals[1:][keep]
-        radius = float(np.median(ratios))
-        residual = float(np.std(ratios))
-    elif method == "cauchy-hadamard-regression":
-        slope, intercept = np.polyfit(x, y, 1)
-        radius = float(np.exp(-slope))
-        residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    else:
-        raise InvalidParameterError(f"unknown method {method!r}")
+    slope, intercept = np.polyfit(x, y, 1)
+    radius = float(np.exp(-slope))
+    residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     if radius > INFINITE_RADIUS_CUTOFF:
         radius = math.inf
-    return RadiusEstimate(radius, (lo, hi), residual, method, used)
+    return RadiusEstimate(radius, (lo, hi), residual, used)
 
 
-def radius_estimate(series, window=None, floor=UNDERFLOW_FLOOR, method="cauchy-hadamard-regression"):
+def radius_estimate(series, window=None, floor=UNDERFLOW_FLOOR):
     """Radius of convergence from Taylor coefficients.
 
     A TaylorSeries yields one estimate.  A LaurentSeries yields the pair
@@ -148,16 +135,14 @@ def radius_estimate(series, window=None, floor=UNDERFLOW_FLOOR, method="cauchy-h
     tail above the floor).
     """
     if isinstance(series, TaylorSeries):
-        return decay_rate(series.coeffs, window=window, floor=floor, method=method)
+        return decay_rate(series.coeffs, window=window, floor=floor)
     if isinstance(series, LaurentSeries):
         pos = np.concatenate(([series.coeff(0)], series.positive_tail()))
         neg = np.concatenate(([series.coeff(0)], series.negative_tail()))
-        outer = decay_rate(pos, window=window, floor=floor, method=method)
-        neg_fit = decay_rate(neg, window=window, floor=floor, method=method)
+        outer = decay_rate(pos, window=window, floor=floor)
+        neg_fit = decay_rate(neg, window=window, floor=floor)
         inner_radius = 0.0 if neg_fit.is_infinite else 1.0 / neg_fit.radius
-        inner = RadiusEstimate(
-            inner_radius, neg_fit.window, neg_fit.fit_residual, method, neg_fit.n_points
-        )
+        inner = RadiusEstimate(inner_radius, neg_fit.window, neg_fit.fit_residual, neg_fit.n_points)
         return inner, outer
     raise InvalidParameterError(f"cannot estimate a radius for {type(series).__name__}")
 
@@ -200,24 +185,20 @@ class VerificationReport:
         return out
 
 
-def _signal_prefix(values: np.ndarray, floor: np.ndarray, lo: int,
-                   guard: float = 64.0) -> int:
+def _signal_prefix(values: np.ndarray, floor: np.ndarray, lo: int) -> int:
     """Last index of the contiguous run from lo that clears the floor.
 
     Cancellation-limited difference series decay like the true signal only
     up to the point where rounding noise takes over; beyond it the entries
     can wander back above a magnitude-proportional floor.  Accumulated
     rounding noise sits a modest multiple above the single-operation floor,
-    so a clean margin (``guard``) is required as well; truncating at the
-    first failure keeps the regression on the genuine-signal prefix.
+    so a clean margin (``_SIGNAL_GUARD``) is required as well; truncating at
+    the first failure keeps the regression on the genuine-signal prefix.
     """
-    hi = lo - 1
-    for k in range(lo, len(values)):
-        if abs(values[k]) > guard * floor[k]:
-            hi = k
-        else:
-            break
-    return hi
+    v = values[lo:]
+    clear = np.hypot(v.real, v.imag) > _SIGNAL_GUARD * floor[lo : len(values)]
+    fails = np.flatnonzero(~clear)
+    return lo - 1 + int(fails[0] if fails.size else len(v))
 
 
 def _inconclusive(check_id: str, tolerance: float, exc: Exception) -> VerificationReport:
@@ -323,8 +304,7 @@ def verify_damanik_simon(coeffs: VerblunskyCoeffs, order: int = 64, rel_tol: flo
     )
 
 
-def canonical_weight_check(params: JacobiParams, z0: complex | None = None,
-                           rel_tol: float = 1e-4) -> VerificationReport:
+def canonical_weight_check(params: JacobiParams, rel_tol: float = 1e-4) -> VerificationReport:
     """Point-mass weights of a finite-range measure against the Jost residue.
 
     For each disk zero z0 of the Jost polynomial, the eigenvalue residue
@@ -346,10 +326,6 @@ def canonical_weight_check(params: JacobiParams, z0: complex | None = None,
     u = jost_g_ell(params)
     c = u.coeffs
     roots = _disk_roots(u)
-    if z0 is not None:
-        if abs(u(z0)) > 1e-8 * float(np.max(np.abs(c))):
-            raise InvalidParameterError("supplied z0 is not a zero of the Jost polynomial")
-        roots = np.array([complex(z0)])
     if roots.size == 0:
         return VerificationReport(
             check_id=check, measured={"n_zeros": 0.0}, tolerance=rel_tol,
@@ -416,8 +392,7 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
         floor = 20.0 * _EPS * (np.abs(r_pos) + np.abs(s.coeffs)) + UNDERFLOW_FLOOR
         hi = _signal_prefix(diff, floor, 2)
         if hi < 2:
-            est_diff = RadiusEstimate(math.inf, (2, order), 0.0,
-                                      "cauchy-hadamard-regression", 0)
+            est_diff = RadiusEstimate(math.inf, (2, order), 0.0, 0)
         elif hi < 10:
             raise NumericalDegeneracyError(
                 f"difference signal survives rounding only through index {hi}"
@@ -451,52 +426,53 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
 
 
 def jost_b_combination(u: TaylorSeries, b: TaylorSeries, order: int):
-    """Laurent coefficients of (1 - z^2) u(z) + z^2 u(1/z) B(z).
+    """Laurent coefficients of (1 - z^2) u(z) + z^2 u(1/z) B(z), for real u and B.
 
     Returns (series, pos_scale, neg_scale) where the scale arrays hold the
     absolute-value sums that entered each coefficient, the natural yardstick
-    for rounding noise in the heavily cancelling positive tail.
+    for rounding noise in the heavily cancelling positive tail.  Real Jacobi
+    parameters give real u and B (Damanik-Simon); complex input raises
+    :class:`InvalidParameterError`.
 
     u_k b_j lands at exponent e = 2 - k + j.  The positive tail adds one row
     of B per u_k, the negative tail one row of u per b_j, so every
     coefficient receives its terms in increasing k, as in the scalar double
-    loop over (k, j).  The products are formed from split real arrays and the
-    scales with ``np.hypot``, because numpy's vectorized complex multiply and
-    complex ``abs`` can differ from the scalar ones in the last bit; a
-    convolution or dot product would also change the summation order.
+    loop over (k, j); a convolution or dot product would change the
+    summation order.
 
     Every 8 rows a tail stops once its scale entries are finite and the
     rows left, bounded by a suffix sum of one factor's moduli times a suffix
     maximum of the other's, come to at most 2^-110 of each of them.  No value
     the suite reads moves.  Each dropped term is below half an ulp of any
-    partial sum above 2^-52 * scale, so each such real or imaginary part,
-    and every scale entry, is bitwise the full sum.  Every other part stays
+    partial sum above 2^-52 * scale, so each such coefficient, and every
+    scale entry, is bitwise the full sum.  Every other coefficient stays
     below (2^-52 + 2^-109) * scale in both versions, far under the
     64 * 20 * eps * scale cut of the suite's signal prefix and of its
     finite-support degree test, so its windows, fits and notes are
-    unchanged.  For real u and B the imaginary parts are exactly 0.
+    unchanged.
     """
-    uc = u.coeffs
-    bc = b.coeffs
+    if not (u.is_real() and b.is_real()):
+        raise InvalidParameterError("the B-combination needs real u and B")
+    uc = u.coeffs.real
+    bc = b.coeffs.real
     nu, nb = len(uc), len(bc)
-    pos = np.zeros(order + 1, dtype=complex)
-    neg = np.zeros(order + 1, dtype=complex)
+    pos = np.zeros(order + 1)
+    neg = np.zeros(order + 1)
     pos_scale = np.zeros(order + 1)
     neg_scale = np.zeros(order + 1)
-    for m in range(min(order, nu + 1) + 1):
-        direct = uc[m] if m < nu else 0.0
-        shifted = uc[m - 2] if m >= 2 else 0.0
-        pos[m] += direct - shifted
-        pos_scale[m] += abs(direct) + abs(shifted)
-    ur, ui, br, bi = uc.real, uc.imag, bc.real, bc.imag
+    # the (1 - z^2) u(z) part: u_m - u_{m-2} at exponent m
+    head = min(order, nu + 1) + 1
+    direct = np.zeros(head)
+    shifted = np.zeros(head)
+    direct[: min(head, nu)] = uc[:head]
+    shifted[2:] = uc[: max(head - 2, 0)]
+    pos[:head] += direct - shifted
+    pos_scale[:head] += np.abs(direct) + np.abs(shifted)
 
-    def add_row(out, scale, at, xr, xi, yr, yi):
-        # (xr + i xi)(yr + i yi) with x from u and y from B
-        re = xr * yr - xi * yi
-        im = xr * yi + xi * yr
-        out.real[at] += re
-        out.imag[at] += im
-        scale[at] += np.hypot(re, im)
+    def add_row(out, scale, at, x, y):
+        term = x * y
+        out[at] += term
+        scale[at] += np.abs(term)
 
     def bounds(x, y):
         # suffix sums of |x| and suffix maxima of |y|, zero past the ends
@@ -516,8 +492,7 @@ def jost_b_combination(u: TaylorSeries, b: TaylorSeries, order: int):
             break
         lo, hi = max(0, k - 2), min(nb, order + k - 1)
         if lo < hi:
-            add_row(pos, pos_scale, slice(2 - k + lo, 2 - k + hi),
-                    ur[k], ui[k], br[lo:hi], bi[lo:hi])
+            add_row(pos, pos_scale, slice(2 - k + lo, 2 - k + hi), uc[k], bc[lo:hi])
     # negative tail: row j puts b_j u_k at d = k - 2 - j for d in [1, order]
     b_rest, u_peak = bounds(bc, uc)
     for j in range(nb):
@@ -526,7 +501,7 @@ def jost_b_combination(u: TaylorSeries, b: TaylorSeries, order: int):
             break
         if j % 8 == 0 and j and settled(b_rest[j] * u_peak[j + 3 : j + 3 + order], neg_scale[1:]):
             break
-        add_row(neg, neg_scale, slice(1, hi - j - 2), ur[j + 3 : hi], ui[j + 3 : hi], br[j], bi[j])
+        add_row(neg, neg_scale, slice(1, hi - j - 2), uc[j + 3 : hi], bc[j])
     series = LaurentSeries.from_tails(pos[0], pos[1:], neg[1:])
     return series, pos_scale, neg_scale
 
@@ -574,8 +549,7 @@ def verify_jost_b_combination(coeffs: VerblunskyCoeffs, order: int = 64,
             live_neg = np.nonzero(np.abs(neg) > 64.0 * neg_floor)[0]
             d_pos = int(live_pos.max()) if live_pos.size else 0
             d_neg = int(live_neg.max()) if live_neg.size else 0
-            est_outer = RadiusEstimate(math.inf, (2, order), 0.0,
-                                       "cauchy-hadamard-regression", 0)
+            est_outer = RadiusEstimate(math.inf, (2, order), 0.0, 0)
             neg_fit = est_outer
             notes = (f"finitely supported parameters; Laurent polynomial "
                      f"tails end at degrees (+{d_pos}, -{d_neg})")

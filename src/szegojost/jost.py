@@ -282,11 +282,10 @@ def m_finite_range(params: JacobiParams, z) -> complex | np.ndarray:
 def m_function(measure, z) -> complex:
     """Borel transform in the Joukowski variable: M(z) = integral d rho/(z + 1/z - x).
 
-    Accepts a :class:`PointMeasure` (exact sum), free-tailed
+    Accepts a :class:`PointMeasure` (exact sum) or free-tailed
     :class:`JacobiParams` (exact continued fraction, also valid outside the
-    disk as the analytic continuation), or any object exposing
-    ``joukowski_borel(z)``.  Measure-side inputs are restricted to
-    0 < |z| < 1 where the integral representation converges.
+    disk as the analytic continuation).  Measure-side inputs are restricted
+    to 0 < |z| < 1 where the integral representation converges.
     """
     if isinstance(measure, JacobiParams):
         return m_finite_range(measure, z)
@@ -295,8 +294,6 @@ def m_function(measure, z) -> complex:
         raise DomainError("the integral form of M needs 0 < |z| < 1")
     if isinstance(measure, PointMeasure):
         return measure.stieltjes(z + 1.0 / z)
-    if hasattr(measure, "joukowski_borel"):
-        return measure.joukowski_borel(z)
     raise InvalidParameterError(f"cannot evaluate M for {type(measure).__name__}")
 
 

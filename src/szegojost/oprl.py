@@ -3,7 +3,8 @@
 Covers the coefficient side of the real-line theory: orthonormal and
 second-kind polynomial evaluation, truncated matrices with a boundary shift,
 their m-functions, the averaged (Carmona-type) density, and a brute-force
-spectral-measure oracle used by the verification suites.
+spectral-measure oracle that the tests and demo 03 check bound-state
+weights against.
 """
 
 from dataclasses import dataclass, field
@@ -78,19 +79,6 @@ class JacobiParams:
     @property
     def is_free_tailed(self) -> bool:
         return self.free_after is not None
-
-    @property
-    def stored_length(self) -> int:
-        return min(len(self.a), len(self.b))
-
-    @property
-    def sup_norm(self) -> float:
-        """Bound on max(sup|a_n|, sup|b_n|) over the whole sequence."""
-        sup_a = float(np.max(self.a, initial=0.0))
-        sup_b = float(np.max(np.abs(self.b), initial=0.0))
-        if self.is_free_tailed:
-            sup_a = max(sup_a, 1.0)
-        return max(sup_a, sup_b)
 
     def a_entry(self, n: int) -> float:
         if n < 1:

@@ -492,9 +492,8 @@ def popuc_average_check(
 
     Each moment is a polynomial in omega of degree <= |k| <= n, so a uniform
     root-of-unity grid of size >= 2n+2 averages it exactly; the average must
-    match the k-th moment of the degree-n approximant measure.  The alphas
-    are read once and shared by every omega; each omega gets the zeros and
-    weights :func:`popuc_point_measure` would return.
+    match the k-th moment of the degree-n approximant measure, each omega's
+    measure coming from :func:`popuc_point_measure`.
 
     The reference moment is exact: the approximant's Caratheodory function
     is psi_n*/phi_n* = 1 + 2 sum_{j>=1} mu_j z^j (Geronimus), so mu_|k| is
@@ -509,12 +508,7 @@ def popuc_average_check(
         )
     if np.max(np.abs(np.abs(omegas) - 1.0)) > 1e-12:
         raise InvalidParameterError("all omega values must be unimodular")
-    alpha = coeffs.slice(n)
-    moments = []
-    for w in omegas.tolist():
-        zeros = _paraorthogonal_zeros(alpha, w)
-        weights = _christoffel_weights(alpha, zeros)
-        moments.append(PopucMeasure(zeros=zeros, weights=weights, omega=w).moment(k))
+    moments = [popuc_point_measure(coeffs, n, w).moment(k) for w in omegas.tolist()]
     avg = complex(np.mean(moments))
     m = abs(k)
     # psi_n and phi_n share kappa_n, so the monic stars have the same ratio

@@ -51,12 +51,6 @@ def test_decay_rate_with_polynomial_prefactor():
     assert abs(est.radius - 2.0) / 2.0 < 0.05
 
 
-def test_decay_rate_ratio_method():
-    est = decay_rate(2.0 ** -np.arange(64.0), method="ratio")
-    assert abs(est.radius - 2.0) < 1e-12
-    assert est.method == "ratio"
-
-
 def test_decay_rate_infinite_sentinel():
     seq = np.concatenate([[1.0, 0.5, 0.25], np.zeros(61)])
     est = decay_rate(seq)
@@ -107,11 +101,9 @@ def test_radius_estimate_no_negative_tail_sentinel():
 
 def test_radius_estimate_record_validation():
     with pytest.raises(InvalidParameterError):
-        RadiusEstimate(1.0, (0, 5), 0.0, "cauchy-hadamard-regression", 4)
+        RadiusEstimate(1.0, (0, 5), 0.0, 4)
     with pytest.raises(InvalidParameterError):
-        RadiusEstimate(1.0, (0, 20), 0.0, "eyeball", 4)
-    with pytest.raises(InvalidParameterError):
-        RadiusEstimate(-2.0, (0, 20), 0.0, "ratio", 4)
+        RadiusEstimate(-2.0, (0, 20), 0.0, 4)
 
 
 def test_verification_report_is_deterministic():
@@ -125,6 +117,57 @@ def test_verification_report_is_deterministic():
     rows = a.rows()
     assert rows[0] == ("check", "demo")
     assert ("pass", "true") in rows
+
+
+def _signal_prefix_loop(values, floor, lo):
+    """The scalar loop that _signal_prefix must match, verbatim."""
+    hi = lo - 1
+    for k in range(lo, len(values)):
+        if abs(values[k]) > 64.0 * floor[k]:
+            hi = k
+        else:
+            break
+    return hi
+
+
+def _prefix_values(rng, n, fail_rate, is_complex):
+    """Entries at, just above, just below and well off 64 * floor."""
+    floor = 10.0 ** rng.uniform(-300, 3, n)
+    edge = 64.0 * floor
+    fails = rng.random(n) < fail_rate
+    kind = rng.integers(0, 2, n)
+    mag = np.where(kind == 0, np.nextafter(edge, np.inf), edge * 10.0 ** rng.uniform(0, 2, n))
+    low = np.where(kind == 0, edge, np.nextafter(edge, 0.0))
+    mag[fails] = np.where(rng.random(n) < 0.5, low, edge * 10.0 ** -rng.uniform(0, 2, n))[fails]
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    if not is_complex:
+        return sign * mag, floor
+    # on the real axis, on the imaginary axis, or at a random phase
+    phase = np.where(kind == 0, 0.0, rng.uniform(0.0, 2.0 * np.pi, n))
+    phase[rng.random(n) < 0.3] = 0.5 * np.pi
+    return sign * mag * np.exp(1j * phase), floor
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.integers(0, 40),
+       st.sampled_from([0.0, 0.02, 0.2, 0.6]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_signal_prefix_matches_scalar_loop(seed, n, lo, fail_rate, is_complex):
+    rng = np.random.default_rng(seed)
+    values, floor = _prefix_values(rng, n, fail_rate, is_complex)
+    lo = min(lo, n)
+    assert analysis._signal_prefix(values, floor, lo) == _signal_prefix_loop(values, floor, lo)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_signal_prefix_run_ends(is_complex):
+    floor = np.full(20, 1e-20)
+    values = np.full(20, 1e-10, dtype=complex if is_complex else float)
+    assert analysis._signal_prefix(values, floor, 2) == 19
+    values[2] = 64.0 * 1e-20
+    assert analysis._signal_prefix(values, floor, 2) == 1
+    values[2] = np.nextafter(64.0 * 1e-20, 1.0)
+    values[7] = 0.0
+    assert analysis._signal_prefix(values, floor, 2) == 6
 
 
 def test_nevai_totik_geometric_family():
@@ -312,24 +355,22 @@ def _reference_combination(u, b, order):
     return series, pos_scale, neg_scale
 
 
-def _draw_coeffs(rng, n, is_complex):
-    """Coefficients over 16 decades, with some exact and signed zeros."""
+def _draw_coeffs(rng, n):
+    """Real coefficients over 16 decades, with some exact and signed zeros."""
     c = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
-    if is_complex:
-        c = c + 1j * rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
     zeros = rng.random(n) < 0.1
     c[zeros] = np.copysign(0.0, rng.normal(size=int(np.count_nonzero(zeros))))
     return TaylorSeries(c)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 24), st.integers(1, 52),
-       st.integers(1, 52), st.booleans(), st.booleans())
+       st.integers(1, 52))
 @settings(max_examples=60, deadline=None)
-def test_combination_matches_scalar_loop_bitwise(seed, order, nu, nb, u_complex, b_complex):
+def test_combination_matches_scalar_loop_bitwise(seed, order, nu, nb):
     """Lengths of u and B range below and above order + 1."""
     rng = np.random.default_rng(seed)
-    u = _draw_coeffs(rng, nu, u_complex)
-    b = _draw_coeffs(rng, nb, b_complex)
+    u = _draw_coeffs(rng, nu)
+    b = _draw_coeffs(rng, nb)
     got = jost_b_combination(u, b, order)
     want = _reference_combination(u, b, order)
     assert got[0].coeffs.tobytes() == want[0].coeffs.tobytes()
@@ -337,28 +378,23 @@ def test_combination_matches_scalar_loop_bitwise(seed, order, nu, nb, u_complex,
     assert got[2].tobytes() == want[2].tobytes()
 
 
-def _envelope_coeffs(rng, n, r, is_complex, cut):
-    """Normal draws under the envelope r^-k, exactly 0 from index cut on."""
-    env = r ** -np.arange(n, dtype=float)
-    c = rng.normal(size=n) * env
-    if is_complex:
-        c = c + 1j * rng.normal(size=n) * env
+def _envelope_coeffs(rng, n, r, cut):
+    """Real normal draws under the envelope r^-k, exactly 0 from index cut on."""
+    c = rng.normal(size=n) * r ** -np.arange(n, dtype=float)
     c[cut:] = 0.0
     return TaylorSeries(c)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 60), st.integers(1, 100),
-       st.integers(1, 100), st.floats(1.05, 6.0), st.booleans(), st.booleans(),
-       st.booleans())
+       st.integers(1, 100), st.floats(1.05, 6.0), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_combination_stop_rule_keeps_every_readable_bit(seed, order, nu, nb, r, u_complex,
-                                                        b_complex, cut_tails):
+def test_combination_stop_rule_keeps_every_readable_bit(seed, order, nu, nb, r, cut_tails):
     """The rows the early stop drops move no scale entry, no real or
     imaginary part at or above 2^-52 of its scale, and no other part by more
     than 2^-100 of its scale."""
     rng = np.random.default_rng(seed)
-    u = _envelope_coeffs(rng, nu, r, u_complex, rng.integers(1, nu + 1) if cut_tails else nu)
-    b = _envelope_coeffs(rng, nb, r, b_complex, rng.integers(1, nb + 1) if cut_tails else nb)
+    u = _envelope_coeffs(rng, nu, r, rng.integers(1, nu + 1) if cut_tails else nu)
+    b = _envelope_coeffs(rng, nb, r, rng.integers(1, nb + 1) if cut_tails else nb)
     got_series, got_pos_scale, got_neg_scale = jost_b_combination(u, b, order)
     want_series, want_pos_scale, want_neg_scale = _reference_combination(u, b, order)
     assert got_pos_scale.tobytes() == want_pos_scale.tobytes()
@@ -372,6 +408,14 @@ def test_combination_stop_rule_keeps_every_readable_bit(seed, order, nu, nb, r, 
             kept = np.abs(got_part) >= 2.0 ** -52 * scale
             assert got_part[kept].tobytes() == want_part[kept].tobytes()
             assert np.all(np.abs(got_part - want_part)[~kept] <= 2.0 ** -100 * scale[~kept])
+
+
+def test_combination_needs_real_series():
+    real = TaylorSeries([1.0, 0.5, 0.25])
+    cplx = TaylorSeries([1.0, 0.5j, 0.25])
+    for u, b in ((cplx, real), (real, cplx), (cplx, cplx)):
+        with pytest.raises(InvalidParameterError):
+            jost_b_combination(u, b, order=8)
 
 
 def _row_kernel_combination(u, b, order):

@@ -412,12 +412,6 @@ def test_m_function_dispatch():
     assert np.isclose(m_function(pm, z), pm.stieltjes(z + 1.0 / z))
     with pytest.raises(DomainError):
         m_function(pm, 1.2)
-
-    class Borel:
-        def joukowski_borel(self, z):
-            return 7.0 * z
-
-    assert m_function(Borel(), 0.5) == 3.5
     with pytest.raises(InvalidParameterError):
         m_function(object(), 0.5)
 
