@@ -28,7 +28,7 @@ from .jost import (
 from .oprl import JacobiParams, eval_polys
 from .opuc import VerblunskyCoeffs
 from .series import LaurentSeries, TaylorSeries
-from .szego import dinv_from_alphas, r_series, s_series
+from .szego import _r_by_product, dinv_from_alphas, s_series
 
 __all__ = [
     "UNDERFLOW_FLOOR",
@@ -376,8 +376,7 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
         alpha = coeffs.slice(order + 1)
         dinv = dinv_from_alphas(coeffs, order)
         s = s_series(coeffs, order)
-        r = r_series(dinv, order, method="product")
-        r_pos = np.concatenate(([r.coeff(0)], r.positive_tail()))
+        r_pos = _r_by_product(dinv, 0, order)
         diff = r_pos - s.coeffs
         if not np.any(np.abs(alpha) > UNDERFLOW_FLOOR):
             return VerificationReport(
@@ -453,6 +452,8 @@ def jost_b_combination(u: TaylorSeries, b: TaylorSeries, order: int):
     """
     if not (u.is_real() and b.is_real()):
         raise InvalidParameterError("the B-combination needs real u and B")
+    if order < 1:
+        raise InvalidParameterError("series order must be >= 1")
     uc = u.coeffs.real
     bc = b.coeffs.real
     nu, nb = len(uc), len(bc)

@@ -8,8 +8,11 @@ byte-identical.  Across thread counts the last bits of values that come
 from LAPACK may differ.  LAPACK output reaches the CLI only through
 ``polyroots`` (finite-range Jost zeros, the residue moments of ``carmona``
 and the Pade poles of ``probe``), the inverse and ``eigvalsh`` that give
-the paraorthogonal zeros of ``popuc``, and the linear solve of ``probe``;
-no command runs ``eigh_tridiagonal``.
+the paraorthogonal zeros of ``popuc``, the linear solve of ``probe``, and
+the least-squares solve (``lstsq``) inside ``np.polyfit`` of every radius
+fit in ``decay_rate`` and of the endpoint check that ``coeffs
+--from-measure`` runs on a line weight; no command runs
+``eigh_tridiagonal``.
 
 Exit codes: 0 success, 1 failed verification (report still written),
 2 malformed input or invalid parameters.
@@ -33,7 +36,7 @@ from .analysis import (
     verify_r_minus_s,
 )
 from .errors import SzegojostError
-from .jost import finite_range_jost_data, geronimus_map, u_from_dinv
+from .jost import _jost_prefactor, finite_range_jost_data, geronimus_map, u_from_dinv
 from .measures import (
     ExperimentConfig,
     MeasureSpec,
@@ -174,16 +177,18 @@ def _cmd_szego(args, config: ExperimentConfig) -> int:
 
 def _cmd_jost(args, config: ExperimentConfig) -> int:
     order = args.order if args.order is not None else config.series_order
-    if args.alpha:
-        coeffs = parse_alpha_spec(args.alpha, order)
-        data = u_from_dinv(coeffs, order=order)
-    else:
+    if not args.alpha:
         data = finite_range_jost_data(_jacobi_from_args(args))
+    elif args.what == "zeros":
+        # u = c/D has no zeros in the disk (see u_from_dinv): once alpha
+        # passes u's checks the table is empty, so 1/D is not built
+        _jost_prefactor(parse_alpha_spec(args.alpha, order), order)
+        data = None
+    else:
+        data = u_from_dinv(parse_alpha_spec(args.alpha, order), order=order)
     if args.what == "zeros":
-        rows = [
-            (j, z.real, z.imag, e.real, e.imag)
-            for j, (z, e) in enumerate(zip(data.zeros_in_disk, data.eigenvalues))
-        ]
+        pairs = zip(data.zeros_in_disk, data.eigenvalues) if data is not None else ()
+        rows = [(j, z.real, z.imag, e.real, e.imag) for j, (z, e) in enumerate(pairs)]
         _write_output(args, "zeros", ["j", "re", "im", "eig_re", "eig_im"],
                       rows, config, _hash_input(args))
         return 0

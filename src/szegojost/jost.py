@@ -180,17 +180,32 @@ def u_from_dinv(coeffs: VerblunskyCoeffs, order: int = 64) -> JostData:
     matrix has its spectrum in [-2, 2] and no bound states (Damanik-Simon,
     Jost functions and Jost solutions for Jacobi matrices I; Simon, OPUC
     vol. 1).  The zero and eigenvalue arrays are therefore empty; disk
-    roots of the truncated series are truncation artefacts.
+    roots of the truncated series are truncation artefacts.  The input
+    checks are those of :func:`_jost_prefactor`, which the zero table of
+    ``jost --what zeros --alpha`` runs without building 1/D.
+    """
+    scale = _jost_prefactor(coeffs, order)
+    dinv = dinv_from_alphas(coeffs, order)
+    u = TaylorSeries(scale * dinv.coeffs, note=dinv.note)
+    none = np.empty(0, dtype=complex)
+    return JostData(u=u, zeros_in_disk=none, eigenvalues=none)
+
+
+def _jost_prefactor(coeffs: VerblunskyCoeffs, order: int) -> float:
+    """sqrt((1 - alpha_0^2)(1 - alpha_1)), once alpha is real, reaches
+    alpha_1 and the series order is at least 1.
+
+    These are all the checks u = c/D makes of its input before 1/D is
+    built, in the order it makes them, so every Jost route from alpha
+    rejects the same input with the same error.
     """
     if not coeffs.is_real():
         raise InvalidParameterError("the Jost correspondence needs real alpha")
     a0 = coeffs.entry(0).real
     a1 = coeffs.entry(1).real
-    scale = float(np.sqrt((1.0 - a0 * a0) * (1.0 - a1)))
-    dinv = dinv_from_alphas(coeffs, order)
-    u = TaylorSeries(scale * dinv.coeffs, note=dinv.note)
-    none = np.empty(0, dtype=complex)
-    return JostData(u=u, zeros_in_disk=none, eigenvalues=none)
+    if order < 1:
+        raise InvalidParameterError("series order must be >= 1")
+    return float(np.sqrt((1.0 - a0 * a0) * (1.0 - a1)))
 
 
 def finite_range_jost_data(params: JacobiParams, ell: int | None = None) -> JostData:
@@ -245,14 +260,12 @@ def b_series_from_deltas(b, asq1, order: int = 64) -> TaylorSeries:
         raise InvalidParameterError("series order must be >= 2")
     b = np.asarray(b, dtype=float)
     asq1 = np.asarray(asq1, dtype=float)
-    c = np.zeros(order + 1, dtype=float)
+    # slots past the arrays hold -0.0, the negated zero of an absent delta
+    c = np.full(order + 1, -0.0)
     c[0] = 1.0
-    n = 0
-    while 2 * n + 1 <= order:
-        c[2 * n + 1] = -(b[n] if n < len(b) else 0.0)
-        if 2 * n + 2 <= order:
-            c[2 * n + 2] = -(asq1[n] if n < len(asq1) else 0.0)
-        n += 1
+    odd, even = c[1::2], c[2::2]
+    odd[: len(b)] = -b[: len(odd)]
+    even[: len(asq1)] = -asq1[: len(even)]
     return TaylorSeries(c)
 
 

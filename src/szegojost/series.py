@@ -88,15 +88,17 @@ def taylor_reciprocal(a: TaylorSeries, order: int | None = None) -> TaylorSeries
     if order is None:
         order = a.order
     c = a.coeffs
-    if c[0] == 0:
+    c0 = c[0]
+    if c0 == 0:
         raise DomainError("reciprocal needs a nonzero constant term")
+    top = len(c) - 1
+    dot = np.dot
     d = np.zeros(order + 1, dtype=complex)
-    d[0] = 1.0 / c[0]
+    d[0] = 1.0 / c0
     # d_k = -(sum_{j=1..k} c_j d_{k-j}) / c_0, with absent c_j treated as 0
     for k in range(1, order + 1):
-        jmax = min(k, len(c) - 1)
-        acc = np.dot(c[1 : jmax + 1], d[k - 1 :: -1][:jmax])
-        d[k] = -acc / c[0]
+        jmax = min(k, top)
+        d[k] = -dot(c[1 : jmax + 1], d[k - 1 :: -1][:jmax]) / c0
     return TaylorSeries(d)
 
 

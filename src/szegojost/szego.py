@@ -191,10 +191,13 @@ def r_series(
     the series is longer than the grid), and the coefficients of r from one
     forward FFT of (1/D) / conj(1/D) there.  ``method="product"`` convolves
     the reflected-D series with the 1/D series, which keeps relative
-    accuracy deep into the tails and is what the wide-annulus checks use.
+    accuracy deep into the tails and is what the wide-annulus checks use;
+    it calls :func:`_r_by_product` for -order..order, which also makes its
+    checks (a nonzero constant term, ``order <= dinv.order``).
     """
-    if abs(dinv.coeffs[0]) < 1e-280:
-        raise PoleError(0.0, context="reciprocal Szego series has no constant term")
+    if method == "product":
+        return LaurentSeries(_r_by_product(dinv, -order, order))
+    _require_constant_term(dinv)
     if method == "grid":
         size = grid_size or max(512, _next_pow2(8 * (order + 1)))
         rows = -(-len(dinv.coeffs) // size)
@@ -204,21 +207,36 @@ def r_series(
         ratio = vals / np.conj(vals)
         hat = np.fft.fft(ratio) / size
         return LaurentSeries(hat[np.arange(-order, order + 1) % size])
-    if method == "product":
-        length = dinv.order
-        if order > length:
-            raise InvalidParameterError(
-                "product method needs dinv order >= requested Laurent order"
-            )
-        c_dinv = dinv.coeffs
-        d_conj = np.conj(taylor_reciprocal(dinv, length).coeffs)
-        c = np.zeros(2 * order + 1, dtype=complex)
-        for k in range(-order, order + 1):
-            m_lo = max(0, -k)
-            m_hi = length - max(0, k)
-            c[k + order] = np.dot(d_conj[m_lo : m_hi + 1], c_dinv[m_lo + k : m_hi + k + 1])
-        return LaurentSeries(c)
     raise InvalidParameterError(f"unknown method {method!r}")
+
+
+def _r_by_product(dinv: TaylorSeries, lowest: int, order: int) -> np.ndarray:
+    """Coefficients r_lowest .. r_order of r by the product method.
+
+    r_k = sum_m conj(D_m) (1/D)_{m+k}, one ``np.dot`` per k, so each
+    coefficient is the same whatever range is asked for.  ``r_series``
+    takes -order..order; the r - S suite reads only the Taylor half
+    0..order and builds nothing else.
+    """
+    _require_constant_term(dinv)
+    length = dinv.order
+    if order > length:
+        raise InvalidParameterError(
+            "product method needs dinv order >= requested Laurent order"
+        )
+    c_dinv = dinv.coeffs
+    d_conj = np.conj(taylor_reciprocal(dinv, length).coeffs)
+    c = np.zeros(order - lowest + 1, dtype=complex)
+    for k in range(lowest, order + 1):
+        m_lo = max(0, -k)
+        m_hi = length - max(0, k)
+        c[k - lowest] = np.dot(d_conj[m_lo : m_hi + 1], c_dinv[m_lo + k : m_hi + k + 1])
+    return c
+
+
+def _require_constant_term(dinv: TaylorSeries) -> None:
+    if abs(dinv.coeffs[0]) < 1e-280:
+        raise PoleError(0.0, context="reciprocal Szego series has no constant term")
 
 
 def _next_pow2(n: int) -> int:

@@ -418,6 +418,13 @@ def test_combination_needs_real_series():
             jost_b_combination(u, b, order=8)
 
 
+@pytest.mark.parametrize("order", [0, -1, -5])
+def test_combination_needs_positive_order(order):
+    u = TaylorSeries([1.0, 0.5, 0.25])
+    with pytest.raises(InvalidParameterError, match="order must be >= 1"):
+        jost_b_combination(u, u, order=order)
+
+
 def _row_kernel_combination(u, b, order):
     """jost_b_combination as it was before the early stop, verbatim."""
     uc = u.coeffs

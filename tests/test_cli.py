@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import szegojost
 from conftest import NEAR_EDGE
 from szegojost.cli import main
+from szegojost.errors import ConvergenceWarning
 from szegojost.measures import MeasureSpec, ingest_circle, realize_circle
 
 
@@ -308,6 +310,53 @@ def test_verify_all_runs_one_szego_recursion(capsys, monkeypatch):
                            "--order", "64"])
     assert code == 0
     assert len(starts) == 1
+
+
+@pytest.mark.parametrize("spec", ["geometric:C=-0.3,R=1.2", "0.9,-0.9", "constant:c=0.25"])
+def test_jost_zeros_from_alpha_runs_no_szego_recursion(capsys, monkeypatch, spec):
+    """u = c/D has no disk zeros, so the zero table is built without 1/D;
+    the series table still runs the one recursion."""
+    from szegojost import opuc, szego
+
+    starts = []
+    original = opuc._monic_pair
+
+    def counting(coeffs, n):
+        starts.append(n)
+        return original(coeffs, n)
+
+    monkeypatch.setattr(opuc, "_monic_pair", counting)
+    monkeypatch.setattr(szego, "_monic_pair", counting)
+    code, out = run(capsys, ["jost", "--what", "zeros", "--alpha", spec, "--order", "256"])
+    assert code == 0
+    assert parse_table(out) == ("zeros", [])
+    assert starts == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        code, _ = run(capsys, ["jost", "--what", "series", "--alpha", spec, "--order", "256"])
+    assert code == 0
+    assert len(starts) == 1
+
+
+@pytest.mark.parametrize("what", ["zeros", "series"])
+@pytest.mark.parametrize(
+    ("spec", "order", "message"),
+    [
+        ("0.5j,0.1", "64", "the Jost correspondence needs real alpha"),
+        ("0.5j,0.1", "0", "the Jost correspondence needs real alpha"),
+        ("0.5,0.2", "0", "series order must be >= 1"),
+        ("0.5,0.2", "-3", "series order must be >= 1"),
+        ("geometric:C=0.5,R=2", "0", "alpha at index 1 is past the stored range"),
+        ("geometric:C=0.5,R=2", "-1", "alpha at index 0 is past the stored range"),
+    ],
+)
+def test_jost_from_alpha_rejects_what_u_rejects(capsys, what, spec, order, message):
+    """The zero table checks its input as u_from_dinv does, in the same order."""
+    code = main(["jost", "--what", what, "--alpha", spec, "--order", order])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_canonical_weights_ignores_alpha(capsys):

@@ -367,6 +367,39 @@ def test_b_series_coefficient_placement():
         b_series_from_deltas(params.b, params.a**2 - 1.0, order=1)
 
 
+def _b_series_loop(b, asq1, order):
+    """Verbatim copy of the while loop the strided slices replaced."""
+    b = np.asarray(b, dtype=float)
+    asq1 = np.asarray(asq1, dtype=float)
+    c = np.zeros(order + 1, dtype=float)
+    c[0] = 1.0
+    n = 0
+    while 2 * n + 1 <= order:
+        c[2 * n + 1] = -(b[n] if n < len(b) else 0.0)
+        if 2 * n + 2 <= order:
+            c[2 * n + 2] = -(asq1[n] if n < len(asq1) else 0.0)
+        n += 1
+    return c
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(0, 80), st.integers(0, 80), st.integers(2, 120),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_b_series_matches_the_loop_bitwise(seed, nb, nasq, order, zeros):
+    """Arrays shorter or longer than the series, and signed zeros: slots past
+    the arrays hold -0.0 as the loop wrote them, and -(-0.0) is +0.0."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(-1.0, 1.0, nb) * 10.0 ** rng.uniform(-300.0, 0.0, nb)
+    asq1 = rng.uniform(-1.0, 1.0, nasq) * 10.0 ** rng.uniform(-300.0, 0.0, nasq)
+    if zeros:
+        b[rng.random(nb) < 0.4] = -0.0
+        asq1[rng.random(nasq) < 0.4] = 0.0
+        asq1[rng.random(nasq) < 0.4] = -0.0
+    got = b_series_from_deltas(b, asq1, order).coeffs
+    want = _b_series_loop(b, asq1, order).astype(complex)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_m_free_is_identity():
     free = JacobiParams.free()
     zs = np.array([0.5, 0.3 - 0.2j, 1.7 + 0.4j])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szegojost.errors import DomainError, InvalidParameterError
 from szegojost.series import (
@@ -82,6 +84,35 @@ def test_taylor_reciprocal_geometric():
 def test_taylor_reciprocal_needs_constant_term():
     with pytest.raises(DomainError):
         taylor_reciprocal(TaylorSeries([0.0, 1.0]))
+
+
+def _taylor_reciprocal_loop(c, order):
+    """Verbatim copy of the loop before c[0], len(c) - 1 and np.dot were hoisted."""
+    d = np.zeros(order + 1, dtype=complex)
+    d[0] = 1.0 / c[0]
+    for k in range(1, order + 1):
+        jmax = min(k, len(c) - 1)
+        acc = np.dot(c[1 : jmax + 1], d[k - 1 :: -1][:jmax])
+        d[k] = -acc / c[0]
+    return d
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 300), st.integers(0, 400), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_taylor_reciprocal_matches_the_loop_bitwise(seed, length, order, zeros):
+    """Same dot on the same slices: the series is the loop's, bit for bit,
+    also past the end of ``c`` and with signed zeros among its entries."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, length) + 1j * rng.uniform(-1.0, 1.0, length)
+    c[1:] *= rng.uniform(0.5, 1.0) ** np.arange(1, length)
+    # |c_0| above the sum of the other moduli keeps every d_k finite
+    c[0] *= (1.0 + np.sum(np.abs(c[1:]))) / abs(c[0])
+    if zeros:
+        for i in rng.integers(1, length, size=length // 3):
+            c[i] = complex(*rng.choice([0.0, -0.0], size=2))
+        c[0] = complex(-abs(c[0]), -0.0)
+    got = taylor_reciprocal(TaylorSeries(c), order).coeffs
+    assert got.tobytes() == _taylor_reciprocal_loop(c, order).tobytes()
 
 
 def test_taylor_exp_coefficients():

@@ -1,9 +1,12 @@
 """Outer-function layer: 1/D, D from the weight, S, r, coefficient recovery."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import geometric_alphas, real_alphas
 from szegojost.errors import (
@@ -11,11 +14,13 @@ from szegojost.errors import (
     InvalidParameterError,
     PreconditionError,
     SzegoConditionError,
+    SzegojostError,
 )
 from szegojost.measures import parse_alpha_spec
 from szegojost.opuc import CircleMeasure, VerblunskyCoeffs, bernstein_szego
-from szegojost.series import taylor_mul
+from szegojost.series import TaylorSeries, taylor_mul, taylor_reciprocal
 from szegojost.szego import (
+    _r_by_product,
     d_from_weight,
     dinv_from_alphas,
     r_series,
@@ -232,6 +237,55 @@ def test_r_series_real_coefficients_for_real_alpha(rng):
     dinv = dinv_from_alphas(c, order=32)
     r = r_series(dinv, order=16, method="product")
     assert np.max(np.abs(r.coeffs.imag)) < 1e-13
+
+
+def _r_product_loop(dinv, order):
+    """Verbatim copy of the product loop of r_series before it took a lowest index."""
+    length = dinv.order
+    c_dinv = dinv.coeffs
+    d_conj = np.conj(taylor_reciprocal(dinv, length).coeffs)
+    c = np.zeros(2 * order + 1, dtype=complex)
+    for k in range(-order, order + 1):
+        m_lo = max(0, -k)
+        m_hi = length - max(0, k)
+        c[k + order] = np.dot(d_conj[m_lo : m_hi + 1], c_dinv[m_lo + k : m_hi + k + 1])
+    return c
+
+
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.booleans(), st.integers(8, 256),
+       st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
+def test_r_taylor_half_is_bitwise_the_product_series(seed, finite, cplx, order, extra):
+    """r_0..r_N alone are the Taylor half of the -N..N product series, bit for bit,
+    and that series is the old loop's."""
+    rng = np.random.default_rng(seed)
+    dinv_order = order + extra
+    if finite:
+        n = int(rng.integers(1, 24))
+        alpha = rng.uniform(-0.6, 0.6, n) + (1j * rng.uniform(-0.5, 0.5, n) if cplx else 0.0)
+        coeffs = VerblunskyCoeffs.finitely_supported(alpha)
+    else:
+        c = rng.uniform(-0.7, 0.7) + (1j * rng.uniform(-0.5, 0.5) if cplx else 0.0)
+        coeffs = VerblunskyCoeffs(c * rng.uniform(1.1, 4.0) ** -np.arange(dinv_order + 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        dinv = dinv_from_alphas(coeffs, dinv_order)
+    full = r_series(dinv, order, method="product")
+    assert full.coeffs.tobytes() == _r_product_loop(dinv, order).tobytes()
+    want = np.concatenate(([full.coeff(0)], full.positive_tail()))
+    assert _r_by_product(dinv, 0, order).tobytes() == want.tobytes()
+
+
+def test_r_taylor_half_guards_match_r_series():
+    """The helper raises what r_series(method="product") raises."""
+    short = dinv_from_alphas(geometric_alphas(0.5, 2.0), order=16)
+    no_constant = TaylorSeries([1e-300, 1.0, 0.5])
+    for dinv, order in ((short, 32), (no_constant, 2)):
+        with pytest.raises(SzegojostError) as want:
+            r_series(dinv, order, method="product")
+        with pytest.raises(type(want.value)) as got:
+            _r_by_product(dinv, 0, order)
+        assert str(got.value) == str(want.value)
 
 
 def test_r_series_guards():
