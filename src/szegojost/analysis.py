@@ -3,8 +3,9 @@
 The estimators fit log |c_n| against n over a trailing window by least
 squares, which suppresses oscillating-coefficient noise better than
 pointwise |c_n|^{-1/n}.  Verification suites package measured radii and
-deviations into deterministic reports; an estimator failure yields an
-inconclusive (failed) report rather than an exception.
+deviations into deterministic reports.  The four radius suites run their
+legs through ``_report``, the one place where an estimator failure becomes
+an inconclusive (failed) report rather than an exception.
 """
 
 import math
@@ -201,14 +202,24 @@ def _signal_prefix(values: np.ndarray, floor: np.ndarray, lo: int) -> int:
     return lo - 1 + int(fails[0] if fails.size else len(v))
 
 
-def _inconclusive(check_id: str, tolerance: float, exc: Exception) -> VerificationReport:
-    return VerificationReport(
-        check_id=check_id,
-        measured=(),
-        tolerance=tolerance,
-        passed=False,
-        notes=f"inconclusive: {exc}",
-    )
+def _rounding_floor(scale):
+    """Rounding-noise level of sums whose terms have absolute sum ``scale``."""
+    return 20.0 * _EPS * scale + UNDERFLOW_FLOOR
+
+
+def _report(check_id: str, tolerance: float, legs) -> VerificationReport:
+    """Run a radius suite's ``legs`` and package what they return.
+
+    ``legs()`` returns (measured, passed, notes).  An estimator failure
+    (NumericalDegeneracyError or InvalidParameterError) becomes an
+    inconclusive, failed report with nothing measured.
+    """
+    try:
+        measured, passed, notes = legs()
+    except (NumericalDegeneracyError, InvalidParameterError) as exc:
+        measured, passed, notes = (), False, f"inconclusive: {exc}"
+    return VerificationReport(check_id=check_id, measured=measured,
+                              tolerance=tolerance, passed=bool(passed), notes=notes)
 
 
 def _relative_gap(x: float, y: float) -> float:
@@ -219,6 +230,15 @@ def _relative_gap(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), 1e-300)
 
 
+def _agree(names: tuple, first: float, second: float, rel_tol: float):
+    """Legs of a two-sided radius comparison: the radii under ``names``,
+    their relative gap, and a pass when the gap is within ``rel_tol``."""
+    gap = _relative_gap(first, second)
+    notes = "both sides report the infinite-radius sentinel" if (
+        math.isinf(first) and math.isinf(second)) else ""
+    return {names[0]: first, names[1]: second, "relative_gap": gap}, gap <= rel_tol, notes
+
+
 def verify_nevai_totik(coeffs: VerblunskyCoeffs, order: int = 64, rel_tol: float = 0.05,
                        window=None) -> VerificationReport:
     """Exponential alpha decay against the singularity radius of 1/D.
@@ -227,31 +247,15 @@ def verify_nevai_totik(coeffs: VerblunskyCoeffs, order: int = 64, rel_tol: float
     Taylor series of 1/D agree within ``rel_tol``; finitely supported alpha
     must produce the infinite sentinel on both sides.
     """
-    check = "nevai-totik"
-    try:
-        alpha = coeffs.slice(order + 1)
-        r_alpha = decay_rate(alpha, window=window)
-        dinv = dinv_from_alphas(coeffs, order)
-        r_d = radius_estimate(dinv, window=window)
-    except (NumericalDegeneracyError, InvalidParameterError) as exc:
-        return _inconclusive(check, rel_tol, exc)
-    gap = _relative_gap(r_alpha.radius, r_d.radius)
-    notes = "both sides report the infinite-radius sentinel" if (
-        r_alpha.is_infinite and r_d.is_infinite) else ""
-    return VerificationReport(
-        check_id=check,
-        measured={
-            "alpha_decay_radius": r_alpha.radius,
-            "dinv_radius": r_d.radius,
-            "relative_gap": gap,
-        },
-        tolerance=rel_tol,
-        passed=bool(gap <= rel_tol),
-        notes=notes,
-    )
+    def legs():
+        r_alpha = decay_rate(coeffs.slice(order + 1), window=window).radius
+        r_d = radius_estimate(dinv_from_alphas(coeffs, order), window=window).radius
+        return _agree(("alpha_decay_radius", "dinv_radius"), r_alpha, r_d, rel_tol)
+
+    return _report("nevai-totik", rel_tol, legs)
 
 
-def _mapped_decay_radius(coeffs: VerblunskyCoeffs, order: int, window):
+def _mapped_decay_radius(coeffs: VerblunskyCoeffs, window) -> float:
     """Radius R with limsup (|b_n| + |a_n^2 - 1|)^(1/2n) = 1/R."""
     if coeffs.is_finitely_supported:
         count = len(coeffs.alpha) // 2 + 16
@@ -267,9 +271,8 @@ def _mapped_decay_radius(coeffs: VerblunskyCoeffs, order: int, window):
     b, asq1 = geronimus_deltas(coeffs, count)
     delta = np.abs(b) + np.abs(asq1)
     if not np.any(delta > UNDERFLOW_FLOOR):
-        return math.inf, delta
-    est = decay_rate(delta, window=window)
-    return (math.inf if est.is_infinite else math.sqrt(est.radius)), delta
+        return math.inf
+    return math.sqrt(decay_rate(delta, window=window).radius)
 
 
 def verify_damanik_simon(coeffs: VerblunskyCoeffs, order: int = 64, rel_tol: float = 0.05,
@@ -279,29 +282,15 @@ def verify_damanik_simon(coeffs: VerblunskyCoeffs, order: int = 64, rel_tol: flo
     The mapped parameters decay with exponent 2n at rate 1/R; the Jost
     series u built through 1/D must have radius R as well.  Real alpha only.
     """
-    check = "damanik-simon"
     if not coeffs.is_real():
         raise InvalidParameterError("this check needs real alpha")
-    try:
-        r_jacobi, _ = _mapped_decay_radius(coeffs, order, window)
-        u = u_from_dinv(coeffs, order=order).u
-        r_u = radius_estimate(u, window=None)
-    except (NumericalDegeneracyError, InvalidParameterError) as exc:
-        return _inconclusive(check, rel_tol, exc)
-    gap = _relative_gap(r_jacobi, r_u.radius)
-    notes = "both sides report the infinite-radius sentinel" if (
-        math.isinf(r_jacobi) and r_u.is_infinite) else ""
-    return VerificationReport(
-        check_id=check,
-        measured={
-            "jacobi_decay_radius": r_jacobi,
-            "jost_radius": r_u.radius,
-            "relative_gap": gap,
-        },
-        tolerance=rel_tol,
-        passed=bool(gap <= rel_tol),
-        notes=notes,
-    )
+
+    def legs():
+        r_jacobi = _mapped_decay_radius(coeffs, window)
+        r_u = radius_estimate(u_from_dinv(coeffs, order=order).u).radius
+        return _agree(("jacobi_decay_radius", "jost_radius"), r_jacobi, r_u, rel_tol)
+
+    return _report("damanik-simon", rel_tol, legs)
 
 
 def canonical_weight_check(params: JacobiParams, rel_tol: float = 1e-4) -> VerificationReport:
@@ -371,57 +360,44 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
     level (the two terms agree to ~R^(-3k) out of magnitude R^(-k)) are
     excluded through an adaptive floor.
     """
-    check = "r-minus-s"
-    try:
+    def legs():
         alpha = coeffs.slice(order + 1)
         dinv = dinv_from_alphas(coeffs, order)
-        s = s_series(coeffs, order)
+        s = s_series(coeffs, order).coeffs
         r_pos = _r_by_product(dinv, 0, order)
-        diff = r_pos - s.coeffs
         if not np.any(np.abs(alpha) > UNDERFLOW_FLOOR):
-            return VerificationReport(
-                check_id=check,
-                measured={"difference_radius": math.inf, "threshold": math.inf},
-                tolerance=slack, passed=True,
-                notes="alpha is zero; r - S vanishes identically",
-            )
-        r_alpha = decay_rate(alpha)
-        est_s = decay_rate(s.coeffs)
-        est_r = decay_rate(r_pos)
-        floor = 20.0 * _EPS * (np.abs(r_pos) + np.abs(s.coeffs)) + UNDERFLOW_FLOOR
+            return ({"difference_radius": math.inf, "threshold": math.inf}, True,
+                    "alpha is zero; r - S vanishes identically")
+        r_alpha = decay_rate(alpha).radius
+        r_s = decay_rate(s).radius
+        r_r = decay_rate(r_pos).radius
+        diff = r_pos - s
+        floor = _rounding_floor(np.abs(r_pos) + np.abs(s))
         hi = _signal_prefix(diff, floor, 2)
         if hi < 2:
-            est_diff = RadiusEstimate(math.inf, (2, order), 0.0, 0)
+            r_diff, used = math.inf, 0
         elif hi < 10:
             raise NumericalDegeneracyError(
                 f"difference signal survives rounding only through index {hi}"
             )
         else:
-            est_diff = decay_rate(diff, window=(2, hi), floor=floor)
-    except (NumericalDegeneracyError, InvalidParameterError) as exc:
-        return _inconclusive(check, slack, exc)
-    sane = (_relative_gap(est_s.radius, r_alpha.radius) <= rel_tol
-            and _relative_gap(est_r.radius, r_alpha.radius) <= rel_tol)
-    if math.isinf(r_alpha.radius):
-        threshold = math.inf
-        claim = est_diff.is_infinite
-    else:
-        threshold = (r_alpha.radius ** 3) * (1.0 - slack)
-        claim = est_diff.is_infinite or est_diff.radius >= threshold
-    return VerificationReport(
-        check_id=check,
-        measured={
-            "alpha_decay_radius": r_alpha.radius,
-            "s_radius": est_s.radius,
-            "r_radius": est_r.radius,
-            "difference_radius": est_diff.radius,
+            est = decay_rate(diff, window=(2, hi), floor=floor)
+            r_diff, used = est.radius, est.n_points
+        sane = _relative_gap(r_s, r_alpha) <= rel_tol and _relative_gap(r_r, r_alpha) <= rel_tol
+        threshold = math.inf if math.isinf(r_alpha) else (r_alpha ** 3) * (1.0 - slack)
+        measured = {
+            "alpha_decay_radius": r_alpha,
+            "s_radius": r_s,
+            "r_radius": r_r,
+            "difference_radius": r_diff,
             "threshold": threshold,
-            "usable_points": float(est_diff.n_points),
-        },
-        tolerance=slack,
-        passed=bool(sane and claim),
-        notes="" if sane else "sanity leg failed: r or S radius is off the alpha decay",
-    )
+            "usable_points": float(used),
+        }
+        claim = math.isinf(r_diff) or r_diff >= threshold
+        return measured, sane and claim, (
+            "" if sane else "sanity leg failed: r or S radius is off the alpha decay")
+
+    return _report("r-minus-s", slack, legs)
 
 
 def jost_b_combination(u: TaylorSeries, b: TaylorSeries, order: int):
@@ -515,43 +491,39 @@ def verify_jost_b_combination(coeffs: VerblunskyCoeffs, order: int = 64,
     must be analytic in R^-1 < |z| < R^2: outer radius estimate at least
     R^2 (up to ``slack``), inner at most 1/R.  Real alpha only.
     """
-    check = "jost-combination"
     if not coeffs.is_real():
         raise InvalidParameterError("this check needs real alpha")
-    try:
+
+    def legs():
         count = order // 2 + 1
-        if coeffs.is_finitely_supported:
-            available = count
-        else:
-            available = (len(coeffs.alpha) - 2) // 2
+        available = count if coeffs.is_finitely_supported else (len(coeffs.alpha) - 2) // 2
         b_arr, asq1 = geronimus_deltas(coeffs, min(count, available))
         delta = np.abs(b_arr) + np.abs(asq1)
-        if not np.any(delta > UNDERFLOW_FLOOR):
-            return VerificationReport(
-                check_id=check,
-                measured={"outer_radius": math.inf, "inner_radius": 0.0},
-                tolerance=slack, passed=True,
-                notes="free parameters; the combination is entire",
-            )
-        r_map, _ = _mapped_decay_radius(coeffs, order, None)
+        # an empty delta (order or stored alphas too short) is no evidence of
+        # free parameters; _mapped_decay_radius reports the shortage
+        if delta.size and not np.any(delta > UNDERFLOW_FLOOR):
+            return ({"outer_radius": math.inf, "inner_radius": 0.0}, True,
+                    "free parameters; the combination is entire")
+        r_map = _mapped_decay_radius(coeffs, None)
         u = u_from_dinv(coeffs, order=order).u
         bser = b_series_from_deltas(b_arr, asq1, order)
         series, pos_scale, neg_scale = jost_b_combination(u, bser, order)
         pos = np.concatenate(([series.coeff(0)], series.positive_tail()))
         neg = np.concatenate(([series.coeff(0)], series.negative_tail()))
-        pos_floor = 20.0 * _EPS * pos_scale + UNDERFLOW_FLOOR
-        neg_floor = 20.0 * _EPS * neg_scale + UNDERFLOW_FLOOR
-        notes = ""
+        pos_floor = _rounding_floor(pos_scale)
+        neg_floor = _rounding_floor(neg_scale)
         if coeffs.is_finitely_supported:
             # u and B are exact polynomials, so the combination is a
             # Laurent polynomial: both tails terminate and the annulus is
-            # all of C minus the origin.
-            live_pos = np.nonzero(np.abs(pos) > 64.0 * pos_floor)[0]
-            live_neg = np.nonzero(np.abs(neg) > 64.0 * neg_floor)[0]
+            # all of C minus the origin.  Reading the degrees needs no fit,
+            # but the branch keeps the fitted one's shortest window (2, order).
+            if order - 1 < 8:
+                raise InvalidParameterError("estimation window must span >= 8 indices")
+            live_pos = np.nonzero(np.abs(pos) > _SIGNAL_GUARD * pos_floor)[0]
+            live_neg = np.nonzero(np.abs(neg) > _SIGNAL_GUARD * neg_floor)[0]
             d_pos = int(live_pos.max()) if live_pos.size else 0
             d_neg = int(live_neg.max()) if live_neg.size else 0
-            est_outer = RadiusEstimate(math.inf, (2, order), 0.0, 0)
-            neg_fit = est_outer
+            outer, inner = math.inf, 0.0
             notes = (f"finitely supported parameters; Laurent polynomial "
                      f"tails end at degrees (+{d_pos}, -{d_neg})")
         else:
@@ -562,31 +534,26 @@ def verify_jost_b_combination(coeffs: VerblunskyCoeffs, order: int = 64,
                     f"combination tails survive rounding only through indices "
                     f"({pos_hi}, {neg_hi})"
                 )
-            est_outer = decay_rate(pos, window=(2, pos_hi), floor=pos_floor)
-            neg_fit = decay_rate(neg, window=(2, neg_hi), floor=neg_floor)
-    except (NumericalDegeneracyError, InvalidParameterError) as exc:
-        return _inconclusive(check, slack, exc)
-    inner = 0.0 if neg_fit.is_infinite else 1.0 / neg_fit.radius
-    if math.isinf(r_map):
-        passed = est_outer.is_infinite and inner == 0.0
-        outer_target, inner_target = math.inf, 0.0
-    else:
-        outer_target = (r_map ** 2) * (1.0 - slack)
-        inner_target = (1.0 / r_map) * (1.0 + slack)
-        passed = (est_outer.is_infinite or est_outer.radius >= outer_target) and inner <= inner_target
-    return VerificationReport(
-        check_id=check,
-        measured={
+            outer = decay_rate(pos, window=(2, pos_hi), floor=pos_floor).radius
+            r_neg = decay_rate(neg, window=(2, neg_hi), floor=neg_floor).radius
+            inner = 0.0 if math.isinf(r_neg) else 1.0 / r_neg
+            notes = ""
+        if math.isinf(r_map):
+            outer_target, inner_target = math.inf, 0.0
+        else:
+            outer_target = (r_map ** 2) * (1.0 - slack)
+            inner_target = (1.0 / r_map) * (1.0 + slack)
+        measured = {
             "mapped_decay_radius": r_map,
-            "outer_radius": est_outer.radius,
+            "outer_radius": outer,
             "inner_radius": inner,
             "outer_target": outer_target,
             "inner_target": inner_target,
-        },
-        tolerance=slack,
-        passed=bool(passed),
-        notes=notes,
-    )
+        }
+        passed = (math.isinf(outer) or outer >= outer_target) and inner <= inner_target
+        return measured, passed, notes
+
+    return _report("jost-combination", slack, legs)
 
 
 @dataclass(frozen=True)

@@ -456,9 +456,13 @@ def parse_alpha_spec(text: str, order: int = 64) -> VerblunskyCoeffs:
     constant:c=0.25       ->  alpha_n = c, entries 0..order (truncated)
     0.5,0.25,0.125        ->  finitely supported, as listed
     file:coeffs.txt       ->  finitely supported, whitespace/comma separated
+
+    The generated specs need ``order >= 0``; order 0 keeps alpha_0 alone.
     """
     text = text.strip()
     name, _, rest = text.partition(":")
+    if name in ("geometric", "constant") and order < 0:
+        raise InvalidParameterError(f"a {name}: spec needs order >= 0, got {order}")
     if name == "geometric":
         kv = _parse_kv(rest, ("C", "R"))
         c, r = kv["C"], kv["R"]

@@ -305,6 +305,63 @@ def test_r_minus_s_fast_decay_is_inconclusive():
     assert report.notes.startswith("inconclusive")
 
 
+def _finite(*alphas):
+    return VerblunskyCoeffs.finitely_supported(list(alphas))
+
+
+# rows of one report per branch of the four radius suites; the values are
+# bitwise pins, so any rewrite of the report path must reproduce them exactly
+PINNED_ROWS = [
+    ("nevai-totik-pass", lambda: verify_nevai_totik(geometric_alphas(0.5, 2.0), 64),
+     [('check', 'nevai-totik'), ('pass', 'true'), ('tolerance', 0.05), ('alpha_decay_radius', 2.000000000000001), ('dinv_radius', 1.9988982566788696), ('relative_gap', 0.0005508716605656658)]),
+    ("nevai-totik-both-infinite", lambda: verify_nevai_totik(_finite(0.3, -0.2), 64),
+     [('check', 'nevai-totik'), ('pass', 'true'), ('tolerance', 0.05), ('alpha_decay_radius', math.inf), ('dinv_radius', math.inf), ('relative_gap', 0.0), ('notes', 'both sides report the infinite-radius sentinel')]),
+    ("nevai-totik-window", lambda: verify_nevai_totik(geometric_alphas(0.5, 2.0), 64, window=(20, 40)),
+     [('check', 'nevai-totik'), ('pass', 'true'), ('tolerance', 0.05), ('alpha_decay_radius', 2.0), ('dinv_radius', 1.9999999999999833), ('relative_gap', 8.326672684688674e-15)]),
+    ("nevai-totik-short-window", lambda: verify_nevai_totik(geometric_alphas(0.5, 2.0, 4), 4),
+     [('check', 'nevai-totik'), ('pass', 'false'), ('tolerance', 0.05), ('notes', 'inconclusive: estimation window must span >= 8 indices')]),
+    ("damanik-simon-pass", lambda: verify_damanik_simon(geometric_alphas(0.5, 2.0), 64),
+     [('check', 'damanik-simon'), ('pass', 'true'), ('tolerance', 0.05), ('jacobi_decay_radius', 1.9999999999912763), ('jost_radius', 1.9988982566788698), ('relative_gap', 0.0005508716562056695)]),
+    ("damanik-simon-both-infinite", lambda: verify_damanik_simon(_finite(0.3, -0.2), 48),
+     [('check', 'damanik-simon'), ('pass', 'true'), ('tolerance', 0.05), ('jacobi_decay_radius', math.inf), ('jost_radius', math.inf), ('relative_gap', 0.0), ('notes', 'both sides report the infinite-radius sentinel')]),
+    ("damanik-simon-window", lambda: verify_damanik_simon(geometric_alphas(0.5, 2.0), 64, window=(8, 20)),
+     [('check', 'damanik-simon'), ('pass', 'true'), ('tolerance', 0.05), ('jacobi_decay_radius', 1.9999997888481809), ('jost_radius', 1.9988982566788698), ('relative_gap', 0.0005507661428031771)]),
+    ("r-minus-s-pass", lambda: verify_r_minus_s(geometric_alphas(0.5, 2.0, 96), 96),
+     [('check', 'r-minus-s'), ('pass', 'true'), ('tolerance', 0.1), ('alpha_decay_radius', 2.0), ('difference_radius', 7.999186356872385), ('r_radius', 2.0015028947785796), ('s_radius', 2.0000000000000004), ('threshold', 7.2), ('usable_points', 18.0)]),
+    ("r-minus-s-claim-fails", lambda: verify_r_minus_s(geometric_alphas(0.5, 1.5), 64),
+     [('check', 'r-minus-s'), ('pass', 'false'), ('tolerance', 0.1), ('alpha_decay_radius', 1.5000000000000002), ('difference_radius', 1.3871039924178303), ('r_radius', 1.503109763007649), ('s_radius', 1.5000000000000002), ('threshold', 3.0375000000000014), ('usable_points', 63.0)]),
+    ("r-minus-s-alpha-zero", lambda: verify_r_minus_s(VerblunskyCoeffs.zero(), 64),
+     [('check', 'r-minus-s'), ('pass', 'true'), ('tolerance', 0.1), ('difference_radius', math.inf), ('threshold', math.inf), ('notes', 'alpha is zero; r - S vanishes identically')]),
+    ("r-minus-s-sanity-fails", lambda: verify_r_minus_s(geometric_alphas(0.99, 1.01, 96), 96),
+     [('check', 'r-minus-s'), ('pass', 'false'), ('tolerance', 0.1), ('alpha_decay_radius', 1.01), ('difference_radius', 2.1880900976612367), ('r_radius', 2.1950312673916303), ('s_radius', 1.01), ('threshold', 0.9272709000000001), ('usable_points', 95.0), ('notes', 'sanity leg failed: r or S radius is off the alpha decay')]),
+    ("r-minus-s-empty-prefix", lambda: verify_r_minus_s(_finite(0.5), 64),
+     [('check', 'r-minus-s'), ('pass', 'true'), ('tolerance', 0.1), ('alpha_decay_radius', math.inf), ('difference_radius', math.inf), ('r_radius', math.inf), ('s_radius', math.inf), ('threshold', math.inf), ('usable_points', 0.0)]),
+    ("r-minus-s-short-prefix", lambda: verify_r_minus_s(geometric_alphas(0.5, 16.0), 64),
+     [('check', 'r-minus-s'), ('pass', 'false'), ('tolerance', 0.1), ('notes', 'inconclusive: difference signal survives rounding only through index 4')]),
+    ("jost-combination-pass", lambda: verify_jost_b_combination(geometric_alphas(0.5, 2.0), 64),
+     [('check', 'jost-combination'), ('pass', 'true'), ('tolerance', 0.1), ('inner_radius', 0.5002767718260743), ('inner_target', 0.550000000002399), ('mapped_decay_radius', 1.9999999999912763), ('outer_radius', 3.961813939229973), ('outer_target', 3.599999999968595)]),
+    ("jost-combination-claim-fails", lambda: verify_jost_b_combination(geometric_alphas(0.5, 16.0), 64),
+     [('check', 'jost-combination'), ('pass', 'false'), ('tolerance', 0.1), ('inner_radius', 0.06250307172339793), ('inner_target', 0.06874999999999992), ('mapped_decay_radius', 16.000000000000018), ('outer_radius', 228.65931153888917), ('outer_target', 230.40000000000052)]),
+    ("jost-combination-free", lambda: verify_jost_b_combination(VerblunskyCoeffs.zero(), 64),
+     [('check', 'jost-combination'), ('pass', 'true'), ('tolerance', 0.1), ('inner_radius', 0.0), ('outer_radius', math.inf), ('notes', 'free parameters; the combination is entire')]),
+    ("jost-combination-finite-degrees", lambda: verify_jost_b_combination(_finite(0.3, -0.2), 64),
+     [('check', 'jost-combination'), ('pass', 'true'), ('tolerance', 0.1), ('inner_radius', 0.0), ('inner_target', 0.0), ('mapped_decay_radius', math.inf), ('outer_radius', math.inf), ('outer_target', math.inf), ('notes', 'finitely supported parameters; Laurent polynomial tails end at degrees (+3, -0)')]),
+    ("jost-combination-finite-short-order", lambda: verify_jost_b_combination(_finite(0.3, -0.2), 8),
+     [('check', 'jost-combination'), ('pass', 'false'), ('tolerance', 0.1), ('notes', 'inconclusive: estimation window must span >= 8 indices')]),
+    ("jost-combination-tails-drown", lambda: verify_jost_b_combination(geometric_alphas(0.5, 30.0, 128), 128),
+     [('check', 'jost-combination'), ('pass', 'false'), ('tolerance', 0.1), ('notes', 'inconclusive: combination tails survive rounding only through indices (9, 126)')]),
+    ("jost-combination-too-few-mapped", lambda: verify_jost_b_combination(geometric_alphas(0.5, 2.0, 16), 16),
+     [('check', 'jost-combination'), ('pass', 'false'), ('tolerance', 0.1), ('notes', 'inconclusive: 17 stored alphas give 7 mapped coefficients; the decay fit needs 16')]),
+]
+
+
+@pytest.mark.filterwarnings("ignore::szegojost.errors.ConvergenceWarning")
+@pytest.mark.parametrize("make, rows", [case[1:] for case in PINNED_ROWS],
+                         ids=[case[0] for case in PINNED_ROWS])
+def test_suite_report_rows_are_pinned(make, rows):
+    assert make().rows() == rows
+
+
 def test_combination_single_b_is_perfect_square():
     """(1 - z^2) u + z^2 u(1/z) B collapses to (1 - b_1 z)^2 for one b_1."""
     params = JacobiParams(a=[1.0], b=[0.7], free_after=1)

@@ -293,6 +293,34 @@ def test_verify_low_order_is_inconclusive(capsys):
     assert notes["jost-combination"].startswith("inconclusive")
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("suite", ["jost-combination", "all"])
+def test_combination_at_tiny_orders_is_inconclusive(capsys, suite, order):
+    """One to three stored alphas give no mapped coefficients, which is no
+    evidence of free parameters: inconclusive and exit 1, not a pass."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        code, out = run(capsys, ["verify", suite, "--alpha", "geometric:C=0.5,R=2",
+                                 "--order", str(order)])
+    assert code == 1
+    _, rows = parse_table(out)
+    fields = {r["field"]: r["value"] for r in rows if r["suite"] == "jost-combination"}
+    assert fields["pass"] == "false"
+    assert fields["notes"] == (f"inconclusive: {order + 1} stored alphas give 0 mapped "
+                               "coefficients; the decay fit needs 16")
+
+
+@pytest.mark.parametrize(("spec", "order"), [("geometric:C=0.5,R=2", -1),
+                                             ("constant:c=0.3", -2)])
+@pytest.mark.parametrize("command", [["coeffs"], ["verify", "all"], ["szego"]])
+def test_negative_order_of_a_generated_spec_exits_two(capsys, command, spec, order):
+    code = main([*command, "--alpha", spec, "--order", str(order)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: a {spec.partition(':')[0]}: spec needs order >= 0, got {order}\n"
+
+
 def test_verify_all_runs_one_szego_recursion(capsys, monkeypatch):
     """The suites share the 1/D cached on one parsed coefficient set."""
     from szegojost import opuc, szego
@@ -347,7 +375,7 @@ def test_jost_zeros_from_alpha_runs_no_szego_recursion(capsys, monkeypatch, spec
         ("0.5,0.2", "0", "series order must be >= 1"),
         ("0.5,0.2", "-3", "series order must be >= 1"),
         ("geometric:C=0.5,R=2", "0", "alpha at index 1 is past the stored range"),
-        ("geometric:C=0.5,R=2", "-1", "alpha at index 0 is past the stored range"),
+        ("geometric:C=0.5,R=2", "-1", "a geometric: spec needs order >= 0, got -1"),
     ],
 )
 def test_jost_from_alpha_rejects_what_u_rejects(capsys, what, spec, order, message):

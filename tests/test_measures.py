@@ -293,6 +293,15 @@ def test_parse_alpha_spec_rejects_bad_input():
         parse_alpha_spec("0.5,zebra")
 
 
+@pytest.mark.parametrize("spec", ["geometric:C=0.5,R=2", "constant:c=0.3", "constant:0.3"])
+def test_parse_alpha_spec_generated_order(spec):
+    """Order 0 keeps alpha_0 alone; a negative order is named, not passed on."""
+    assert len(parse_alpha_spec(spec, order=0).alpha) == 1
+    for order in (-1, -3):
+        with pytest.raises(InvalidParameterError, match=f"needs order >= 0, got {order}$"):
+            parse_alpha_spec(spec, order=order)
+
+
 def _expectation_by_horner(measure, poly, extra_power=0):
     """Verbatim copy of the grid expectation the moment route replaced."""
     z = measure.points()
