@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand writes one CSV table (stdout, or a file with a JSON
-sidecar carrying config and provenance).  Output is deterministic: fixed
-column order, fixed row order, floats at full round-trip precision, no
-timestamps, so repeated runs at a fixed BLAS thread count are
+sidecar carrying config and provenance), each row through one printf
+template: integers as integers, floats as ``%.17g`` (full round-trip
+precision).  Output is deterministic: fixed column order, fixed row order,
+no timestamps, so repeated runs at a fixed BLAS thread count are
 byte-identical.  Across thread counts the last bits of values that come
 from LAPACK may differ.  LAPACK output reaches the CLI only through
 ``polyroots`` (finite-range Jost zeros, the residue moments of ``carmona``
@@ -62,7 +63,12 @@ _SUITES = (
 )
 
 
+# an index and two floats: the (k, re, im) and (n, a, b) tables
+_PAIR_ROW = "%d,%.17g,%.17g"
+
+
 def _fmt(value) -> str:
+    """One cell of the ``verify`` report, whose values mix types."""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -74,12 +80,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_output(args, table: str, header: list, rows: list, config: ExperimentConfig,
-                  input_hash: str) -> None:
+def _write_output(args, table: str, header: list, template: str, rows,
+                  config: ExperimentConfig) -> None:
     lines = [f"# schema={CSV_SCHEMA} table={table}", ",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(map(template.__mod__, rows))
     text = "\n".join(lines) + "\n"
     if args.output:
+        # hashed before the CSV is written, in case the output path is the input
+        input_hash = _hash_input(args)
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
         meta = {
@@ -94,6 +102,18 @@ def _write_output(args, table: str, header: list, rows: list, config: Experiment
             fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     else:
         sys.stdout.write(text)
+
+
+def _write_complex(args, table: str, index: str, values: np.ndarray, config: ExperimentConfig,
+                   start: int = 0) -> None:
+    """Table of (index, re, im) rows of a complex array whose first entry has index ``start``."""
+    rows = zip(range(start, start + len(values)), values.real.tolist(), values.imag.tolist())
+    _write_output(args, table, [index, "re", "im"], _PAIR_ROW, rows, config)
+
+
+def _write_jacobi(args, params: JacobiParams, config: ExperimentConfig) -> None:
+    rows = zip(range(1, len(params.a) + 1), params.a.tolist(), params.b.tolist())
+    _write_output(args, "jacobi", ["n", "a", "b"], _PAIR_ROW, rows, config)
 
 
 def _hash_input(args) -> str:
@@ -128,25 +148,20 @@ def _cmd_coeffs(args, config: ExperimentConfig) -> int:
     if args.from_measure:
         spec = MeasureSpec.from_file(args.from_measure)
         n = args.n if args.n is not None else 8
+        if n < 0:
+            raise SzegojostError(f"--n must be >= 0, got {n}")
         if spec.kind == "circle":
             coeffs = ingest_circle(realize_circle(spec, config.grid_size), n)
-            rows = [(m, coeffs.entry(m).real, coeffs.entry(m).imag) for m in range(n)]
-            _write_output(args, "alpha", ["n", "re", "im"], rows, config, _hash_input(args))
-            return 0
-        params = ingest_line(spec, n)
-        rows = [(m + 1, params.a_entry(m + 1), params.b_entry(m + 1)) for m in range(n)]
-        _write_output(args, "jacobi", ["n", "a", "b"], rows, config, _hash_input(args))
+            _write_complex(args, "alpha", "n", coeffs.slice(n), config)
+        else:
+            _write_jacobi(args, ingest_line(spec, n), config)
         return 0
     coeffs = parse_alpha_spec(args.alpha, order)
     if args.map:
-        params = geronimus_map(coeffs)
-        count = len(params.a)
-        rows = [(m + 1, params.a_entry(m + 1), params.b_entry(m + 1)) for m in range(count)]
-        _write_output(args, "jacobi", ["n", "a", "b"], rows, config, _hash_input(args))
+        _write_jacobi(args, geronimus_map(coeffs), config)
         return 0
     count = len(coeffs.alpha) if coeffs.is_finitely_supported else order + 1
-    rows = [(m, coeffs.entry(m).real, coeffs.entry(m).imag) for m in range(count)]
-    _write_output(args, "alpha", ["n", "re", "im"], rows, config, _hash_input(args))
+    _write_complex(args, "alpha", "n", coeffs.slice(count), config)
     return 0
 
 
@@ -154,24 +169,19 @@ def _cmd_szego(args, config: ExperimentConfig) -> int:
     order = args.order if args.order is not None else config.series_order
     if args.from_measure:
         spec = MeasureSpec.from_file(args.from_measure)
-        dinv_or_d = d_from_weight(realize_circle(spec, config.grid_size), order)
-        rows = [(k, c.real, c.imag) for k, c in enumerate(dinv_or_d.coeffs)]
-        _write_output(args, "d", ["k", "re", "im"], rows, config, _hash_input(args))
+        d = d_from_weight(realize_circle(spec, config.grid_size), order)
+        _write_complex(args, "d", "k", d.coeffs, config)
         return 0
     coeffs = parse_alpha_spec(args.alpha, order)
     if args.series == "s":
-        ser = s_series(coeffs, order)
-        rows = [(k, c.real, c.imag) for k, c in enumerate(ser.coeffs)]
-        _write_output(args, "s", ["k", "re", "im"], rows, config, _hash_input(args))
+        _write_complex(args, "s", "k", s_series(coeffs, order).coeffs, config)
         return 0
     dinv = dinv_from_alphas(coeffs, order)
     if args.series == "r":
         ser = r_series(dinv, order)
-        rows = [(k, c.real, c.imag) for k, c in enumerate(ser.coeffs, start=-ser.order)]
-        _write_output(args, "r", ["k", "re", "im"], rows, config, _hash_input(args))
+        _write_complex(args, "r", "k", ser.coeffs, config, start=-ser.order)
         return 0
-    rows = [(k, c.real, c.imag) for k, c in enumerate(dinv.coeffs)]
-    _write_output(args, "dinv", ["k", "re", "im"], rows, config, _hash_input(args))
+    _write_complex(args, "dinv", "k", dinv.coeffs, config)
     return 0
 
 
@@ -187,13 +197,15 @@ def _cmd_jost(args, config: ExperimentConfig) -> int:
     else:
         data = u_from_dinv(parse_alpha_spec(args.alpha, order), order=order)
     if args.what == "zeros":
-        pairs = zip(data.zeros_in_disk, data.eigenvalues) if data is not None else ()
-        rows = [(j, z.real, z.imag, e.real, e.imag) for j, (z, e) in enumerate(pairs)]
+        z = e = np.empty(0, dtype=complex)
+        if data is not None:
+            z, e = data.zeros_in_disk, data.eigenvalues
+        rows = zip(range(len(z)), z.real.tolist(), z.imag.tolist(), e.real.tolist(),
+                   e.imag.tolist())
         _write_output(args, "zeros", ["j", "re", "im", "eig_re", "eig_im"],
-                      rows, config, _hash_input(args))
+                      "%d,%.17g,%.17g,%.17g,%.17g", rows, config)
         return 0
-    rows = [(k, c.real, c.imag) for k, c in enumerate(data.u.coeffs)]
-    _write_output(args, "jost", ["k", "re", "im"], rows, config, _hash_input(args))
+    _write_complex(args, "jost", "k", data.u.coeffs, config)
     return 0
 
 
@@ -223,24 +235,24 @@ def _cmd_carmona(args, config: ExperimentConfig) -> int:
         header.extend([f"moment{ell}_carmona", f"moment{ell}_oracle"])
         moment_cols.append((carmona_moment(params, n, ell), vec[0]))
         vec = mat @ vec
-    rows = []
-    for x, d in zip(xs, dens):
-        row = [x, d]
-        for cm, om in moment_cols:
-            row.extend([cm, om])
-        rows.append(row)
-    _write_output(args, "carmona", header, rows, config, _hash_input(args))
+    # the moment columns are the same on every row, so they are formatted
+    # once into the row template (a formatted float holds no "%")
+    template = "%.17g,%.17g" + "".join(",%.17g,%.17g" % pair for pair in moment_cols)
+    rows = zip(xs.tolist(), dens.tolist())
+    _write_output(args, "carmona", header, template, rows, config)
     return 0
 
 
 def _cmd_popuc(args, config: ExperimentConfig) -> int:
     coeffs = parse_alpha_spec(args.alpha, args.n)
     parts = _parse_float_list(args.omega)
-    omega = complex(parts[0], parts[1]) if len(parts) == 2 else complex(parts[0], 0.0)
-    measure = popuc_point_measure(coeffs, args.n, omega)
-    rows = [(j, z.real, z.imag, w)
-            for j, (z, w) in enumerate(zip(measure.zeros, measure.weights))]
-    _write_output(args, "popuc", ["j", "re", "im", "weight"], rows, config, _hash_input(args))
+    if len(parts) not in (1, 2):
+        raise SzegojostError(f"bad omega {args.omega!r}; expected re or re,im")
+    measure = popuc_point_measure(coeffs, args.n, complex(*parts))
+    z = measure.zeros
+    rows = zip(range(len(z)), z.real.tolist(), z.imag.tolist(), measure.weights.tolist())
+    _write_output(args, "popuc", ["j", "re", "im", "weight"], "%d,%.17g,%.17g,%.17g",
+                  rows, config)
     return 0
 
 
@@ -277,7 +289,7 @@ def _cmd_verify(args, config: ExperimentConfig) -> int:
         report = _run_suite(name, args, config, coeffs, order)
         all_passed &= report.passed
         rows.extend((name, key, _fmt(val)) for key, val in report.rows())
-    _write_output(args, "reports", ["suite", "field", "value"], rows, config, _hash_input(args))
+    _write_output(args, "reports", ["suite", "field", "value"], "%s,%s,%s", rows, config)
     return 0 if all_passed else 1
 
 
@@ -285,7 +297,8 @@ def _cmd_gset(args, config: ExperimentConfig) -> int:
     gens = [complex(tok) for tok in args.generators.split(",") if tok.strip()]
     result = gset(gens, args.cutoff, n_max=args.n_max)
     rows = [(j, z.real, z.imag, abs(z)) for j, z in enumerate(result.elements)]
-    _write_output(args, "gset", ["j", "re", "im", "magnitude"], rows, config, _hash_input(args))
+    _write_output(args, "gset", ["j", "re", "im", "magnitude"], "%d,%.17g,%.17g,%.17g",
+                  rows, config)
     return 0
 
 
@@ -301,10 +314,9 @@ def _cmd_probe(args, config: ExperimentConfig) -> int:
     except ValueError as exc:
         raise SzegojostError(f"bad degree {args.degree!r}; expected L,M") from exc
     poles = pade_pole_probe(series, (ell, m))
-    rows = [(j, p.z.real, p.z.imag, int(p.stable), p.movement)
-            for j, p in enumerate(poles)]
+    rows = [(j, p.z.real, p.z.imag, p.stable, p.movement) for j, p in enumerate(poles)]
     _write_output(args, "pade", ["j", "re", "im", "stable", "movement"],
-                  rows, config, _hash_input(args))
+                  "%d,%.17g,%.17g,%d,%.17g", rows, config)
     return 0
 
 

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
 )
 from .oprl import JacobiParams, PointMeasure
-from .opuc import CircleMeasure, VerblunskyCoeffs, szego_recursion
+from .opuc import CircleMeasure, VerblunskyCoeffs, _monic_buffers, _szego_step, szego_recursion
 
 __all__ = [
     "MeasureSpec",
@@ -333,11 +333,13 @@ def ingest_circle(measure, n: int) -> VerblunskyCoeffs:
     for loc, mass in measure.point_masses:
         mu = mu + mass * loc**powers
     alphas = np.zeros(n, dtype=complex)
-    phi = np.array([1.0 + 0.0j])
+    dot = np.dot
+    phi, nxt, star = _monic_buffers(n)
     for m in range(n):
-        phi_star = np.conj(phi[::-1])
-        num = np.dot(phi, mu[1 : m + 2])
-        den = np.dot(phi_star, mu[: m + 1])
+        phi_star = star[: m + 1]
+        np.conjugate(phi[m::-1], out=phi_star)
+        num = dot(phi[: m + 1], mu[1 : m + 2])
+        den = dot(phi_star, mu[: m + 1])
         if abs(den) < 1e-13:
             raise DegenerateMeasureError(m, "monic norm collapsed; measure is numerically trivial")
         alpha = np.conj(num / den)
@@ -346,9 +348,8 @@ def ingest_circle(measure, n: int) -> VerblunskyCoeffs:
                 m, f"|alpha_{m}| = {abs(alpha):.6f} reached the unit circle"
             )
         alphas[m] = alpha
-        phi = np.concatenate(([0.0], phi)) - np.conj(alpha) * np.concatenate(
-            (phi_star, [0.0])
-        )
+        _szego_step(phi, nxt, star, m, np.conj(alpha))
+        phi, nxt = nxt, phi
     return VerblunskyCoeffs(alpha=alphas)
 
 
@@ -370,14 +371,26 @@ def ingest_line(measure, n: int) -> JacobiParams:
     p_prev = np.zeros_like(x)
     p = np.ones_like(x) / math.sqrt(float(np.sum(w)))
     a_prev = 0.0
+    wx = w * x
+    r = np.empty_like(x)
+    tmp = np.empty_like(x)
     for m in range(n):
-        b[m] = float(np.sum(w * x * p * p))
-        r = (x - b[m]) * p - a_prev * p_prev
-        norm_sq = float(np.sum(w * r * r))
+        # b_m = sum w x p^2;  r = (x - b_m) p - a_{m-1} p_{m-1};  a_m = |r|_w
+        np.multiply(wx, p, out=tmp)
+        tmp *= p
+        b[m] = float(np.sum(tmp))
+        np.subtract(x, b[m], out=r)
+        r *= p
+        np.multiply(a_prev, p_prev, out=tmp)
+        r -= tmp
+        np.multiply(w, r, out=tmp)
+        tmp *= r
+        norm_sq = float(np.sum(tmp))
         if norm_sq <= 1e-26:
             raise DegenerateMeasureError(m + 1, "residual norm collapsed; too few support points")
         a[m] = math.sqrt(norm_sq)
-        p_prev, p = p, r / a[m]
+        np.divide(r, a[m], out=p_prev)
+        p_prev, p = p, p_prev
         a_prev = a[m]
     return JacobiParams(a=a, b=b)
 

@@ -143,19 +143,33 @@ def _monic_pair(coeffs: VerblunskyCoeffs, n: int) -> tuple[np.ndarray | None, np
     if n < 0:
         raise InvalidParameterError("order must be nonnegative")
     ca = np.conj(coeffs.slice(n))
-    cur = np.zeros(n + 1, dtype=complex)
-    nxt = np.zeros(n + 1, dtype=complex)
-    star = np.empty(n + 1, dtype=complex)
-    cur[0] = 1.0
+    cur, nxt, star = _monic_buffers(n)
     for m in range(n):
-        term = star[: m + 1]
-        np.conjugate(cur[m::-1], out=term)
-        np.multiply(ca[m], term, out=term)
-        nxt[0] = 0.0
-        nxt[1 : m + 2] = cur[: m + 1]
-        nxt[: m + 1] -= term
+        np.conjugate(cur[m::-1], out=star[: m + 1])
+        _szego_step(cur, nxt, star, m, ca[m])
         cur, nxt = nxt, cur
     return (nxt[:n] if n else None), cur[: n + 1]
+
+
+def _monic_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cur, nxt, star) of length n + 1 for :func:`_szego_step`, cur holding Phi_0 = 1."""
+    cur = np.zeros(n + 1, dtype=complex)
+    cur[0] = 1.0
+    return cur, np.zeros(n + 1, dtype=complex), np.empty(n + 1, dtype=complex)
+
+
+def _szego_step(cur: np.ndarray, nxt: np.ndarray, star: np.ndarray, m: int, ca) -> None:
+    """nxt[:m + 2] = Phi_{m+1} = z Phi_m - ca Phi_m*, with ca = conj(alpha_m).
+
+    ``cur[:m + 1]`` holds Phi_m and ``star[:m + 1]`` its conjugate reverse
+    Phi_m*, which the step overwrites.  The one monic recursion kernel: both
+    :func:`_monic_pair` and the moment recursion of circle ingestion call it.
+    """
+    term = star[: m + 1]
+    np.multiply(ca, term, out=term)
+    nxt[0] = 0.0
+    nxt[1 : m + 2] = cur[: m + 1]
+    nxt[: m + 1] -= term
 
 
 def _monic(coeffs: VerblunskyCoeffs, n: int) -> np.ndarray:
@@ -384,10 +398,20 @@ def _christoffel_weights(alpha: np.ndarray, z: np.ndarray) -> np.ndarray:
     rho = np.sqrt(1.0 - np.abs(alpha) ** 2)
     phi = np.ones(len(z), dtype=complex)
     star = np.ones(len(z), dtype=complex)
+    zphi = np.empty(len(z), dtype=complex)
+    term = np.empty(len(z), dtype=complex)
     acc = np.ones(len(z))
+    # no product is written over its own input: numpy rounds an in-place
+    # complex multiply of one element differently
     for a, r in zip(alpha.tolist(), rho.tolist()):
-        zphi = z * phi
-        phi, star = (zphi - a.conjugate() * star) / r, (star - a * zphi) / r
+        np.multiply(z, phi, out=zphi)
+        # phi <- (z phi - conj(a) star) / r, then star <- (star - a z phi) / r
+        np.multiply(a.conjugate(), star, out=phi)
+        np.subtract(zphi, phi, out=phi)
+        phi /= r
+        np.multiply(a, zphi, out=term)
+        star -= term
+        star /= r
         acc += phi.real**2 + phi.imag**2
     return 1.0 / acc
 

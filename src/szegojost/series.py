@@ -93,13 +93,14 @@ def taylor_reciprocal(a: TaylorSeries, order: int | None = None) -> TaylorSeries
         raise DomainError("reciprocal needs a nonzero constant term")
     top = len(c) - 1
     dot = np.dot
-    d = np.zeros(order + 1, dtype=complex)
-    d[0] = 1.0 / c0
+    # rev[order - k] holds d_k, so d_{k-1} .. d_{k-jmax} is a forward slice
+    rev = np.zeros(order + 1, dtype=complex)
+    rev[order] = 1.0 / c0
     # d_k = -(sum_{j=1..k} c_j d_{k-j}) / c_0, with absent c_j treated as 0
     for k in range(1, order + 1):
         jmax = min(k, top)
-        d[k] = -dot(c[1 : jmax + 1], d[k - 1 :: -1][:jmax]) / c0
-    return TaylorSeries(d)
+        rev[order - k] = -dot(c[1 : jmax + 1], rev[order - k + 1 : order - k + 1 + jmax]) / c0
+    return TaylorSeries(rev[::-1].copy())
 
 
 def taylor_exp(a: TaylorSeries, order: int | None = None) -> TaylorSeries:
@@ -107,14 +108,17 @@ def taylor_exp(a: TaylorSeries, order: int | None = None) -> TaylorSeries:
     if order is None:
         order = a.order
     g = a.coeffs
-    e = np.zeros(order + 1, dtype=complex)
-    e[0] = np.exp(g[0])
+    dot = np.dot
+    # rev[order - n] holds e_n, so e_n .. e_{n-kmax} is a forward slice
+    rev = np.zeros(order + 1, dtype=complex)
+    rev[order] = np.exp(g[0])
     # (n+1) e_{n+1} = sum_{k=0..n} (k+1) g_{k+1} e_{n-k}, with absent g_k treated as 0
     dg = np.arange(1, len(g)) * g[1:]
+    top = len(g) - 2
     for n in range(order):
-        kmax = min(n, len(g) - 2)
-        e[n + 1] = np.dot(dg[: kmax + 1], e[n - kmax : n + 1][::-1]) / (n + 1)
-    return TaylorSeries(e)
+        kmax = min(n, top)
+        rev[order - n - 1] = dot(dg[: kmax + 1], rev[order - n : order - n + kmax + 1]) / (n + 1)
+    return TaylorSeries(rev[::-1].copy())
 
 
 @dataclass(frozen=True)

@@ -226,11 +226,13 @@ def _r_by_product(dinv: TaylorSeries, lowest: int, order: int) -> np.ndarray:
         )
     c_dinv = dinv.coeffs
     d_conj = np.conj(taylor_reciprocal(dinv, length).coeffs)
+    dot = np.dot
     c = np.zeros(order - lowest + 1, dtype=complex)
-    for k in range(lowest, order + 1):
-        m_lo = max(0, -k)
-        m_hi = length - max(0, k)
-        c[k - lowest] = np.dot(d_conj[m_lo : m_hi + 1], c_dinv[m_lo + k : m_hi + k + 1])
+    # m runs over max(0, -k) .. length - max(0, k)
+    for k in range(lowest, min(0, order + 1)):
+        c[k - lowest] = dot(d_conj[-k : length + 1], c_dinv[: length + k + 1])
+    for k in range(max(0, lowest), order + 1):
+        c[k - lowest] = dot(d_conj[: length - k + 1], c_dinv[k : length + 1])
     return c
 
 

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import szegojost
 from conftest import NEAR_EDGE
-from szegojost.cli import main
+from szegojost.cli import _PAIR_ROW, _fmt, main
 from szegojost.errors import ConvergenceWarning
 from szegojost.measures import MeasureSpec, ingest_circle, realize_circle
 
@@ -508,3 +510,55 @@ def test_no_subcommand_loads_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("omega", ["--omega=", "--omega=1,0,5", "--omega=,"])
+def test_popuc_omega_needs_one_or_two_values(capsys, omega):
+    code = main(["popuc", "--alpha", "0.5,0.25", "--n", "2", omega])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    text = omega.partition("=")[2]
+    assert captured.err == f"error: bad omega {text!r}; expected re or re,im\n"
+
+
+@pytest.mark.parametrize("doc", [{"kind": "circle", "acWeight": "uniform"},
+                                 {"kind": "line", "acWeight": "semicircle-free"}])
+def test_negative_ingestion_count_names_the_flag(capsys, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["coeffs", "--from-measure", str(path), "--n", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --n must be >= 0, got -1\n"
+
+
+_NUMBERS = st.one_of(
+    st.integers(-(10**30), 10**30), st.booleans(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.floats(), st.floats().map(np.float64),
+)
+
+
+@given(_NUMBERS)
+@example(float("nan"))
+@example(float("inf"))
+@example(float("-inf"))
+@example(-0.0)
+@example(5e-324)
+@example(-2.5e-320)
+@example(1e300)
+@example(-1e-300)
+@example(np.float64(-0.0))
+@example(np.float64("nan"))
+def test_row_template_cells_match_fmt(value):
+    """Each cell of a row template is _fmt's text: %d for integers, %.17g for floats."""
+    integral = isinstance(value, (bool, int, np.bool_, np.integer))
+    assert ("%d" if integral else "%.17g") % value == _fmt(value)
+
+
+@given(st.integers(-(2**31), 2**31), st.floats(), st.floats())
+def test_pair_row_matches_fmt_per_cell(k, re, im):
+    for row in ((k, re, im), (np.int64(k), np.float64(re), np.float64(im))):
+        assert _PAIR_ROW % row == ",".join(_fmt(cell) for cell in row)

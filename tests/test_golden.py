@@ -21,8 +21,18 @@ round.  The two ``szego --series r`` files (an eight-entry list at order
 ``r_series`` moved to one inverse FFT.  The three ``verify_all`` files were rewritten when the
 canonical-weights suite moved from a 500-row eigen-oracle to the exact
 bound-state weight; only its ``residue_0``, ``weight_0`` and
-``worst_relative_deviation`` rows changed.  Regenerate a file only together
-with a CHANGES.md entry that declares the output change.
+``worst_relative_deviation`` rows changed.  The last ten files were
+written before the CSV writer moved from one ``_fmt`` call per cell to
+one printf row template per table, to pin every table that had no file
+yet: the
+``jacobi`` table of ``coeffs --from-measure`` on a line document with an
+atom (``szego_mapped_line_atom.json``), the ``alpha`` table of ``coeffs
+--alpha`` (a geometric tail, and a complex list with -0, 1e-300 and a
+subnormal), ``jost --what series`` from alpha and ``jost --what zeros``
+from finite-range ``--a``/``--b``, ``carmona``, ``gset`` and ``probe``,
+and one ``popuc -o`` run whose CSV and ``.meta.json`` sidecar are both
+compared.  Regenerate a file only together with a CHANGES.md entry that
+declares the output change.
 
 Each command runs in a fresh interpreter with BLAS pinned to one thread:
 the paraorthogonal zeros come from a LAPACK inverse and Hermitian
@@ -63,6 +73,19 @@ CASES = {
     "szego_from_measure_cosine_order1024": ["szego", "--from-measure",
                                             str(MEASURES / "cosine_polynomial.json"),
                                             "--order", "1024"],
+    "coeffs_from_measure_line_atom_n128": ["coeffs", "--from-measure",
+                                           str(MEASURES / "szego_mapped_line_atom.json"),
+                                           "--n", "128"],
+    "coeffs_alpha_order64": ["coeffs", "--alpha", "geometric:C=0.5,R=3", "--order", "64"],
+    "coeffs_alpha_complex_list": ["coeffs",
+                                  "--alpha=0.3+0.4j,-0.2-0.1j,-0,0.05j,1e-300,-2.5e-320"],
+    "jost_series_order64": ["jost", "--what", "series", "--alpha", "geometric:C=0.5,R=3",
+                            "--order", "64"],
+    "jost_zeros_finite_range": ["jost", "--what", "zeros", "--a=0.8,0.9,1", "--b=2.6,-0.1,-2.4"],
+    "carmona_n3": ["carmona", "--a=0.8,1", "--b=0.15,-0.1", "--n", "3", "--grid=-4:4:33"],
+    "gset_two_generators": ["gset", "--generators=2+0.5j,-1.5+1j", "--cutoff", "30"],
+    "probe_dinv_order64": ["probe", "--alpha", "geometric:C=0.5,R=2", "--series", "dinv",
+                           "--degree", "6,3", "--order", "64"],
 }
 
 
@@ -79,3 +102,13 @@ def test_cli_stdout_matches_golden(name):
     proc = run_cli(CASES[name])
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_output_file_and_sidecar_match_golden(tmp_path):
+    out = tmp_path / "popuc_n16_output.csv"
+    proc = run_cli(["popuc", "--alpha", "geometric:C=0.5,R=3", "--n", "16", "--omega=0.6,0.8",
+                    "-o", str(out)])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b""
+    for name in (out.name, out.name + ".meta.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()

@@ -500,3 +500,94 @@ def test_ingest_circle_recovers_bernstein_szego_alphas(polar, extra):
     got = ingest_circle(measure, n).alpha
     assert np.max(np.abs(got[:k] - alphas)) < bound
     assert np.max(np.abs(got[k:]), initial=0.0) < bound
+
+
+def _moment_recursion_loop(mu, n):
+    """ingest_circle's moment recursion before it shared opuc._szego_step, verbatim."""
+    alphas = np.zeros(n, dtype=complex)
+    phi = np.array([1.0 + 0.0j])
+    for m in range(n):
+        phi_star = np.conj(phi[::-1])
+        num = np.dot(phi, mu[1 : m + 2])
+        den = np.dot(phi_star, mu[: m + 1])
+        if abs(den) < 1e-13:
+            raise DegenerateMeasureError(m, "monic norm collapsed; measure is numerically trivial")
+        alpha = np.conj(num / den)
+        if abs(alpha) >= 1.0 - 1e-13:
+            raise DegenerateMeasureError(
+                m, f"|alpha_{m}| = {abs(alpha):.6f} reached the unit circle"
+            )
+        alphas[m] = alpha
+        phi = np.concatenate(([0.0], phi)) - np.conj(alpha) * np.concatenate(
+            (phi_star, [0.0])
+        )
+    return alphas
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([8, 16, 64, 256]), st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_ingest_circle_matches_the_moment_loop_bitwise(seed, grid, atoms):
+    """Rough random weights with up to two atoms, up to the last order the
+    support allows; where the loop raises, ingestion raises the same error."""
+    rng = np.random.default_rng(seed)
+    # a high power leaves few samples of weight, so some alpha reaches the circle
+    w = rng.uniform(0.05, 2.0, grid) ** rng.uniform(1.0, 40.0)
+    masses = [(complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))), float(rng.uniform(0.01, 0.2)))
+              for _ in range(atoms)]
+    w *= (1.0 - sum(m for _, m in masses)) / np.mean(w)
+    measure = CircleMeasure(weight=w, point_masses=tuple(masses))
+    n = int(rng.integers(0, grid))
+    powers = np.arange(n + 1)
+    mu = np.fft.ifft(measure.weight)[powers % measure.grid_size]
+    for loc, mass in measure.point_masses:
+        mu = mu + mass * loc**powers
+    try:
+        want = _moment_recursion_loop(mu, n)
+    except DegenerateMeasureError as exc:
+        with pytest.raises(DegenerateMeasureError) as got:
+            ingest_circle(measure, n)
+        assert str(got.value) == str(exc)
+        return
+    assert ingest_circle(measure, n).alpha.tobytes() == want.tobytes()
+
+
+def _line_recursion_loop(x, w, n):
+    """ingest_line's loop before it hoisted w * x and reused its buffers, verbatim."""
+    a = np.zeros(n)
+    b = np.zeros(n)
+    p_prev = np.zeros_like(x)
+    p = np.ones_like(x) / math.sqrt(float(np.sum(w)))
+    a_prev = 0.0
+    for m in range(n):
+        b[m] = float(np.sum(w * x * p * p))
+        r = (x - b[m]) * p - a_prev * p_prev
+        norm_sq = float(np.sum(w * r * r))
+        if norm_sq <= 1e-26:
+            raise DegenerateMeasureError(m + 1, "residual norm collapsed; too few support points")
+        a[m] = math.sqrt(norm_sq)
+        p_prev, p = p, r / a[m]
+        a_prev = a[m]
+    return a, b
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 400), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_ingest_line_matches_the_loop_bitwise(seed, size, full):
+    """Random nodes and weights, up to every support point; where the loop's
+    residual collapses (as it does at full order on a dozen nodes or fewer),
+    ingestion raises the same error."""
+    rng = np.random.default_rng(seed)
+    x = np.unique(rng.uniform(-2.5, 2.5, size if not full else size % 12 + 1))
+    w = rng.uniform(0.0, 1.0, len(x)) ** rng.uniform(1.0, 8.0) + 1e-300
+    measure = PointMeasure(nodes=x, weights=w / np.sum(w), mass_tol=1e-9)
+    n = len(x) if full else int(rng.integers(0, len(x) + 1))
+    try:
+        want = _line_recursion_loop(measure.nodes, measure.weights, n)
+    except DegenerateMeasureError as exc:
+        with pytest.raises(DegenerateMeasureError) as got:
+            ingest_line(measure, n)
+        assert str(got.value) == str(exc)
+        return
+    got = ingest_line(measure, n)
+    assert got.a.tobytes() == want[0].tobytes()
+    assert got.b.tobytes() == want[1].tobytes()

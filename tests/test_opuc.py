@@ -548,3 +548,32 @@ def test_roots_of_unity():
     assert np.allclose(np.abs(w), 1.0)
     assert np.isclose(np.sum(w), 0.0, atol=1e-14)
     assert np.allclose(w**8, 1.0)
+
+
+def _christoffel_weights_loop(alpha, z):
+    """Verbatim copy of the loop before it updated its arrays in place."""
+    rho = np.sqrt(1.0 - np.abs(alpha) ** 2)
+    phi = np.ones(len(z), dtype=complex)
+    star = np.ones(len(z), dtype=complex)
+    acc = np.ones(len(z))
+    for a, r in zip(alpha.tolist(), rho.tolist()):
+        zphi = z * phi
+        phi, star = (zphi - a.conjugate() * star) / r, (star - a * zphi) / r
+        acc += phi.real**2 + phi.imag**2
+    return 1.0 / acc
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(0, 300), st.integers(1, 300), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_christoffel_weights_match_the_loop_bitwise(seed, n, points, on_circle):
+    """Complex alphas over twelve decades (some exactly 0), at points on the
+    circle or anywhere in the plane."""
+    gen = np.random.default_rng(seed)
+    alpha = gen.uniform(-0.7, 0.7, n) + 1j * gen.uniform(-0.7, 0.7, n)
+    alpha *= 10.0 ** gen.uniform(-12.0, 0.0, n)
+    alpha[gen.uniform(size=n) < 0.1] = 0.0
+    z = np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, points))
+    if not on_circle:
+        z *= gen.uniform(0.0, 1.5, points)
+    got = opuc._christoffel_weights(alpha, z)
+    assert got.tobytes() == _christoffel_weights_loop(alpha, z).tobytes()

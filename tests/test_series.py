@@ -157,6 +157,32 @@ def test_taylor_exp_matches_scalar_loop(rng, length, order):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def _taylor_exp_dot_loop(g, order):
+    """Verbatim copy of the dot-per-row loop before its output was kept reversed."""
+    e = np.zeros(order + 1, dtype=complex)
+    e[0] = np.exp(g[0])
+    dg = np.arange(1, len(g)) * g[1:]
+    for n in range(order):
+        kmax = min(n, len(g) - 2)
+        e[n + 1] = np.dot(dg[: kmax + 1], e[n - kmax : n + 1][::-1]) / (n + 1)
+    return e
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 300), st.integers(0, 400), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_taylor_exp_matches_the_dot_loop_bitwise(seed, length, order, zeros):
+    """The reversed copy feeds each dot the same vector the reversed view did,
+    also past the end of ``g`` and with signed zeros among its entries."""
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(-0.5, 0.5, length) + 1j * rng.uniform(-0.5, 0.5, length)
+    g[1:] *= rng.uniform(0.5, 1.0) ** np.arange(1, length)
+    if zeros:
+        for i in rng.integers(0, length, size=length // 3 + 1):
+            g[i] = complex(*rng.choice([0.0, -0.0], size=2))
+    got = taylor_exp(TaylorSeries(g), order).coeffs
+    assert got.tobytes() == _taylor_exp_dot_loop(g, order).tobytes()
+
+
 def test_laurent_indexing_and_tails():
     ls = LaurentSeries([5.0, 3.0, 1.0, 2.0, 4.0])  # c_{-2}..c_2
     assert ls.order == 2
