@@ -126,7 +126,7 @@ def decay_rate(seq, window=None, floor=UNDERFLOW_FLOOR) -> RadiusEstimate:
     return RadiusEstimate(radius, (lo, hi), residual, used)
 
 
-def radius_estimate(series, window=None, floor=UNDERFLOW_FLOOR):
+def radius_estimate(series):
     """Radius of convergence from Taylor coefficients.
 
     A TaylorSeries yields one estimate.  A LaurentSeries yields the pair
@@ -136,12 +136,12 @@ def radius_estimate(series, window=None, floor=UNDERFLOW_FLOOR):
     tail above the floor).
     """
     if isinstance(series, TaylorSeries):
-        return decay_rate(series.coeffs, window=window, floor=floor)
+        return decay_rate(series.coeffs)
     if isinstance(series, LaurentSeries):
         pos = np.concatenate(([series.coeff(0)], series.positive_tail()))
         neg = np.concatenate(([series.coeff(0)], series.negative_tail()))
-        outer = decay_rate(pos, window=window, floor=floor)
-        neg_fit = decay_rate(neg, window=window, floor=floor)
+        outer = decay_rate(pos)
+        neg_fit = decay_rate(neg)
         inner_radius = 0.0 if neg_fit.is_infinite else 1.0 / neg_fit.radius
         inner = RadiusEstimate(inner_radius, neg_fit.window, neg_fit.fit_residual, neg_fit.n_points)
         return inner, outer
@@ -239,8 +239,8 @@ def _agree(names: tuple, first: float, second: float, rel_tol: float):
     return {names[0]: first, names[1]: second, "relative_gap": gap}, gap <= rel_tol, notes
 
 
-def verify_nevai_totik(coeffs: VerblunskyCoeffs, order: int = 64, rel_tol: float = 0.05,
-                       window=None) -> VerificationReport:
+def verify_nevai_totik(coeffs: VerblunskyCoeffs, order: int = 64,
+                       rel_tol: float = 0.05) -> VerificationReport:
     """Exponential alpha decay against the singularity radius of 1/D.
 
     Passes when the fitted alpha-decay radius and the fitted radius of the
@@ -248,35 +248,36 @@ def verify_nevai_totik(coeffs: VerblunskyCoeffs, order: int = 64, rel_tol: float
     must produce the infinite sentinel on both sides.
     """
     def legs():
-        r_alpha = decay_rate(coeffs.slice(order + 1), window=window).radius
-        r_d = radius_estimate(dinv_from_alphas(coeffs, order), window=window).radius
+        r_alpha = decay_rate(coeffs.slice(order + 1)).radius
+        r_d = radius_estimate(dinv_from_alphas(coeffs, order)).radius
         return _agree(("alpha_decay_radius", "dinv_radius"), r_alpha, r_d, rel_tol)
 
     return _report("nevai-totik", rel_tol, legs)
 
 
-def _mapped_decay_radius(coeffs: VerblunskyCoeffs, window) -> float:
-    """Radius R with limsup (|b_n| + |a_n^2 - 1|)^(1/2n) = 1/R."""
+def _mapped_decay_radius(coeffs: VerblunskyCoeffs) -> float:
+    """Radius R with limsup (|b_n| + |a_n^2 - 1|)^(1/2n) = 1/R.
+
+    Finitely supported alpha map to parameters that are free past the
+    support, so R is infinite and no delta is built.
+    """
     if coeffs.is_finitely_supported:
-        count = len(coeffs.alpha) // 2 + 16
-        if window is None:
-            window = (count - 9, count - 1)
-    else:
-        count = (len(coeffs.alpha) - 2) // 2
-        if count < 16:
-            raise InvalidParameterError(
-                f"{len(coeffs.alpha)} stored alphas give {max(count, 0)} mapped "
-                "coefficients; the decay fit needs 16"
-            )
+        return math.inf
+    count = (len(coeffs.alpha) - 2) // 2
+    if count < 16:
+        raise InvalidParameterError(
+            f"{len(coeffs.alpha)} stored alphas give {max(count, 0)} mapped "
+            "coefficients; the decay fit needs 16"
+        )
     b, asq1 = geronimus_deltas(coeffs, count)
     delta = np.abs(b) + np.abs(asq1)
     if not np.any(delta > UNDERFLOW_FLOOR):
         return math.inf
-    return math.sqrt(decay_rate(delta, window=window).radius)
+    return math.sqrt(decay_rate(delta).radius)
 
 
-def verify_damanik_simon(coeffs: VerblunskyCoeffs, order: int = 64, rel_tol: float = 0.05,
-                         window=None) -> VerificationReport:
+def verify_damanik_simon(coeffs: VerblunskyCoeffs, order: int = 64,
+                         rel_tol: float = 0.05) -> VerificationReport:
     """Mapped Jacobi-coefficient decay against the Jost-function radius.
 
     The mapped parameters decay with exponent 2n at rate 1/R; the Jost
@@ -286,7 +287,7 @@ def verify_damanik_simon(coeffs: VerblunskyCoeffs, order: int = 64, rel_tol: flo
         raise InvalidParameterError("this check needs real alpha")
 
     def legs():
-        r_jacobi = _mapped_decay_radius(coeffs, window)
+        r_jacobi = _mapped_decay_radius(coeffs)
         r_u = radius_estimate(u_from_dinv(coeffs, order=order).u).radius
         return _agree(("jacobi_decay_radius", "jost_radius"), r_jacobi, r_u, rel_tol)
 
@@ -504,7 +505,7 @@ def verify_jost_b_combination(coeffs: VerblunskyCoeffs, order: int = 64,
         if delta.size and not np.any(delta > UNDERFLOW_FLOOR):
             return ({"outer_radius": math.inf, "inner_radius": 0.0}, True,
                     "free parameters; the combination is entire")
-        r_map = _mapped_decay_radius(coeffs, None)
+        r_map = _mapped_decay_radius(coeffs)
         u = u_from_dinv(coeffs, order=order).u
         bser = b_series_from_deltas(b_arr, asq1, order)
         series, pos_scale, neg_scale = jost_b_combination(u, bser, order)

@@ -52,7 +52,7 @@ from .opuc import popuc_point_measure
 from .szego import d_from_weight, dinv_from_alphas, r_series, s_series
 
 CSV_SCHEMA = "szegojost.csv.v1"
-META_SCHEMA = "szegojost.meta.v1"
+META_SCHEMA = "szegojost.meta.v2"
 
 _SUITES = (
     "canonical-weights",
@@ -257,16 +257,16 @@ def _cmd_popuc(args, config: ExperimentConfig) -> int:
 
 
 def _run_suite(name: str, args, config: ExperimentConfig, coeffs, order: int):
-    rel = config.tolerance("radius_rel")
-    slack = config.tolerance("one_sided_slack")
+    rel = config.radius_rel
+    slack = config.one_sided_slack
     if name == "canonical-weights":
         params = _jacobi_from_args(args) if (args.b1 is not None or args.a) else JacobiParams(
             a=np.array([1.0]), b=np.array([1.5]), free_after=1)
         return canonical_weight_check(params)
     if name == "nevai-totik":
-        return verify_nevai_totik(coeffs, order, rel_tol=rel, window=config.window)
+        return verify_nevai_totik(coeffs, order, rel_tol=rel)
     if name == "damanik-simon":
-        return verify_damanik_simon(coeffs, order, rel_tol=rel, window=config.window)
+        return verify_damanik_simon(coeffs, order, rel_tol=rel)
     if name == "r-minus-s":
         return verify_r_minus_s(coeffs, order, rel_tol=rel, slack=slack)
     if name == "jost-combination":

@@ -97,10 +97,6 @@ def geronimus_deltas(coeffs: VerblunskyCoeffs, count: int | None = None):
                     - a2n+3 a2n+1
     Returned without the square root so callers needing a_n - 1 to full
     relative precision can avoid the cancellation in sqrt(1 + delta) - 1.
-
-    The pair is cached on ``coeffs`` under ``("deltas", count)``, with
-    ``count`` resolved first, for the lifetime of that instance; a repeated
-    call returns the same read-only arrays.
     """
     if not coeffs.is_real():
         raise InvalidParameterError("the coefficient map needs real alpha")
@@ -109,18 +105,12 @@ def geronimus_deltas(coeffs: VerblunskyCoeffs, count: int | None = None):
             count = len(coeffs.alpha) // 2 + 3
         else:
             count = max(0, (len(coeffs.alpha) - 2) // 2)
-    key = ("deltas", count)
-    if key in coeffs._cache:
-        return coeffs._cache[key]
     al = coeffs.slice(2 * count + 2).real
     a0, a1, a2, a3 = (al[i : 2 * count + i : 2] for i in range(4))
     b = a0 - a2 - a1 * (a0 + a2)
     # float_power calls libm pow, as a scalar ** does; an array ** 2
     # multiplies instead, which rounds differently about once in 1200
     asq1 = a1 - a3 - np.float_power(a2, 2) * (1.0 - a3) * (1.0 + a1) - a3 * a1
-    b.setflags(write=False)
-    asq1.setflags(write=False)
-    coeffs._cache[key] = (b, asq1)
     return b, asq1
 
 

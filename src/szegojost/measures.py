@@ -40,6 +40,8 @@ CONFIG_ENV_VAR = "SZEGOJOST_CONFIG"
 _CIRCLE_FAMILIES = ("uniform", "bernstein-szego", "cosine-polynomial")
 _LINE_FAMILIES = ("semicircle-free", "uniform", "szego-mapped")
 _GAUSS_REFERENCE_SIZE = 2000
+# ExperimentConfig fields read from the config's "tolerances" object
+_TOLERANCES = ("one_sided_slack", "radius_rel")
 
 
 @dataclass(frozen=True)
@@ -397,12 +399,17 @@ def ingest_line(measure, n: int) -> JacobiParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Run-wide defaults: series order, grid size, tolerances, window."""
+    """Run-wide defaults: series order, grid size, and the two suite tolerances.
+
+    ``radius_rel`` bounds the relative gap of a two-sided radius comparison;
+    ``one_sided_slack`` is the share a one-sided radius may fall short of
+    its target.
+    """
 
     series_order: int = 64
     grid_size: int = 4096
-    tolerances: tuple = (("one_sided_slack", 0.1), ("radius_rel", 0.05))
-    window: tuple | None = None
+    radius_rel: float = 0.05
+    one_sided_slack: float = 0.1
 
     def __post_init__(self):
         if self.series_order < 8:
@@ -412,41 +419,41 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"grid size {g} must be a power of two >= 4 * series order"
             )
-        if isinstance(self.tolerances, dict):
-            object.__setattr__(self, "tolerances", tuple(sorted(self.tolerances.items())))
-        else:
-            object.__setattr__(self, "tolerances", tuple(sorted(self.tolerances)))
-        if self.window is not None:
-            object.__setattr__(self, "window", (int(self.window[0]), int(self.window[1])))
-
-    def tolerance(self, name: str) -> float:
-        for key, val in self.tolerances:
-            if key == name:
-                return float(val)
-        raise KeyError(name)
 
     def to_dict(self) -> dict:
         return {
             "seriesOrder": self.series_order,
             "gridSize": self.grid_size,
-            "tolerances": {k: v for k, v in self.tolerances},
-            "window": list(self.window) if self.window else None,
+            "tolerances": {name: getattr(self, name) for name in _TOLERANCES},
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {"seriesOrder", "gridSize", "tolerances", "window"}
-        extra = set(doc) - known
+        """Config from its JSON object; absent fields and tolerances keep their defaults."""
+        extra = set(doc) - {"seriesOrder", "gridSize", "tolerances"}
         if extra:
             raise InvalidParameterError(f"unknown config field(s): {sorted(extra)}")
-        base = cls()
-        tol = doc.get("tolerances")
-        return cls(
-            series_order=int(doc.get("seriesOrder", base.series_order)),
-            grid_size=int(doc.get("gridSize", base.grid_size)),
-            tolerances=tuple(sorted(tol.items())) if tol else base.tolerances,
-            window=tuple(doc["window"]) if doc.get("window") else None,
-        )
+        fields = {}
+        for key, name in (("seriesOrder", "series_order"), ("gridSize", "grid_size")):
+            if key in doc:
+                try:
+                    fields[name] = int(doc[key])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise InvalidParameterError(
+                        f"config field {key!r} must be an integer, got {doc[key]!r}"
+                    ) from exc
+        tol = doc.get("tolerances", {})
+        if not isinstance(tol, dict):
+            raise InvalidParameterError(f"config field 'tolerances' must be an object, got {tol!r}")
+        extra = set(tol) - set(_TOLERANCES)
+        if extra:
+            raise InvalidParameterError(f"unknown tolerance name(s): {sorted(extra)}")
+        for name, value in tol.items():
+            # kept as given, so the sidecar writes the number back unchanged
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidParameterError(f"tolerance {name!r} must be a number, got {value!r}")
+            fields[name] = value
+        return cls(**fields)
 
 
 def load_config(path: str | None = None) -> ExperimentConfig:

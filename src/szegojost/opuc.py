@@ -48,10 +48,9 @@ class VerblunskyCoeffs:
     only up to the stored length and reading past it raises
     :class:`OutOfRangeError`.
 
-    Each instance carries a private cache of the series derived from it
-    (:func:`~szegojost.szego.dinv_from_alphas`,
-    :func:`~szegojost.jost.geronimus_deltas`), so the suites of one
-    ``verify`` run share them.  It lives as long as the instance and is not
+    Each instance carries a private cache of the 1/D series derived from it
+    (:func:`~szegojost.szego.dinv_from_alphas`), so the suites of one
+    ``verify`` run share it.  It lives as long as the instance and is not
     a dataclass field (it takes no part in ``repr`` or ``==``).  ``alpha``
     is stored as a read-only copy, so the cache cannot go stale.
     """
@@ -201,10 +200,6 @@ class CirclePolyPair:
     @property
     def monic(self) -> np.ndarray:
         return self.phi / self.kappa
-
-    @property
-    def monic_star(self) -> np.ndarray:
-        return self.phi_star / self.kappa
 
     def __call__(self, z):
         return _polyval(np.asarray(z, dtype=complex), self.phi)

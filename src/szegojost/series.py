@@ -67,10 +67,6 @@ class TaylorSeries:
         c[: m + 1] = self.coeffs[: m + 1]
         return TaylorSeries(c, note=self.note)
 
-    def conj_reflected(self) -> "TaylorSeries":
-        """Series of conj(f(conj(z))): conjugate the coefficients."""
-        return TaylorSeries(np.conj(self.coeffs))
-
     def is_real(self, tol: float = 0.0) -> bool:
         return bool(np.max(np.abs(self.coeffs.imag), initial=0.0) <= tol)
 

@@ -437,6 +437,34 @@ def test_config_overrides_default_order(capsys, tmp_path):
     assert len(rows) == 17
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"tolerances": [1, 2]}, "'tolerances'"),
+    ({"seriesOrder": None}, "'seriesOrder'"),
+    ({"gridSize": [4096]}, "'gridSize'"),
+    ({"tolerances": {"bogus": 1}}, "'bogus'"),
+    ({"window": [20, 40]}, "'window'"),
+], ids=["tolerances-list", "order-null", "grid-list", "tolerance-unknown", "window"])
+def test_malformed_config_exits_two_naming_the_field(capsys, tmp_path, doc, field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg), "verify", "canonical-weights"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err
+
+
+def test_partial_tolerances_config_runs_every_suite(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"tolerances": {"radius_rel": 0.02}}))
+    code, out = run(capsys, ["--config", str(cfg), "verify", "all",
+                             "--alpha", "geometric:C=0.5,R=2", "--order", "64"])
+    assert code == 0
+    _, rows = parse_table(out)
+    tolerance = {r["suite"]: float(r["value"]) for r in rows if r["field"] == "tolerance"}
+    assert tolerance == {"canonical-weights": 1e-4, "damanik-simon": 0.02,
+                         "jost-combination": 0.1, "nevai-totik": 0.02, "r-minus-s": 0.1}
+
+
 def test_malformed_input_exits_two(capsys, tmp_path):
     assert main(["bogus"]) == 2
     assert main([]) == 2
@@ -460,10 +488,11 @@ def test_output_files_are_byte_stable(capsys, tmp_path):
     assert (tmp_path / "alpha.csv.meta.json").read_bytes() == meta_first
     meta = json.loads(meta_first)
     assert set(meta) == {"schema", "table", "tool", "toolVersion", "config", "inputSha256"}
-    assert meta["schema"] == "szegojost.meta.v1"
+    assert meta["schema"] == "szegojost.meta.v2"
     assert meta["table"] == "alpha"
     assert meta["tool"] == "szegojost"
-    assert set(meta["config"]) == {"seriesOrder", "gridSize", "tolerances", "window"}
+    assert meta["config"] == {"seriesOrder": 64, "gridSize": 4096,
+                              "tolerances": {"one_sided_slack": 0.1, "radius_rel": 0.05}}
     capsys.readouterr()
 
 

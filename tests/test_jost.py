@@ -165,18 +165,6 @@ def test_deltas_match_the_scalar_loop_bitwise(seed, finite, even_only, past_end)
     assert got[1].tobytes() == want[1].tobytes()
 
 
-def test_deltas_are_cached_per_count():
-    c = VerblunskyCoeffs(alpha=np.full(10, 0.1))
-    b, asq1 = geronimus_deltas(c)
-    again = geronimus_deltas(c, count=4)
-    assert again[0] is b and again[1] is asq1
-    assert geronimus_deltas(c, count=3)[0] is not b
-    with pytest.raises(ValueError):
-        b[0] = 0.0
-    with pytest.raises(ValueError):
-        asq1[0] = 0.0
-
-
 def test_u_cache_hit_warns_again_when_unconverged():
     """The second call hits the 1/D cache, which repeats the warning."""
     c = VerblunskyCoeffs(alpha=0.5 * 0.5 ** np.arange(8))

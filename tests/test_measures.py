@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,10 +223,8 @@ def test_config_defaults_and_validation():
     cfg = ExperimentConfig()
     assert cfg.series_order == 64
     assert cfg.grid_size == 4096
-    assert cfg.tolerance("radius_rel") == 0.05
-    assert cfg.tolerance("one_sided_slack") == 0.1
-    with pytest.raises(KeyError):
-        cfg.tolerance("nope")
+    assert cfg.radius_rel == 0.05
+    assert cfg.one_sided_slack == 0.1
     with pytest.raises(InvalidParameterError):
         ExperimentConfig(series_order=7)
     with pytest.raises(InvalidParameterError):
@@ -235,14 +234,28 @@ def test_config_defaults_and_validation():
 
 
 def test_config_dict_round_trip():
-    cfg = ExperimentConfig(series_order=32, grid_size=256,
-                           tolerances={"radius_rel": 0.02}, window=(4, 31))
+    cfg = ExperimentConfig(series_order=32, grid_size=256, radius_rel=0.02, one_sided_slack=0)
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
+    assert again.to_dict()["tolerances"] == {"one_sided_slack": 0, "radius_rel": 0.02}
     with pytest.raises(InvalidParameterError):
         ExperimentConfig.from_dict({"seriesorder": 32})
     with pytest.raises(InvalidParameterError, match="outputFormat"):
         ExperimentConfig.from_dict({"outputFormat": "csv"})
+
+
+def test_partial_tolerances_merge_over_the_defaults():
+    cfg = ExperimentConfig.from_dict({"tolerances": {"radius_rel": 0.02}})
+    assert cfg == ExperimentConfig(radius_rel=0.02)
+    assert cfg.one_sided_slack == 0.1
+    assert ExperimentConfig.from_dict({"tolerances": {}}) == ExperimentConfig()
+
+
+def test_readme_config_block_is_the_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert ExperimentConfig.from_dict(json.loads(block)) == ExperimentConfig()
 
 
 def test_load_config_sources(tmp_path, monkeypatch):

@@ -35,13 +35,6 @@ def test_taylor_truncation_pads_and_cuts():
         ts.truncated(-1)
 
 
-def test_taylor_conj_reflected():
-    """conj_reflected represents z -> conj(f(conj(z)))."""
-    ts = TaylorSeries([1.0 + 1.0j, 2.0 - 3.0j, 0.5j])
-    z = 0.4 + 0.1j
-    assert np.isclose(ts.conj_reflected()(z), np.conj(ts(np.conj(z))))
-
-
 def test_taylor_is_real():
     assert TaylorSeries([1.0, -2.0]).is_real()
     assert not TaylorSeries([1.0, 1e-8j]).is_real()
