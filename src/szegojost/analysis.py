@@ -255,11 +255,13 @@ def verify_nevai_totik(coeffs: VerblunskyCoeffs, order: int = 64,
     return _report("nevai-totik", rel_tol, legs)
 
 
-def _mapped_decay_radius(coeffs: VerblunskyCoeffs) -> float:
+def _mapped_decay_radius(coeffs: VerblunskyCoeffs, deltas=None) -> float:
     """Radius R with limsup (|b_n| + |a_n^2 - 1|)^(1/2n) = 1/R.
 
     Finitely supported alpha map to parameters that are free past the
-    support, so R is infinite and no delta is built.
+    support, so R is infinite and no delta is built.  A caller that holds
+    ``geronimus_deltas(coeffs, (len(coeffs.alpha) - 2) // 2)`` passes it as
+    ``deltas``.
     """
     if coeffs.is_finitely_supported:
         return math.inf
@@ -269,7 +271,7 @@ def _mapped_decay_radius(coeffs: VerblunskyCoeffs) -> float:
             f"{len(coeffs.alpha)} stored alphas give {max(count, 0)} mapped "
             "coefficients; the decay fit needs 16"
         )
-    b, asq1 = geronimus_deltas(coeffs, count)
+    b, asq1 = geronimus_deltas(coeffs, count) if deltas is None else deltas
     delta = np.abs(b) + np.abs(asq1)
     if not np.any(delta > UNDERFLOW_FLOOR):
         return math.inf
@@ -497,15 +499,18 @@ def verify_jost_b_combination(coeffs: VerblunskyCoeffs, order: int = 64,
 
     def legs():
         count = order // 2 + 1
-        available = count if coeffs.is_finitely_supported else (len(coeffs.alpha) - 2) // 2
-        b_arr, asq1 = geronimus_deltas(coeffs, min(count, available))
+        # a truncated alpha maps every stored pair once; its first entries
+        # feed B and all of them the mapped decay radius
+        stored = count if coeffs.is_finitely_supported else (len(coeffs.alpha) - 2) // 2
+        mapped = geronimus_deltas(coeffs, stored)
+        b_arr, asq1 = (d[:count] for d in mapped)
         delta = np.abs(b_arr) + np.abs(asq1)
         # an empty delta (order or stored alphas too short) is no evidence of
         # free parameters; _mapped_decay_radius reports the shortage
         if delta.size and not np.any(delta > UNDERFLOW_FLOOR):
             return ({"outer_radius": math.inf, "inner_radius": 0.0}, True,
                     "free parameters; the combination is entire")
-        r_map = _mapped_decay_radius(coeffs)
+        r_map = _mapped_decay_radius(coeffs, mapped)
         u = u_from_dinv(coeffs, order=order).u
         bser = b_series_from_deltas(b_arr, asq1, order)
         series, pos_scale, neg_scale = jost_b_combination(u, bser, order)

@@ -22,7 +22,14 @@ from .errors import (
     PreconditionError,
 )
 from .oprl import JacobiParams, PointMeasure
-from .opuc import CircleMeasure, VerblunskyCoeffs, _monic_buffers, _szego_step, szego_recursion
+from .opuc import (
+    CircleMeasure,
+    VerblunskyCoeffs,
+    _monic_buffers,
+    _phi_star,
+    _szego_step,
+    szego_recursion,
+)
 
 __all__ = [
     "MeasureSpec",
@@ -336,11 +343,10 @@ def ingest_circle(measure, n: int) -> VerblunskyCoeffs:
         mu = mu + mass * loc**powers
     alphas = np.zeros(n, dtype=complex)
     dot = np.dot
-    phi, nxt, star = _monic_buffers(n)
+    buf, star = _monic_buffers(n)
     for m in range(n):
-        phi_star = star[: m + 1]
-        np.conjugate(phi[m::-1], out=phi_star)
-        num = dot(phi[: m + 1], mu[1 : m + 2])
+        phi_star = _phi_star(buf, star, m)
+        num = dot(buf[n - m :], mu[1 : m + 2])
         den = dot(phi_star, mu[: m + 1])
         if abs(den) < 1e-13:
             raise DegenerateMeasureError(m, "monic norm collapsed; measure is numerically trivial")
@@ -350,8 +356,7 @@ def ingest_circle(measure, n: int) -> VerblunskyCoeffs:
                 m, f"|alpha_{m}| = {abs(alpha):.6f} reached the unit circle"
             )
         alphas[m] = alpha
-        _szego_step(phi, nxt, star, m, np.conj(alpha))
-        phi, nxt = nxt, phi
+        _szego_step(buf, phi_star, np.conj(alpha))
     return VerblunskyCoeffs(alpha=alphas)
 
 
@@ -412,6 +417,16 @@ class ExperimentConfig:
     one_sided_slack: float = 0.1
 
     def __post_init__(self):
+        for name in _TOLERANCES:
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise InvalidParameterError(
+                    f"tolerance {name!r} must be finite and >= 0, got {value!r}"
+                )
+        if self.one_sided_slack >= 1:
+            raise InvalidParameterError(
+                f"tolerance 'one_sided_slack' must be below 1, got {self.one_sided_slack!r}"
+            )
         if self.series_order < 8:
             raise InvalidParameterError("series order must be >= 8")
         g = self.grid_size
@@ -436,12 +451,14 @@ class ExperimentConfig:
         fields = {}
         for key, name in (("seriesOrder", "series_order"), ("gridSize", "grid_size")):
             if key in doc:
-                try:
-                    fields[name] = int(doc[key])
-                except (TypeError, ValueError, OverflowError) as exc:
+                value = doc[key]
+                # an integral float such as 64.0 is an integer; a bool is not
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                        isinstance(value, float) and not value.is_integer()):
                     raise InvalidParameterError(
-                        f"config field {key!r} must be an integer, got {doc[key]!r}"
-                    ) from exc
+                        f"config field {key!r} must be an integer, got {value!r}"
+                    )
+                fields[name] = int(value)
         tol = doc.get("tolerances", {})
         if not isinstance(tol, dict):
             raise InvalidParameterError(f"config field 'tolerances' must be an object, got {tol!r}")

@@ -134,41 +134,62 @@ class VerblunskyCoeffs:
 def _monic_pair(coeffs: VerblunskyCoeffs, n: int) -> tuple[np.ndarray | None, np.ndarray]:
     """Monic (Phi_{n-1}, Phi_n) as ascending coefficient arrays; Phi_{-1} is None.
 
-    Each step uses Phi_{m+1} = z Phi_m - conj(alpha_m) Phi_m*, with the star
-    polynomial realized exactly as conjugate-and-reverse.  Two buffers of
-    length n + 1 take turns holding the current and the next polynomial, so
-    the recursion runs in O(n) memory and allocates nothing per step.
+    Phi_m sits at ``buf[n - m:]`` of one zeroed buffer of length n + 1, so
+    z Phi_m is already in place at ``buf[n - m - 1:]`` and each
+    :func:`_szego_step` subtracts conj(alpha_m) Phi_m* there.  The recursion
+    runs in O(n) memory and allocates nothing per step.  The two returned
+    arrays may share that buffer.
+
+    The steps stop at the last nonzero alpha.  With alpha_m = 0 every part of
+    the subtracted term is +0 or -0, and x - (+-0) = x for every x but -0.
+    ``buf`` never holds a -0: it starts at +0 and 1, and a difference is -0
+    only as (-0) - (+0).  So each later step would leave ``buf`` as it is,
+    bit for bit, and Phi_m is ``buf[n - m:]`` for every m past the support.
+    That needs a finite ``buf`` (inf * 0 is nan), which is checked once
+    before the steps are skipped.
     """
     if n < 0:
         raise InvalidParameterError("order must be nonnegative")
     ca = np.conj(coeffs.slice(n))
-    cur, nxt, star = _monic_buffers(n)
+    support = np.flatnonzero(ca)
+    stop = int(support[-1]) + 1 if support.size else 0
+    buf, star = _monic_buffers(n)
+    prev = None
     for m in range(n):
-        np.conjugate(cur[m::-1], out=star[: m + 1])
-        _szego_step(cur, nxt, star, m, ca[m])
-        cur, nxt = nxt, cur
-    return (nxt[:n] if n else None), cur[: n + 1]
+        if m == stop and np.isfinite(buf).all():
+            return buf[1:], buf
+        if m == n - 1:
+            prev = buf[1:].copy()
+        _szego_step(buf, _phi_star(buf, star, m), ca[m])
+    return prev, buf
 
 
-def _monic_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cur, nxt, star) of length n + 1 for :func:`_szego_step`, cur holding Phi_0 = 1."""
-    cur = np.zeros(n + 1, dtype=complex)
-    cur[0] = 1.0
-    return cur, np.zeros(n + 1, dtype=complex), np.empty(n + 1, dtype=complex)
+def _monic_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(buf, star) of length n + 1 for :func:`_szego_step`, buf holding Phi_0 = 1 at its end."""
+    buf = np.zeros(n + 1, dtype=complex)
+    buf[n] = 1.0
+    return buf, np.empty(n + 1, dtype=complex)
 
 
-def _szego_step(cur: np.ndarray, nxt: np.ndarray, star: np.ndarray, m: int, ca) -> None:
-    """nxt[:m + 2] = Phi_{m+1} = z Phi_m - ca Phi_m*, with ca = conj(alpha_m).
+def _phi_star(buf: np.ndarray, star: np.ndarray, m: int) -> np.ndarray:
+    """``star[:m + 1]`` set to Phi_m* (Phi_m = ``buf[-m - 1:]`` conjugated and reversed)."""
+    return np.conjugate(buf[: -m - 2 : -1], out=star[: m + 1])
 
-    ``cur[:m + 1]`` holds Phi_m and ``star[:m + 1]`` its conjugate reverse
-    Phi_m*, which the step overwrites.  The one monic recursion kernel: both
-    :func:`_monic_pair` and the moment recursion of circle ingestion call it.
+
+def _szego_step(buf: np.ndarray, term: np.ndarray, ca) -> None:
+    """``buf[-m - 2:]`` becomes Phi_{m+1} = z Phi_m - ca Phi_m*, with ca = conj(alpha_m).
+
+    ``buf[-m - 1:]`` holds Phi_m behind a zero, so ``buf[-m - 2:]`` already
+    holds z Phi_m.  ``term`` holds the m + 1 coefficients of Phi_m* (from
+    :func:`_phi_star`) and is overwritten with ca Phi_m*, which is then
+    subtracted in place.  With ca = 0 and a finite ``term`` the step
+    subtracts only +-0, which leaves every part of ``buf`` but a -0 as it
+    was; :func:`_monic_pair` skips such steps on that ground.  This is the
+    one monic recursion kernel: both :func:`_monic_pair` and the moment
+    recursion of circle ingestion call it.
     """
-    term = star[: m + 1]
     np.multiply(ca, term, out=term)
-    nxt[0] = 0.0
-    nxt[1 : m + 2] = cur[: m + 1]
-    nxt[: m + 1] -= term
+    buf[-len(term) - 1 : -1] -= term
 
 
 def _monic(coeffs: VerblunskyCoeffs, n: int) -> np.ndarray:

@@ -40,6 +40,13 @@ def dinv_from_alphas(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     last two iterates are compared and an unconverged result carries a note
     (and emits :class:`ConvergenceWarning`).  The constant term is kappa_inf.
 
+    Once alpha_m is exactly 0 the recursion is a pure shift, Phi_{m+1} =
+    z Phi_m, so Phi_n* stops changing: :func:`~szegojost.opuc._monic_pair`
+    runs no step past the last nonzero alpha, with the same bits as running
+    them (a truncated spec whose alphas underflow to 0 is the finitely
+    supported case from there on).  The series then ends in exact zeros,
+    which :func:`_r_by_product` skips.
+
     The series is cached on ``coeffs`` under ``("dinv", order)`` for the
     lifetime of that instance, and its coefficient array is read-only.  A
     repeated call returns the same object and, when the series carries a
@@ -217,6 +224,23 @@ def _r_by_product(dinv: TaylorSeries, lowest: int, order: int) -> np.ndarray:
     coefficient is the same whatever range is asked for.  ``r_series``
     takes -order..order; the r - S suite reads only the Taylor half
     0..order and builds nothing else.
+
+    Past ``top``, the last nonzero index of 1/D, the work is cut without
+    changing a bit:
+
+    - For k > top, r_k is a dot of D with zeros only.  A dot of two or more
+      terms sums from +0, so it is +0+0j, which ``c`` already holds.  The
+      dot at k = N (the order of 1/D) has one term, a plain product that
+      keeps the signs of its zeros, so it is computed as before.
+    - For 0 <= k <= top, each D_m with m > top meets a zero of 1/D.  So the
+      Taylor half builds D only through ``top`` (the same dots) and leaves
+      +0 past it; every dot keeps its length and so its summation order.
+
+    Both need finite D_m, as inf * 0 is nan.  When 1/D is kappa Phi_n*, as
+    :func:`dinv_from_alphas` gives it once its order reaches the degree,
+    Phi_n* has no zeros in the closed unit disk and D is the Szego function
+    of a probability measure, so sum |D_m|^2 <= 1.  Negative k read D up to
+    index N, so a range that starts below 0 builds all of it.
     """
     _require_constant_term(dinv)
     length = dinv.order
@@ -225,13 +249,19 @@ def _r_by_product(dinv: TaylorSeries, lowest: int, order: int) -> np.ndarray:
             "product method needs dinv order >= requested Laurent order"
         )
     c_dinv = dinv.coeffs
-    d_conj = np.conj(taylor_reciprocal(dinv, length).coeffs)
+    top = int(np.flatnonzero(c_dinv)[-1])
+    built = length if lowest < 0 else top
+    d_conj = np.zeros(length + 1, dtype=complex)
+    d_conj[: built + 1] = np.conj(taylor_reciprocal(dinv, built).coeffs)
     dot = np.dot
     c = np.zeros(order - lowest + 1, dtype=complex)
     # m runs over max(0, -k) .. length - max(0, k)
     for k in range(lowest, min(0, order + 1)):
         c[k - lowest] = dot(d_conj[-k : length + 1], c_dinv[: length + k + 1])
-    for k in range(max(0, lowest), order + 1):
+    taylor = range(max(0, lowest), min(top, order) + 1)
+    if top < length == order and lowest <= length:
+        taylor = [*taylor, length]
+    for k in taylor:
         c[k - lowest] = dot(d_conj[: length - k + 1], c_dinv[k : length + 1])
     return c
 

@@ -9,6 +9,8 @@ the generic code paths at short orders where conditioning is not an issue.
 import numpy as np
 import pytest
 
+from szegojost.errors import InvalidParameterError
+from szegojost.measures import parse_alpha_spec
 from szegojost.oprl import JacobiParams
 from szegojost.opuc import VerblunskyCoeffs
 
@@ -51,6 +53,65 @@ def complex_alphas(rng, n, scale=0.65):
 def geometric_alphas(c, r, order=64):
     """alpha_n = c r^-n for n = 0..order, truncated tail."""
     return VerblunskyCoeffs(alpha=c * r ** -np.arange(order + 1, dtype=float))
+
+
+# +0, and the zeros with a negative real part, imaginary part, or both
+SIGNED_ZEROS = np.array([complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                         complex(-0.0, -0.0)])
+
+
+def zero_tail_coeffs(seed):
+    """Alpha that ends in exact zeros, for the shortcuts past the last nonzero alpha.
+
+    One of six kinds: real, complex or rotated (lambda^(n+1) alpha_n) lists,
+    lists scaled by 1e-300, constant lists of |alpha| = 1 - 1e-9 long enough
+    that the monic polynomials overflow, or a ``geometric:`` spec at an order
+    up to 4096 (its tail underflows to zeros of the sign of C).  Lists get a
+    tail of zeros of all four signs, a few interior zeros, and either tail
+    policy.
+    """
+    rng = np.random.default_rng(seed)
+    kind = int(rng.integers(0, 6))
+    if kind == 5:
+        c = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.95))
+        r = float(rng.uniform(1.2, 6.0))
+        return parse_alpha_spec(f"geometric:C={c!r},R={r!r}", int(rng.choice([64, 1024, 4096])))
+    if kind == 4:
+        alpha = np.full(int(rng.integers(1030, 1100)), rng.choice([-1.0, 1.0]) * (1.0 - 1e-9))
+    else:
+        size = int(rng.integers(0, 160))
+        alpha = rng.uniform(-0.9, 0.9, size) * rng.uniform(1.0, 3.0) ** -np.arange(size)
+        if kind in (1, 2):
+            alpha = alpha + 1j * rng.uniform(-0.4, 0.4, size)
+        if kind == 2:
+            alpha = alpha * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) ** np.arange(1, size + 1)
+        if kind == 3:
+            alpha = alpha * 1e-300
+        alpha[rng.uniform(size=size) < 0.05] = 0.0
+    alpha = np.concatenate([alpha, SIGNED_ZEROS[rng.integers(0, 4, int(rng.integers(0, 300)))]])
+    if rng.uniform() < 0.5:
+        return VerblunskyCoeffs(alpha, zero_after=len(alpha) - 1)
+    return VerblunskyCoeffs(alpha)
+
+
+def monic_pair_two_buffers(coeffs, n):
+    """opuc._monic_pair before Phi_m stayed in place and the steps stopped at the
+    last nonzero alpha, with its step inlined, verbatim."""
+    if n < 0:
+        raise InvalidParameterError("order must be nonnegative")
+    ca = np.conj(coeffs.slice(n))
+    cur = np.zeros(n + 1, dtype=complex)
+    cur[0] = 1.0
+    nxt, star = np.zeros(n + 1, dtype=complex), np.empty(n + 1, dtype=complex)
+    for m in range(n):
+        np.conjugate(cur[m::-1], out=star[: m + 1])
+        term = star[: m + 1]
+        np.multiply(ca[m], term, out=term)
+        nxt[0] = 0.0
+        nxt[1 : m + 2] = cur[: m + 1]
+        nxt[: m + 1] -= term
+        cur, nxt = nxt, cur
+    return (nxt[:n] if n else None), cur[: n + 1]
 
 
 @pytest.fixture

@@ -342,6 +342,48 @@ def test_verify_all_runs_one_szego_recursion(capsys, monkeypatch):
     assert len(starts) == 1
 
 
+def test_verify_all_stops_at_the_last_nonzero_alpha(capsys, monkeypatch):
+    """alpha_n = 0.1 * 3.4^-n underflows to 0 from n = 608 at order 1024, so
+    the recursion takes 608 steps, not 1025, and D is built through the last
+    nonzero coefficient of 1/D, index 608."""
+    from szegojost import opuc, szego
+
+    steps, reciprocal_orders = [], []
+    step, reciprocal = opuc._szego_step, szego.taylor_reciprocal
+
+    def counting_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    def counting_reciprocal(series, order=None):
+        reciprocal_orders.append(order)
+        return reciprocal(series, order)
+
+    monkeypatch.setattr(opuc, "_szego_step", counting_step)
+    monkeypatch.setattr(szego, "taylor_reciprocal", counting_reciprocal)
+    run(capsys, ["verify", "all", "--alpha", "geometric:C=0.1,R=3.4", "--order", "1024"])
+    assert len(steps) == 608
+    assert reciprocal_orders == [608]
+
+
+def test_jost_combination_maps_the_alphas_once(capsys, monkeypatch):
+    """B and the mapped decay radius read one set of Geronimus deltas."""
+    from szegojost import analysis
+
+    counts = []
+    original = analysis.geronimus_deltas
+
+    def counting(coeffs, count=None):
+        counts.append(count)
+        return original(coeffs, count)
+
+    monkeypatch.setattr(analysis, "geronimus_deltas", counting)
+    code, _ = run(capsys, ["verify", "jost-combination", "--alpha", "geometric:C=0.5,R=2",
+                           "--order", "1024"])
+    assert code == 0
+    assert counts == [511]
+
+
 @pytest.mark.parametrize("spec", ["geometric:C=-0.3,R=1.2", "0.9,-0.9", "constant:c=0.25"])
 def test_jost_zeros_from_alpha_runs_no_szego_recursion(capsys, monkeypatch, spec):
     """u = c/D has no disk zeros, so the zero table is built without 1/D;
@@ -451,6 +493,42 @@ def test_malformed_config_exits_two_naming_the_field(capsys, tmp_path, doc, fiel
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and field in captured.err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"tolerances": {"radius_rel": NaN, "one_sided_slack": 0.1}}',
+     "tolerance 'radius_rel' must be finite and >= 0, got nan"),
+    ('{"tolerances": {"one_sided_slack": -1}}',
+     "tolerance 'one_sided_slack' must be finite and >= 0, got -1"),
+    ('{"tolerances": {"radius_rel": Infinity}}',
+     "tolerance 'radius_rel' must be finite and >= 0, got inf"),
+    ('{"tolerances": {"one_sided_slack": 1}}',
+     "tolerance 'one_sided_slack' must be below 1, got 1"),
+    ('{"seriesOrder": 64.9}', "config field 'seriesOrder' must be an integer, got 64.9"),
+    ('{"seriesOrder": true}', "config field 'seriesOrder' must be an integer, got True"),
+    ('{"gridSize": 4096.5}', "config field 'gridSize' must be an integer, got 4096.5"),
+], ids=["radius-rel-nan", "slack-negative", "radius-rel-infinite", "slack-one",
+        "order-fractional", "order-bool", "grid-fractional"])
+def test_out_of_range_config_value_exits_two_naming_it(capsys, tmp_path, doc, message):
+    """A nan or negative tolerance would fail every radius suite, an infinite
+    one or a slack of 1 would pass any radius, and a fractional order would
+    be cut to an integer; each is refused before anything runs."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(doc)
+    code = main(["--config", str(cfg), "verify", "all", "--alpha", "geometric:C=0.5,R=2",
+                 "--order", "64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_integral_float_series_order_is_an_integer(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"seriesOrder": 16.0, "gridSize": 128.0}')
+    code, out = run(capsys, ["--config", str(cfg), "szego", "--alpha", "0.5"])
+    assert code == 0
+    assert len(parse_table(out)[1]) == 17
 
 
 def test_partial_tolerances_config_runs_every_suite(capsys, tmp_path):

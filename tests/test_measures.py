@@ -564,6 +564,65 @@ def test_ingest_circle_matches_the_moment_loop_bitwise(seed, grid, atoms):
     assert ingest_circle(measure, n).alpha.tobytes() == want.tobytes()
 
 
+def _moment_recursion_two_buffers(mu, n):
+    """ingest_circle's moment recursion before Phi_m stayed in place, with the
+    shared step inlined, verbatim."""
+    alphas = np.zeros(n, dtype=complex)
+    dot = np.dot
+    phi = np.zeros(n + 1, dtype=complex)
+    phi[0] = 1.0
+    nxt, star = np.zeros(n + 1, dtype=complex), np.empty(n + 1, dtype=complex)
+    for m in range(n):
+        phi_star = star[: m + 1]
+        np.conjugate(phi[m::-1], out=phi_star)
+        num = dot(phi[: m + 1], mu[1 : m + 2])
+        den = dot(phi_star, mu[: m + 1])
+        if abs(den) < 1e-13:
+            raise DegenerateMeasureError(m, "monic norm collapsed; measure is numerically trivial")
+        alpha = np.conj(num / den)
+        if abs(alpha) >= 1.0 - 1e-13:
+            raise DegenerateMeasureError(
+                m, f"|alpha_{m}| = {abs(alpha):.6f} reached the unit circle"
+            )
+        alphas[m] = alpha
+        np.multiply(np.conj(alpha), phi_star, out=phi_star)
+        nxt[0] = 0.0
+        nxt[1 : m + 2] = phi[: m + 1]
+        nxt[: m + 1] -= phi_star
+        phi, nxt = nxt, phi
+    return alphas
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([16, 64, 256, 1024]), st.integers(1, 24),
+       st.sampled_from(["real", "complex", "rotated"]), st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_ingest_circle_matches_the_two_buffer_loop_bitwise(seed, grid, k, kind, share):
+    """Bernstein-Szego measures of real, complex and rotated alpha, ingested
+    past their support (where the computed alphas are rounding noise), up to
+    the last order the grid allows."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(-0.8, 0.8, k) * 10.0 ** rng.uniform(-6.0, 0.0, k)
+    if kind != "real":
+        alpha = alpha + 1j * rng.uniform(-0.5, 0.5, k) * 10.0 ** rng.uniform(-6.0, 0.0, k)
+        alpha *= 0.9 / max(1.0, float(np.max(np.abs(alpha))))
+    if kind == "rotated":
+        alpha = alpha * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) ** np.arange(1, k + 1)
+    try:
+        measure = bernstein_szego(VerblunskyCoeffs.finitely_supported(alpha), k, grid)
+    except AliasingError:
+        return
+    n = int(share * (grid - 1))
+    mu = np.fft.ifft(measure.weight)[np.arange(n + 1) % grid]
+    try:
+        want = _moment_recursion_two_buffers(mu, n)
+    except DegenerateMeasureError as exc:
+        with pytest.raises(DegenerateMeasureError) as got:
+            ingest_circle(measure, n)
+        assert str(got.value) == str(exc)
+        return
+    assert ingest_circle(measure, n).alpha.tobytes() == want.tobytes()
+
+
 def _line_recursion_loop(x, w, n):
     """ingest_line's loop before it hoisted w * x and reused its buffers, verbatim."""
     a = np.zeros(n)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_alphas, real_alphas
+from conftest import complex_alphas, monic_pair_two_buffers, real_alphas, zero_tail_coeffs
 from szegojost.measures import parse_alpha_spec
 from szegojost.errors import (
     AliasingError,
@@ -206,6 +206,28 @@ def test_monic_pair_matches_the_generator_bitwise(seed, finite, past_end):
     prev, last = opuc._monic_pair(coeffs, n)
     assert last.tobytes() == want[-1].tobytes()
     assert (prev is None) if n == 0 else prev.tobytes() == want[0].tobytes()
+
+
+def _has_negative_zero(a):
+    return any(np.any((part == 0.0) & np.signbit(part)) for part in (a.real, a.imag))
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_monic_pair_matches_the_two_buffer_loop_bitwise(seed, past):
+    """Alpha ending in exact zeros of every sign: the steps skipped past the
+    last nonzero alpha change no bit, also where Phi_m overflows.  No part of
+    either polynomial is -0, which is what makes the skip exact."""
+    coeffs = zero_tail_coeffs(seed)
+    size = len(coeffs.alpha)
+    n = size + past if coeffs.is_finitely_supported else max(size - past, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prev, last = opuc._monic_pair(coeffs, n)
+        want_prev, want_last = monic_pair_two_buffers(coeffs, n)
+    assert last.tobytes() == want_last.tobytes()
+    assert (prev is None) if n == 0 else prev.tobytes() == want_prev.tobytes()
+    assert not _has_negative_zero(last)
+    assert n == 0 or not _has_negative_zero(prev)
 
 
 def _companion_zeros(coeffs, n, omega):

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import geometric_alphas, real_alphas
+from conftest import (
+    SIGNED_ZEROS,
+    geometric_alphas,
+    monic_pair_two_buffers,
+    real_alphas,
+    zero_tail_coeffs,
+)
 from szegojost.errors import (
     ConvergenceWarning,
     InvalidParameterError,
@@ -21,6 +27,7 @@ from szegojost.opuc import CircleMeasure, VerblunskyCoeffs, bernstein_szego
 from szegojost.series import TaylorSeries, taylor_mul, taylor_reciprocal
 from szegojost.szego import (
     _r_by_product,
+    _star_coeffs,
     d_from_weight,
     dinv_from_alphas,
     r_series,
@@ -274,6 +281,96 @@ def test_r_taylor_half_is_bitwise_the_product_series(seed, finite, cplx, order, 
     assert full.coeffs.tobytes() == _r_product_loop(dinv, order).tobytes()
     want = np.concatenate(([full.coeff(0)], full.positive_tail()))
     assert _r_by_product(dinv, 0, order).tobytes() == want.tobytes()
+
+
+def _dinv_two_buffers(coeffs, order):
+    """dinv_from_alphas before the recursion stopped at the last nonzero alpha,
+    without its cache, verbatim."""
+    steps = len(coeffs.alpha) + (1 if coeffs.is_finitely_supported else 0)
+    prev, last = monic_pair_two_buffers(coeffs, steps)
+    c = _star_coeffs(coeffs, last, steps, order)
+    note = None
+    if not coeffs.is_finitely_supported:
+        prev_c = _star_coeffs(coeffs, prev, steps - 1, order)
+        drift = float(np.max(np.abs(c - prev_c)))
+        if drift > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
+            note = (
+                f"series unconverged: last step moved coefficients by {drift:.3e}; "
+                "supply more coefficients"
+            )
+    return c, note
+
+
+def _r_by_full_product(dinv, lowest, order):
+    """_r_by_product before it stopped at the last nonzero coefficient of 1/D, verbatim."""
+    length = dinv.order
+    c_dinv = dinv.coeffs
+    d_conj = np.conj(taylor_reciprocal(dinv, length).coeffs)
+    dot = np.dot
+    c = np.zeros(order - lowest + 1, dtype=complex)
+    # m runs over max(0, -k) .. length - max(0, k)
+    for k in range(lowest, min(0, order + 1)):
+        c[k - lowest] = dot(d_conj[-k : length + 1], c_dinv[: length + k + 1])
+    for k in range(max(0, lowest), order + 1):
+        c[k - lowest] = dot(d_conj[: length - k + 1], c_dinv[k : length + 1])
+    return c
+
+
+def _zero_tail_dinv(seed, order):
+    """The 1/D series of a zero-tail draw, or None where it cannot be built."""
+    coeffs = zero_tail_coeffs(seed)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        try:
+            return coeffs, dinv_from_alphas(coeffs, order)
+        except InvalidParameterError:  # no stored alpha, or a nonfinite series
+            return coeffs, None
+
+
+def _zero_tail_series(seed, order):
+    """A polynomial of degree <= order padded with zeros of all four signs; its
+    constant term, of any phase, outweighs the rest, so 1/it is bounded."""
+    rng = np.random.default_rng(seed)
+    top = int(rng.integers(0, order + 1))
+    c = rng.uniform(-1.0, 1.0, top + 1) + 1j * rng.uniform(-1.0, 1.0, top + 1)
+    c *= rng.uniform(1.0, 2.0) ** -np.arange(top + 1)
+    c[0] = (1.0 + np.sum(np.abs(c[1:]))) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return TaylorSeries(np.concatenate([c, SIGNED_ZEROS[rng.integers(0, 4, order - top)]]))
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 4200))
+@settings(max_examples=100, deadline=None)
+def test_dinv_matches_the_two_buffer_recursion_bitwise(seed, order):
+    coeffs, dinv = _zero_tail_dinv(seed, order)
+    if dinv is None:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, note = _dinv_two_buffers(coeffs, order)
+    assert dinv.coeffs.tobytes() == want.tobytes()
+    assert dinv.note == note
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(1, 4200), st.floats(0.0, 1.0),
+       st.sampled_from(["full", "taylor", "above-zero", "below-zero"]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_r_by_product_matches_the_full_product_bitwise(seed, dinv_order, share, window, alpha):
+    """1/D of zero-tail alpha draws, or polynomials whose constant term has
+    any phase; ranges that start below 0 (which build all of D) and at or
+    above 0 (which build D through the last nonzero coefficient of 1/D),
+    with the top order N and its one-term dot in about half of the draws."""
+    dinv = _zero_tail_dinv(seed, dinv_order)[1] if alpha else _zero_tail_series(seed, dinv_order)
+    if dinv is None:
+        return
+    order = dinv_order if share > 0.5 else int(share * 2 * dinv_order)
+    lowest = {"full": -order, "taylor": 0, "above-zero": order // 3,
+              "below-zero": -(order // 3) - 1}[window]
+    try:
+        want = _r_by_full_product(dinv, lowest, order)
+    except InvalidParameterError:  # D overflows
+        with pytest.raises(InvalidParameterError):
+            _r_by_product(dinv, lowest, order)
+        return
+    assert _r_by_product(dinv, lowest, order).tobytes() == want.tobytes()
 
 
 def test_r_taylor_half_guards_match_r_series():
