@@ -638,11 +638,9 @@ class PadePole:
 
 
 def _pade_denominator_roots(c: np.ndarray, ell: int, m: int) -> np.ndarray:
-    rows = np.empty((m, m))
-    for i in range(m):
-        for j in range(1, m + 1):
-            k = ell + 1 + i - j
-            rows[i, j - 1] = c[k] if k >= 0 else 0.0
+    # Toeplitz rows: entry (i, j) is c_{ell+i-j}, zero below index 0
+    k = ell + np.arange(m)[:, None] - np.arange(m)
+    rows = np.where(k >= 0, c[np.maximum(k, 0)], 0.0)
     rhs = -c[ell + 1 : ell + 1 + m]
     if not np.any(np.abs(rows) > 0.0):
         return np.empty(0, dtype=complex)

@@ -12,8 +12,8 @@ and the Pade poles of ``probe``), the inverse and ``eigvalsh`` that give
 the paraorthogonal zeros of ``popuc``, the linear solve of ``probe``, and
 the least-squares solve (``lstsq``) inside ``np.polyfit`` of every radius
 fit in ``decay_rate`` and of the endpoint check that ``coeffs
---from-measure`` runs on a line weight; no command runs
-``eigh_tridiagonal``.
+--from-measure`` runs on a line weight.  The package imports numpy and the
+standard library, nothing else.
 
 Exit codes: 0 success, 1 failed verification (report still written),
 2 malformed input or invalid parameters.
@@ -53,15 +53,6 @@ from .szego import d_from_weight, dinv_from_alphas, r_series, s_series
 
 CSV_SCHEMA = "szegojost.csv.v1"
 META_SCHEMA = "szegojost.meta.v2"
-
-_SUITES = (
-    "canonical-weights",
-    "damanik-simon",
-    "jost-combination",
-    "nevai-totik",
-    "r-minus-s",
-)
-
 
 # an index and two floats: the (k, re, im) and (n, a, b) tables
 _PAIR_ROW = "%d,%.17g,%.17g"
@@ -144,7 +135,6 @@ def _jacobi_from_args(args) -> JacobiParams:
 
 
 def _cmd_coeffs(args, config: ExperimentConfig) -> int:
-    order = args.order if args.order is not None else config.series_order
     if args.from_measure:
         spec = MeasureSpec.from_file(args.from_measure)
         n = args.n if args.n is not None else 8
@@ -156,29 +146,28 @@ def _cmd_coeffs(args, config: ExperimentConfig) -> int:
         else:
             _write_jacobi(args, ingest_line(spec, n), config)
         return 0
-    coeffs = parse_alpha_spec(args.alpha, order)
+    coeffs = parse_alpha_spec(args.alpha, args.order)
     if args.map:
         _write_jacobi(args, geronimus_map(coeffs), config)
         return 0
-    count = len(coeffs.alpha) if coeffs.is_finitely_supported else order + 1
+    count = len(coeffs.alpha) if coeffs.is_finitely_supported else args.order + 1
     _write_complex(args, "alpha", "n", coeffs.slice(count), config)
     return 0
 
 
 def _cmd_szego(args, config: ExperimentConfig) -> int:
-    order = args.order if args.order is not None else config.series_order
     if args.from_measure:
         spec = MeasureSpec.from_file(args.from_measure)
-        d = d_from_weight(realize_circle(spec, config.grid_size), order)
+        d = d_from_weight(realize_circle(spec, config.grid_size), args.order)
         _write_complex(args, "d", "k", d.coeffs, config)
         return 0
-    coeffs = parse_alpha_spec(args.alpha, order)
+    coeffs = parse_alpha_spec(args.alpha, args.order)
     if args.series == "s":
-        _write_complex(args, "s", "k", s_series(coeffs, order).coeffs, config)
+        _write_complex(args, "s", "k", s_series(coeffs, args.order).coeffs, config)
         return 0
-    dinv = dinv_from_alphas(coeffs, order)
+    dinv = dinv_from_alphas(coeffs, args.order)
     if args.series == "r":
-        ser = r_series(dinv, order)
+        ser = r_series(dinv, args.order)
         _write_complex(args, "r", "k", ser.coeffs, config, start=-ser.order)
         return 0
     _write_complex(args, "dinv", "k", dinv.coeffs, config)
@@ -186,16 +175,15 @@ def _cmd_szego(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_jost(args, config: ExperimentConfig) -> int:
-    order = args.order if args.order is not None else config.series_order
     if not args.alpha:
         data = finite_range_jost_data(_jacobi_from_args(args))
     elif args.what == "zeros":
         # u = c/D has no zeros in the disk (see u_from_dinv): once alpha
         # passes u's checks the table is empty, so 1/D is not built
-        _jost_prefactor(parse_alpha_spec(args.alpha, order), order)
+        _jost_prefactor(parse_alpha_spec(args.alpha, args.order), args.order)
         data = None
     else:
-        data = u_from_dinv(parse_alpha_spec(args.alpha, order), order=order)
+        data = u_from_dinv(parse_alpha_spec(args.alpha, args.order), order=args.order)
     if args.what == "zeros":
         z = e = np.empty(0, dtype=complex)
         if data is not None:
@@ -256,37 +244,39 @@ def _cmd_popuc(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def _run_suite(name: str, args, config: ExperimentConfig, coeffs, order: int):
-    rel = config.radius_rel
-    slack = config.one_sided_slack
-    if name == "canonical-weights":
-        params = _jacobi_from_args(args) if (args.b1 is not None or args.a) else JacobiParams(
-            a=np.array([1.0]), b=np.array([1.5]), free_after=1)
-        return canonical_weight_check(params)
-    if name == "nevai-totik":
-        return verify_nevai_totik(coeffs, order, rel_tol=rel)
-    if name == "damanik-simon":
-        return verify_damanik_simon(coeffs, order, rel_tol=rel)
-    if name == "r-minus-s":
-        return verify_r_minus_s(coeffs, order, rel_tol=rel, slack=slack)
-    if name == "jost-combination":
-        return verify_jost_b_combination(coeffs, order, slack=slack)
-    raise SzegojostError(f"unknown suite {name!r}")
+def _canonical_weights(args, config, coeffs):
+    if args.b1 is None and not args.a:
+        return canonical_weight_check(JacobiParams(a=np.array([1.0]), b=np.array([1.5]),
+                                                   free_after=1))
+    return canonical_weight_check(_jacobi_from_args(args))
+
+
+# suite name -> runner(args, config, coeffs), in report order
+_SUITES = {
+    "canonical-weights": _canonical_weights,
+    "damanik-simon": lambda args, config, coeffs: verify_damanik_simon(
+        coeffs, args.order, rel_tol=config.radius_rel),
+    "jost-combination": lambda args, config, coeffs: verify_jost_b_combination(
+        coeffs, args.order, slack=config.one_sided_slack),
+    "nevai-totik": lambda args, config, coeffs: verify_nevai_totik(
+        coeffs, args.order, rel_tol=config.radius_rel),
+    "r-minus-s": lambda args, config, coeffs: verify_r_minus_s(
+        coeffs, args.order, rel_tol=config.radius_rel, slack=config.one_sided_slack),
+}
 
 
 def _cmd_verify(args, config: ExperimentConfig) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     if args.suite != "canonical-weights" and args.alpha is None:
         raise SzegojostError("verification needs --alpha (except canonical-weights)")
-    order = args.order if args.order is not None else config.series_order
     # One parse serves every suite, so they share the series cached on it.
     coeffs = None
     rows = []
     all_passed = True
     for name in names:
         if coeffs is None and name != "canonical-weights":
-            coeffs = parse_alpha_spec(args.alpha, order)
-        report = _run_suite(name, args, config, coeffs, order)
+            coeffs = parse_alpha_spec(args.alpha, args.order)
+        report = _SUITES[name](args, config, coeffs)
         all_passed &= report.passed
         rows.extend((name, key, _fmt(val)) for key, val in report.rows())
     _write_output(args, "reports", ["suite", "field", "value"], "%s,%s,%s", rows, config)
@@ -303,12 +293,11 @@ def _cmd_gset(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_probe(args, config: ExperimentConfig) -> int:
-    order = args.order if args.order is not None else config.series_order
-    coeffs = parse_alpha_spec(args.alpha, order)
+    coeffs = parse_alpha_spec(args.alpha, args.order)
     if args.series == "dinv":
-        series = dinv_from_alphas(coeffs, order)
+        series = dinv_from_alphas(coeffs, args.order)
     else:
-        series = s_series(coeffs, order)
+        series = s_series(coeffs, args.order)
     try:
         ell, m = (int(tok) for tok in args.degree.split(","))
     except ValueError as exc:
@@ -405,6 +394,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         config = load_config(args.config)
+        # every --order left unset reads the config's series order
+        if "order" in vars(args) and args.order is None:
+            args.order = config.series_order
         return args.func(args, config)
     except (SzegojostError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

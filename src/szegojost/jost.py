@@ -274,8 +274,9 @@ def m_finite_range(params: JacobiParams, z) -> complex | np.ndarray:
         raise DomainError("M needs z != 0")
     e = z + 1.0 / z
     m = z.astype(complex).copy() if z.shape else complex(z)
+    a, b = params.a_slice(ell).tolist(), params.b_slice(ell).tolist()
     for j in range(ell, 0, -1):
-        den = e - params.b_entry(j) - params.a_entry(j) ** 2 * m
+        den = e - b[j - 1] - a[j - 1] ** 2 * m
         if np.min(np.abs(den)) < 1e-13 * max(1.0, float(np.max(np.abs(e)))):
             raise PoleError(z, context=f"continued fraction at depth {j}")
         m = 1.0 / den

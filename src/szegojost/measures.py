@@ -428,7 +428,9 @@ class ExperimentConfig:
                 f"tolerance 'one_sided_slack' must be below 1, got {self.one_sided_slack!r}"
             )
         if self.series_order < 8:
-            raise InvalidParameterError("series order must be >= 8")
+            raise InvalidParameterError(
+                f"config field 'seriesOrder' must be >= 8, got {self.series_order!r}"
+            )
         g = self.grid_size
         if g < 4 * self.series_order or g & (g - 1) != 0:
             raise InvalidParameterError(

@@ -100,10 +100,16 @@ class JacobiParams:
 
     def a_slice(self, n: int) -> np.ndarray:
         """a_1 .. a_n as an array."""
-        return np.array([self.a_entry(j) for j in range(1, n + 1)])
+        return self._slice(self.a, n, 1.0, "a")
 
     def b_slice(self, n: int) -> np.ndarray:
-        return np.array([self.b_entry(j) for j in range(1, n + 1)])
+        return self._slice(self.b, n, 0.0, "b")
+
+    def _slice(self, stored: np.ndarray, n: int, free_value: float, name: str) -> np.ndarray:
+        """Entries 1..n of ``stored``; a free tail reads as ``free_value``."""
+        if n > len(stored) and not self.is_free_tailed:
+            raise OutOfRangeError(len(stored) + 1, name)
+        return np.concatenate((stored[: max(n, 0)], np.full(max(n - len(stored), 0), free_value)))
 
     def free_range_order(self) -> int:
         """Smallest l with a_n = 1 for n >= l and b_n = 0 for n > l.
@@ -114,17 +120,10 @@ class JacobiParams:
         """
         if not self.is_free_tailed:
             raise InvalidParameterError("range is defined for free tails only")
-        ell_a = 0
-        for n in range(len(self.a), 0, -1):
-            if self.a[n - 1] != 1.0:
-                ell_a = n + 1
-                break
-        ell_b = 0
-        for n in range(len(self.b), 0, -1):
-            if self.b[n - 1] != 0.0:
-                ell_b = n
-                break
-        return max(ell_a, ell_b, int(self.free_after))
+        # a_n != 1 forces l >= n + 1, b_n != 0 forces l >= n (0-based: +2, +1)
+        ell_a = np.flatnonzero(self.a != 1.0) + 2
+        ell_b = np.flatnonzero(self.b != 0.0) + 1
+        return int(max(ell_a.max(initial=0), ell_b.max(initial=0), int(self.free_after)))
 
 
 @dataclass(frozen=True)
@@ -164,10 +163,10 @@ def eval_polys(params: JacobiParams, n: int, x) -> PolyEval:
     p[0] = 1.0
     # q_{-1} = -1 with a_0 = 1 makes the first step produce q_1 = 1/a_1
     p_prev, q_prev = np.zeros_like(p[0]), -np.ones_like(q[0])
+    a, b = params.a_slice(n).tolist(), params.b_slice(n).tolist()
     a_prev = 1.0
     for k in range(n):
-        a_next = params.a_entry(k + 1)
-        b_next = params.b_entry(k + 1)
+        a_next, b_next = a[k], b[k]
         p_new = ((x - b_next) * p[k] - a_prev * p_prev) / a_next
         q_new = ((x - b_next) * q[k] - a_prev * q_prev) / a_next
         p_prev, q_prev = p[k], q[k]
@@ -179,13 +178,11 @@ def eval_polys(params: JacobiParams, n: int, x) -> PolyEval:
 def orthonormal_poly_coeffs(params: JacobiParams, n: int) -> list[np.ndarray]:
     """Monomial-basis coefficient arrays of p_0 .. p_n (ascending powers)."""
     coeffs = [np.array([1.0])]
-    if n == 0:
-        return coeffs
     prev = np.zeros(1)
+    a, b = params.a_slice(n).tolist(), params.b_slice(n).tolist()
     a_prev = 1.0
     for k in range(n):
-        a_next = params.a_entry(k + 1)
-        b_next = params.b_entry(k + 1)
+        a_next, b_next = a[k], b[k]
         cur = coeffs[k]
         new = np.zeros(k + 2)
         new[1:] += cur
@@ -280,9 +277,6 @@ def spectral_measure_oracle(params: JacobiParams, n: int, shift: float = 0.0) ->
     to the last entry); weights are squared first components of the
     orthonormal eigenvectors.
     """
-    # scipy.linalg dominates the package import time; only this oracle needs it.
-    from scipy.linalg import eigh_tridiagonal
-
     if n < 1:
         raise InvalidParameterError("truncation size must be >= 1")
     if n > EIGEN_ORACLE_MAX_SIZE:
@@ -291,12 +285,10 @@ def spectral_measure_oracle(params: JacobiParams, n: int, shift: float = 0.0) ->
         )
     if np.iscomplexobj(np.asarray(shift)):
         raise InvalidParameterError("spectral measure needs a real shift")
-    diag = params.b_slice(n)
-    diag[-1] += float(shift)
-    off = params.a_slice(n - 1) if n > 1 else np.empty(0)
+    mat = truncated_matrix(params, n, float(shift))
     try:
-        vals, vecs = eigh_tridiagonal(diag, off)
-    except Exception as exc:  # pragma: no cover - solver failure is exotic
+        vals, vecs = np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure is exotic
         raise NumericalDegeneracyError(f"eigensolver failed: {exc}") from exc
     weights = vecs[0, :] ** 2
     return PointMeasure(nodes=vals, weights=weights)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mild_jacobi, wide_jacobi
+from conftest import NEAR_EDGE, mild_jacobi, wide_jacobi
 from szegojost.errors import (
     InvalidParameterError,
     OutOfRangeError,
@@ -56,6 +56,50 @@ def test_free_range_order():
     tight = JacobiParams(a=[1.2, 1.0], b=[0.0, 0.0], free_after=0)
     assert tight.free_range_order() == 2
     assert JacobiParams.free().free_range_order() == 0
+
+
+@st.composite
+def _jacobi_draws(draw):
+    """Short parameter rows whose entries hit the free values 1 and +-0 often."""
+    a = draw(st.lists(st.sampled_from([1.0, 0.5, 1.25]), max_size=8))
+    b_entries = st.sampled_from([0.0, -0.0, 0.3, -1.5])
+    if draw(st.booleans()):
+        b = draw(st.lists(b_entries, max_size=8))
+        free_after = draw(st.integers(0, min(len(a), len(b))))
+    else:
+        b = draw(st.lists(b_entries, min_size=len(a), max_size=len(a)))
+        free_after = None
+    return JacobiParams(a=np.array(a, dtype=float), b=np.array(b, dtype=float),
+                        free_after=free_after)
+
+
+def _range_by_definition(params):
+    """The smallest l >= free_after with a_n = 1 for n >= l and b_n = 0 for n > l."""
+    top = max(len(params.a), len(params.b)) + 1
+    ell = int(params.free_after)
+    while not (all(params.a_entry(n) == 1.0 for n in range(max(ell, 1), top + 1))
+               and all(params.b_entry(n) == 0.0 for n in range(ell + 1, top + 1))):
+        ell += 1
+    return ell
+
+
+@given(_jacobi_draws(), st.integers(-2, 12))
+@settings(max_examples=300, deadline=None)
+def test_slices_and_range_match_their_entries(params, n):
+    """a_slice and b_slice equal the per-entry reads, bit for bit, or raise the
+    same OutOfRangeError; free_range_order equals its definition."""
+    for entry, sliced in ((params.a_entry, params.a_slice), (params.b_entry, params.b_slice)):
+        try:
+            want = np.array([entry(j) for j in range(1, n + 1)])
+        except OutOfRangeError as exc:
+            with pytest.raises(OutOfRangeError) as got:
+                sliced(n)
+            assert (got.value.index, str(got.value)) == (exc.index, str(exc))
+        else:
+            got = sliced(n)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if params.is_free_tailed:
+        assert params.free_range_order() == _range_by_definition(params)
 
 
 def test_eval_polys_free_values():
@@ -220,6 +264,21 @@ def test_spectral_oracle_moments_are_matrix_powers(rng):
     for ell in range(7):
         assert np.isclose(oracle.moment(ell), power[0, 0], atol=1e-10)
         power = power @ mat
+
+
+def test_spectral_oracle_matches_the_tridiagonal_solver(rng):
+    """The dense eigh of truncated_matrix agrees with scipy's tridiagonal solver."""
+    linalg = pytest.importorskip("scipy.linalg")
+    a, b = NEAR_EDGE["verdict"]
+    cases = [(JacobiParams.free(), 2),
+             (JacobiParams(a=np.array(a), b=np.array(b), free_after=len(a)), 2000)]
+    cases += [(wide_jacobi(rng, 8), n) for n in (5, 8, 400)]
+    for params, n in cases:
+        oracle = spectral_measure_oracle(params, n)
+        vals, vecs = linalg.eigh_tridiagonal(params.b_slice(n), params.a_slice(n - 1))
+        weights = vecs[0] ** 2
+        assert np.max(np.abs(oracle.nodes - vals)) <= 1e-13 * np.max(np.abs(vals))
+        assert np.max(np.abs(oracle.weights - weights)) <= 1e-13 * np.max(weights)
 
 
 def test_spectral_oracle_guards():
