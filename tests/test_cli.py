@@ -560,18 +560,40 @@ def test_output_files_are_byte_stable(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_package_runs_with_scipy_blocked():
-    """The package needs numpy alone: with scipy made unimportable, the CLI
-    imports, every subcommand runs, and so do demo 03 and the 2000-row
-    eigen-oracle."""
+def _run_with_scipy_blocked(body, timeout=120):
+    """Run `body` in a fresh interpreter where `import scipy` raises, so any
+    path that needs scipy fails; `body` prints ok when it gets to its end."""
     src = str(Path(szegojost.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys\nsys.modules['scipy'] = None\n" + body + "print('ok')\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=False, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The package needs numpy alone: the CLI imports with scipy unimportable."""
+    _run_with_scipy_blocked("import szegojost.cli\n")
+
+
+def test_verify_all_leaves_scipy_unloaded():
+    """No verification suite needs scipy."""
+    argv = ["verify", "all", "--alpha", "geometric:C=0.5,R=2", "--order", "64"]
+    _run_with_scipy_blocked("import io, contextlib\n"
+                            "from szegojost.cli import main\n"
+                            "with contextlib.redirect_stdout(io.StringIO()):\n"
+                            f"    assert main({argv!r}) in (0, 1)\n")
+
+
+def test_no_subcommand_loads_scipy():
+    """Every other subcommand, demo 03 and the 2000-row eigen-oracle run with
+    scipy unimportable."""
     docs = Path(__file__).parent / "data" / "measures"
     atom, cosine = str(docs / "bernstein_szego_atom.json"), str(docs / "cosine_polynomial.json")
     demo = str(Path(__file__).resolve().parent.parent / "demos" / "03_jost_and_bound_states.py")
     argvs = [
-        ["verify", "all", "--alpha", "geometric:C=0.5,R=2", "--order", "64"],
         ["coeffs", "--alpha", "geometric:C=0.5,R=2", "--order", "16", "--map"],
         ["coeffs", "--from-measure", atom, "--n", "8"],
         ["szego", "--series", "r", "--alpha", "geometric:C=0.5,R=2", "--order", "16"],
@@ -583,21 +605,17 @@ def test_package_runs_with_scipy_blocked():
         ["gset", "--generators", "2,3j", "--cutoff", "40"],
         ["probe", "--alpha", "geometric:C=0.5,R=2", "--order", "32"],
     ]
-    code = ("import io, runpy, sys, contextlib\n"
-            "sys.modules['scipy'] = None\n"
-            "from szegojost.cli import main\n"
-            "from szegojost.oprl import JacobiParams, spectral_measure_oracle\n"
-            f"for argv in {argvs!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert main(argv) in (0, 1), argv\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    runpy.run_path({demo!r}, run_name='__main__')\n"
-            "spectral_measure_oracle(JacobiParams(a=[1.0], b=[1.5], free_after=1), 2000)\n"
-            "print('ok')\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=False, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "ok\n"
+    _run_with_scipy_blocked(
+        "import io, runpy, contextlib\n"
+        "from szegojost.cli import main\n"
+        "from szegojost.oprl import JacobiParams, spectral_measure_oracle\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) in (0, 1), argv\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    runpy.run_path({demo!r}, run_name='__main__')\n"
+        "spectral_measure_oracle(JacobiParams(a=[1.0], b=[1.5], free_after=1), 2000)\n",
+        timeout=300)
 
 
 @pytest.mark.parametrize("omega", ["--omega=", "--omega=1,0,5", "--omega=,"])
