@@ -1,11 +1,13 @@
 """Decay-rate estimation, analyticity radii, and verification suites.
 
-The estimators fit log |c_n| against n over a trailing window by least
-squares, which suppresses oscillating-coefficient noise better than
-pointwise |c_n|^{-1/n}.  Verification suites package measured radii and
-deviations into deterministic reports.  The four radius suites run their
-legs through ``_report``, the one place where an estimator failure becomes
-an inconclusive (failed) report rather than an exception.
+The one estimator, :func:`decay_rate`, fits log |c_n| against n over an
+index window by least squares, which suppresses oscillating-coefficient
+noise better than pointwise |c_n|^{-1/n}.  Its default window is the
+trailing half; the suites' difference series fit their signal prefix
+above a rounding floor instead.  Verification suites package measured
+radii and deviations into deterministic reports.  The four radius suites
+run their legs through ``_report``, the one place where an estimator
+failure becomes an inconclusive (failed) report rather than an exception.
 """
 
 import math
@@ -28,7 +30,7 @@ from .jost import (
 )
 from .oprl import JacobiParams, eval_polys
 from .opuc import VerblunskyCoeffs
-from .series import LaurentSeries, TaylorSeries
+from .series import TaylorSeries
 from .szego import _r_by_product, dinv_from_alphas, s_series
 
 __all__ = [
@@ -63,9 +65,7 @@ class RadiusEstimate:
     """Fitted radius of convergence with its regression diagnostics.
 
     ``radius`` is math.inf when the window is identically zero (or fully
-    below the floor) or the fitted slope implies a radius beyond 1e6.  For
-    inner-radius estimates of a Laurent tail the value 0.0 plays the same
-    sentinel role (no negative tail at all).
+    below the floor) or the fitted slope implies a radius beyond 1e6.
     """
 
     radius: float
@@ -127,24 +127,9 @@ def decay_rate(seq, window=None, floor=UNDERFLOW_FLOOR) -> RadiusEstimate:
 
 
 def radius_estimate(series):
-    """Radius of convergence from Taylor coefficients.
-
-    A TaylorSeries yields one estimate.  A LaurentSeries yields the pair
-    (inner, outer): the outer estimate fits the positive-index tail; the
-    inner one fits the negative-index tail and reports its reciprocal, the
-    inner edge of the annulus of convergence (0.0 when there is no negative
-    tail above the floor).
-    """
+    """Radius of convergence of a TaylorSeries from its coefficient decay."""
     if isinstance(series, TaylorSeries):
         return decay_rate(series.coeffs)
-    if isinstance(series, LaurentSeries):
-        pos = np.concatenate(([series.coeff(0)], series.positive_tail()))
-        neg = np.concatenate(([series.coeff(0)], series.negative_tail()))
-        outer = decay_rate(pos)
-        neg_fit = decay_rate(neg)
-        inner_radius = 0.0 if neg_fit.is_infinite else 1.0 / neg_fit.radius
-        inner = RadiusEstimate(inner_radius, neg_fit.window, neg_fit.fit_residual, neg_fit.n_points)
-        return inner, outer
     raise InvalidParameterError(f"cannot estimate a radius for {type(series).__name__}")
 
 
@@ -255,13 +240,11 @@ def verify_nevai_totik(coeffs: VerblunskyCoeffs, order: int = 64,
     return _report("nevai-totik", rel_tol, legs)
 
 
-def _mapped_decay_radius(coeffs: VerblunskyCoeffs, deltas=None) -> float:
+def _mapped_decay_radius(coeffs: VerblunskyCoeffs) -> float:
     """Radius R with limsup (|b_n| + |a_n^2 - 1|)^(1/2n) = 1/R.
 
     Finitely supported alpha map to parameters that are free past the
-    support, so R is infinite and no delta is built.  A caller that holds
-    ``geronimus_deltas(coeffs, (len(coeffs.alpha) - 2) // 2)`` passes it as
-    ``deltas``.
+    support, so R is infinite and no delta is built.
     """
     if coeffs.is_finitely_supported:
         return math.inf
@@ -271,7 +254,7 @@ def _mapped_decay_radius(coeffs: VerblunskyCoeffs, deltas=None) -> float:
             f"{len(coeffs.alpha)} stored alphas give {max(count, 0)} mapped "
             "coefficients; the decay fit needs 16"
         )
-    b, asq1 = geronimus_deltas(coeffs, count) if deltas is None else deltas
+    b, asq1 = geronimus_deltas(coeffs, count)
     delta = np.abs(b) + np.abs(asq1)
     if not np.any(delta > UNDERFLOW_FLOOR):
         return math.inf
@@ -406,11 +389,14 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
 def jost_b_combination(u: TaylorSeries, b: TaylorSeries, order: int):
     """Laurent coefficients of (1 - z^2) u(z) + z^2 u(1/z) B(z), for real u and B.
 
-    Returns (series, pos_scale, neg_scale) where the scale arrays hold the
-    absolute-value sums that entered each coefficient, the natural yardstick
-    for rounding noise in the heavily cancelling positive tail.  Real Jacobi
-    parameters give real u and B (Damanik-Simon); complex input raises
-    :class:`InvalidParameterError`.
+    Returns real arrays (pos, neg, pos_scale, neg_scale) of length
+    ``order + 1``: pos[e] is the coefficient of z^e and neg[d] that of
+    z^-d, with neg[0] = pos[0] = c_0, so each tail is a sequence the decay
+    fits read as it is.  The scale arrays hold the absolute-value sums that
+    entered each coefficient (neg_scale[0] is 0), the natural yardstick for
+    rounding noise in the heavily cancelling positive tail.  Real Jacobi
+    parameters give real u and B (Damanik-Simon); complex input, and a
+    non-finite coefficient, raise :class:`InvalidParameterError`.
 
     u_k b_j lands at exponent e = 2 - k + j.  The positive tail adds one row
     of B per u_k, the negative tail one row of u per b_j, so every
@@ -482,8 +468,10 @@ def jost_b_combination(u: TaylorSeries, b: TaylorSeries, order: int):
         if j % 8 == 0 and j and settled(b_rest[j] * u_peak[j + 3 : j + 3 + order], neg_scale[1:]):
             break
         add_row(neg, neg_scale, slice(1, hi - j - 2), uc[j + 3 : hi], bc[j])
-    series = LaurentSeries.from_tails(pos[0], pos[1:], neg[1:])
-    return series, pos_scale, neg_scale
+    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(neg))):
+        raise InvalidParameterError("coefficients must be finite")
+    neg[0] = pos[0]
+    return pos, neg, pos_scale, neg_scale
 
 
 def verify_jost_b_combination(coeffs: VerblunskyCoeffs, order: int = 64,
@@ -499,32 +487,31 @@ def verify_jost_b_combination(coeffs: VerblunskyCoeffs, order: int = 64,
 
     def legs():
         count = order // 2 + 1
-        # a truncated alpha maps every stored pair once; its first entries
-        # feed B and all of them the mapped decay radius
+        # a truncated alpha maps every stored pair once (cached on coeffs);
+        # its first entries feed B and all of them the mapped decay radius
         stored = count if coeffs.is_finitely_supported else (len(coeffs.alpha) - 2) // 2
-        mapped = geronimus_deltas(coeffs, stored)
-        b_arr, asq1 = (d[:count] for d in mapped)
+        b_arr, asq1 = (d[:count] for d in geronimus_deltas(coeffs, stored))
         delta = np.abs(b_arr) + np.abs(asq1)
         # an empty delta (order or stored alphas too short) is no evidence of
         # free parameters; _mapped_decay_radius reports the shortage
         if delta.size and not np.any(delta > UNDERFLOW_FLOOR):
             return ({"outer_radius": math.inf, "inner_radius": 0.0}, True,
                     "free parameters; the combination is entire")
-        r_map = _mapped_decay_radius(coeffs, mapped)
+        r_map = _mapped_decay_radius(coeffs)
         u = u_from_dinv(coeffs, order=order).u
         bser = b_series_from_deltas(b_arr, asq1, order)
-        series, pos_scale, neg_scale = jost_b_combination(u, bser, order)
-        pos = np.concatenate(([series.coeff(0)], series.positive_tail()))
-        neg = np.concatenate(([series.coeff(0)], series.negative_tail()))
+        pos, neg, pos_scale, neg_scale = jost_b_combination(u, bser, order)
         pos_floor = _rounding_floor(pos_scale)
         neg_floor = _rounding_floor(neg_scale)
         if coeffs.is_finitely_supported:
             # u and B are exact polynomials, so the combination is a
             # Laurent polynomial: both tails terminate and the annulus is
             # all of C minus the origin.  Reading the degrees needs no fit,
-            # but the branch keeps the fitted one's shortest window (2, order).
-            if order - 1 < 8:
-                raise InvalidParameterError("estimation window must span >= 8 indices")
+            # but orders below 9 stay inconclusive, as they were when this
+            # branch fitted the window (2, order).
+            if order < 9:
+                raise InvalidParameterError(
+                    f"series order {order} is too short to read the tails; need >= 9")
             live_pos = np.nonzero(np.abs(pos) > _SIGNAL_GUARD * pos_floor)[0]
             live_neg = np.nonzero(np.abs(neg) > _SIGNAL_GUARD * neg_floor)[0]
             d_pos = int(live_pos.max()) if live_pos.size else 0
@@ -596,6 +583,8 @@ def gset(generators, cutoff: float, n_max: int | None = None) -> ProductSet:
     strictly outside the closed unit disk, which makes the enumeration
     finite; ``n_max`` defaults to the largest order the cutoff allows.
     """
+    if not math.isfinite(cutoff):
+        raise InvalidParameterError(f"cutoff must be finite, got {cutoff!r}")
     gens = [complex(g) for g in generators]
     if not gens:
         return ProductSet(generators=(), elements=(), n_max=0, cutoff=float(cutoff))

@@ -25,10 +25,10 @@ from .oprl import JacobiParams, PointMeasure
 from .opuc import (
     CircleMeasure,
     VerblunskyCoeffs,
+    _bernstein_szego_weight,
     _monic_buffers,
     _phi_star,
     _szego_step,
-    szego_recursion,
 )
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
 ]
 
 CONFIG_ENV_VAR = "SZEGOJOST_CONFIG"
-_CIRCLE_FAMILIES = ("uniform", "bernstein-szego", "cosine-polynomial")
-_LINE_FAMILIES = ("semicircle-free", "uniform", "szego-mapped")
 _GAUSS_REFERENCE_SIZE = 2000
 # ExperimentConfig fields read from the config's "tolerances" object
 _TOLERANCES = ("one_sided_slack", "radius_rel")
@@ -77,7 +75,7 @@ class MeasureSpec:
             table = _CIRCLE_FAMILIES if self.kind == "circle" else _LINE_FAMILIES
             if self.family not in table:
                 raise InvalidParameterError(
-                    f"unknown {self.kind} family {self.family!r}; choose from {table}"
+                    f"unknown {self.kind} family {self.family!r}; choose from {tuple(table)}"
                 )
             object.__setattr__(self, "family_params", tuple(float(p) for p in self.family_params))
         if self.samples is not None:
@@ -151,29 +149,28 @@ class MeasureSpec:
         return cls.from_dict(doc)
 
 
-def _bernstein_szego_weight(alphas, thetas: np.ndarray) -> np.ndarray:
-    coeffs = VerblunskyCoeffs.finitely_supported(alphas)
-    n = len(coeffs.alpha)
-    pair = szego_recursion(coeffs, n)
-    vals = pair(np.exp(1j * thetas))
-    return 1.0 / np.abs(vals) ** 2
+def _cosine_polynomial(params, thetas: np.ndarray) -> np.ndarray:
+    w = np.ones_like(thetas)
+    for j, cj in enumerate(params, start=1):
+        w += cj * np.cos(j * thetas)
+    if np.min(w) <= 0.0:
+        raise InvalidParameterError("cosine-polynomial weight is not strictly positive")
+    return w
+
+
+# circle family name -> weight(family_params, thetas)
+_CIRCLE_FAMILIES = {
+    "uniform": lambda params, thetas: np.ones_like(thetas),
+    "bernstein-szego": lambda alphas, thetas: _bernstein_szego_weight(
+        VerblunskyCoeffs.finitely_supported(alphas), len(alphas), thetas),
+    "cosine-polynomial": _cosine_polynomial,
+}
 
 
 def _circle_weight(spec: MeasureSpec, thetas: np.ndarray) -> np.ndarray:
     if spec.samples is not None:
         return np.asarray(spec.samples, dtype=float)
-    if spec.family == "uniform":
-        return np.ones_like(thetas)
-    if spec.family == "bernstein-szego":
-        return _bernstein_szego_weight(spec.family_params, thetas)
-    if spec.family == "cosine-polynomial":
-        w = np.ones_like(thetas)
-        for j, cj in enumerate(spec.family_params, start=1):
-            w += cj * np.cos(j * thetas)
-        if np.min(w) <= 0.0:
-            raise InvalidParameterError("cosine-polynomial weight is not strictly positive")
-        return w
-    raise InvalidParameterError(f"unhandled circle family {spec.family!r}")
+    return _CIRCLE_FAMILIES[spec.family](spec.family_params, thetas)
 
 
 def realize_circle(spec: MeasureSpec, grid_size: int = 4096) -> CircleMeasure:
@@ -211,25 +208,31 @@ def _free_gauss_rule(size: int):
     return nodes, weights
 
 
+def _szego_mapped(alphas):
+    def density(x):
+        x = np.asarray(x, dtype=float)
+        theta = np.arccos(np.clip(x / 2.0, -1.0, 1.0))
+        w = _CIRCLE_FAMILIES["bernstein-szego"](alphas, theta)
+        return w * np.sqrt(np.maximum(4.0 - x**2, 0.0)) / (2.0 * np.pi)
+    return density
+
+
+# line family name -> density(family_params), a vectorized f(x) on (-2, 2)
+_LINE_FAMILIES = {
+    "semicircle-free": lambda params: lambda x: np.sqrt(
+        np.maximum(4.0 - np.asarray(x) ** 2, 0.0)) / (2.0 * np.pi),
+    "uniform": lambda params: lambda x: np.full_like(np.asarray(x, dtype=float), 0.25),
+    "szego-mapped": _szego_mapped,
+}
+
+
 def _line_density(spec: MeasureSpec):
     """Vectorized a.c. density f(x) on (-2, 2), up to normalization."""
     if spec.samples is not None:
         xs = np.linspace(-2.0, 2.0, len(spec.samples))
         vals = np.asarray(spec.samples, dtype=float)
         return lambda x: np.interp(x, xs, vals)
-    if spec.family == "semicircle-free":
-        return lambda x: np.sqrt(np.maximum(4.0 - np.asarray(x) ** 2, 0.0)) / (2.0 * np.pi)
-    if spec.family == "uniform":
-        return lambda x: np.full_like(np.asarray(x, dtype=float), 0.25)
-    if spec.family == "szego-mapped":
-        alphas = spec.family_params
-        def density(x):
-            x = np.asarray(x, dtype=float)
-            theta = np.arccos(np.clip(x / 2.0, -1.0, 1.0))
-            w = _bernstein_szego_weight(alphas, theta)
-            return w * np.sqrt(np.maximum(4.0 - x**2, 0.0)) / (2.0 * np.pi)
-        return density
-    raise InvalidParameterError(f"unhandled line family {spec.family!r}")
+    return _LINE_FAMILIES[spec.family](spec.family_params)
 
 
 def _endpoint_exponents(density) -> tuple:

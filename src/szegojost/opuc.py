@@ -48,9 +48,10 @@ class VerblunskyCoeffs:
     only up to the stored length and reading past it raises
     :class:`OutOfRangeError`.
 
-    Each instance carries a private cache of the 1/D series derived from it
-    (:func:`~szegojost.szego.dinv_from_alphas`), so the suites of one
-    ``verify`` run share it.  It lives as long as the instance and is not
+    Each instance carries a private cache of the 1/D series and the mapped
+    Jacobi deltas derived from it (:func:`~szegojost.szego.dinv_from_alphas`,
+    :func:`~szegojost.jost.geronimus_deltas`), so the suites of one
+    ``verify`` run share them.  It lives as long as the instance and is not
     a dataclass field (it takes no part in ``repr`` or ``==``).  ``alpha``
     is stored as a read-only copy, so the cache cannot go stale.
     """
@@ -486,6 +487,11 @@ class CircleMeasure:
         return cls(np.ones(grid_size))
 
 
+def _bernstein_szego_weight(coeffs: VerblunskyCoeffs, n: int, thetas: np.ndarray) -> np.ndarray:
+    """The weight 1/|phi_n(e^(i theta))|^2 at the angles ``thetas``."""
+    return 1.0 / np.abs(szego_recursion(coeffs, n)(np.exp(1j * thetas))) ** 2
+
+
 def bernstein_szego(coeffs: VerblunskyCoeffs, n: int, grid_size: int = 4096) -> CircleMeasure:
     """Measure with density 1/|phi_n|^2 (w.r.t. dtheta/2pi), sampled on the grid.
 
@@ -499,14 +505,13 @@ def bernstein_szego(coeffs: VerblunskyCoeffs, n: int, grid_size: int = 4096) -> 
     :class:`CircleMeasure` tolerance, :class:`AliasingError` names a grid
     size on which R^-G falls below 1e-16.
     """
-    pair = szego_recursion(coeffs, n)
-    z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    w = 1.0 / np.abs(pair(z)) ** 2
+    w = _bernstein_szego_weight(coeffs, n, 2.0 * np.pi * np.arange(grid_size) / grid_size)
     total = float(w.mean())
     if abs(total - 1.0) > CircleMeasure.mass_tol:
+        phi_star = szego_recursion(coeffs, n).phi_star
         # trailing coefficients below rounding only add zeros near infinity
         star = np.polynomial.polynomial.polytrim(
-            pair.phi_star, 1e-16 * float(np.max(np.abs(pair.phi_star))))
+            phi_star, 1e-16 * float(np.max(np.abs(phi_star))))
         radius = float(np.min(np.abs(np.polynomial.polynomial.polyroots(star))))
         resolving = math.ceil(16 * math.log(10) / max(math.log(radius), 1e-15))
         need = max(2 * grid_size, 1 << (resolving - 1).bit_length())

@@ -148,10 +148,6 @@ class LaurentSeries:
         """Coefficients c_1 .. c_N (outward decay tells the outer radius)."""
         return self.coeffs[self.order + 1 :]
 
-    def negative_tail(self) -> np.ndarray:
-        """Coefficients c_{-1} .. c_{-N} (decay tells the inner radius)."""
-        return self.coeffs[self.order - 1 :: -1]
-
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         if np.any(z == 0):
@@ -161,15 +157,3 @@ class LaurentSeries:
         neg = np.polynomial.polynomial.polyval(1.0 / z, self.coeffs[n::-1])
         # both sums include c_0 once
         return pos + neg - self.coeffs[n]
-
-    @classmethod
-    def from_tails(cls, center, positive, negative) -> "LaurentSeries":
-        """Assemble from c_0, (c_1..c_N), (c_{-1}..c_{-N})."""
-        pos = np.asarray(positive, dtype=complex)
-        neg = np.asarray(negative, dtype=complex)
-        n = max(len(pos), len(neg))
-        c = np.zeros(2 * n + 1, dtype=complex)
-        c[n] = center
-        c[n + 1 : n + 1 + len(pos)] = pos
-        c[n - 1 : n - 1 - len(neg) if len(neg) < n else None : -1] = neg
-        return cls(c)

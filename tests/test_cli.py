@@ -1,5 +1,7 @@
 """End-to-end command-line checks: tables, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -15,9 +17,9 @@ from hypothesis import strategies as st
 
 import szegojost
 from conftest import NEAR_EDGE
-from szegojost.cli import _PAIR_ROW, _fmt, main
+from szegojost.cli import _PAIR_ROW, _build_parser, _fmt, main
 from szegojost.errors import ConvergenceWarning
-from szegojost.measures import MeasureSpec, ingest_circle, realize_circle
+from szegojost.measures import ExperimentConfig, MeasureSpec, ingest_circle, realize_circle
 
 
 def test_package_exports_are_pinned():
@@ -49,6 +51,36 @@ def test_package_exports_are_pinned():
         "recover_alpha_simon", "s_series",
     }
     assert all(hasattr(szegojost, name) for name in szegojost.__all__)
+
+
+def _option_names(parser):
+    """Dest of every argument, prefixed with its subcommand, help excluded."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from (f"{name} {dest}" for dest in _option_names(sub))
+        elif not isinstance(action, argparse._HelpAction):
+            yield action.dest
+
+
+def test_settable_values_are_pinned():
+    """46 CLI options and 4 config fields: a new knob is a deliberate change."""
+    options = list(_option_names(_build_parser()))
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert len(options) + len(fields) == 50
+    assert fields == ["series_order", "grid_size", "radius_rel", "one_sided_slack"]
+    assert len(options) == len(set(options)) == 46
+    assert set(options) == {
+        "config",
+        *(f"coeffs {d}" for d in ("alpha", "order", "output", "from_measure", "n", "map")),
+        *(f"szego {d}" for d in ("alpha", "order", "output", "series", "from_measure")),
+        *(f"jost {d}" for d in ("alpha", "order", "output", "a", "b", "b1", "what")),
+        *(f"carmona {d}" for d in ("output", "free", "a", "b", "b1", "n", "grid")),
+        *(f"popuc {d}" for d in ("alpha", "output", "n", "omega")),
+        *(f"verify {d}" for d in ("suite", "alpha", "order", "output", "a", "b", "b1")),
+        *(f"gset {d}" for d in ("output", "generators", "cutoff", "n_max")),
+        *(f"probe {d}" for d in ("alpha", "order", "output", "degree", "series")),
+    }
 
 
 def run(capsys, argv):
@@ -253,6 +285,15 @@ def test_gset_table(capsys):
     assert [float(r["magnitude"]) for r in rows] == [2.0, 8.0, 32.0]
 
 
+@pytest.mark.parametrize("cutoff", ["inf", "-inf", "nan"])
+def test_gset_non_finite_cutoff_exits_two_naming_it(capsys, cutoff):
+    code = main(["gset", "--generators", "2", f"--cutoff={cutoff}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cutoff must be finite, got {float(cutoff)!r}\n"
+
+
 def test_probe_stable_pole(capsys):
     code, out = run(capsys, ["probe", "--alpha", "geometric:C=0.5,R=2",
                              "--degree", "8,1", "--series", "s", "--order", "24"])
@@ -312,6 +353,17 @@ def test_combination_at_tiny_orders_is_inconclusive(capsys, suite, order):
                                "coefficients; the decay fit needs 16")
 
 
+@pytest.mark.parametrize("order", range(2, 9))
+def test_finite_combination_below_order_nine_names_the_order(capsys, order):
+    """A finitely supported alpha reads its tail degrees from order 9 on."""
+    code, out = run(capsys, ["verify", "jost-combination", "--alpha", "0.3,-0.2",
+                             "--order", str(order)])
+    assert code == 1
+    _, rows = parse_table(out)
+    notes = [r["value"] for r in rows if r["field"] == "notes"]
+    assert notes == [f"inconclusive: series order {order} is too short to read the tails; need >= 9"]
+
+
 @pytest.mark.parametrize(("spec", "order"), [("geometric:C=0.5,R=2", -1),
                                              ("constant:c=0.3", -2)])
 @pytest.mark.parametrize("command", [["coeffs"], ["verify", "all"], ["szego"]])
@@ -367,21 +419,27 @@ def test_verify_all_stops_at_the_last_nonzero_alpha(capsys, monkeypatch):
 
 
 def test_jost_combination_maps_the_alphas_once(capsys, monkeypatch):
-    """B and the mapped decay radius read one set of Geronimus deltas."""
+    """B and the mapped decay radius of every suite read one computed set of
+    Geronimus deltas: a call after the first returns the pair cached on the
+    coefficients, so the computations are the distinct arrays returned."""
     from szegojost import analysis
 
-    counts = []
+    results = []
     original = analysis.geronimus_deltas
 
-    def counting(coeffs, count=None):
-        counts.append(count)
-        return original(coeffs, count)
+    def recording(coeffs, count=None):
+        out = original(coeffs, count)
+        results.append((count, out))
+        return out
 
-    monkeypatch.setattr(analysis, "geronimus_deltas", counting)
-    code, _ = run(capsys, ["verify", "jost-combination", "--alpha", "geometric:C=0.5,R=2",
-                           "--order", "1024"])
-    assert code == 0
-    assert counts == [511]
+    monkeypatch.setattr(analysis, "geronimus_deltas", recording)
+    for suite in ("jost-combination", "all"):
+        results.clear()
+        code, _ = run(capsys, ["verify", suite, "--alpha", "geometric:C=0.5,R=2",
+                               "--order", "1024"])
+        assert code == 0
+        computed = {id(out[0]): count for count, out in results}
+        assert sorted(computed.values()) == [511], suite
 
 
 @pytest.mark.parametrize("spec", ["geometric:C=-0.3,R=1.2", "0.9,-0.9", "constant:c=0.25"])
