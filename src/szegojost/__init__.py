@@ -10,201 +10,18 @@ verification suites for the decay-analyticity radius relationships.
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    PadePole,
-    ProductSet,
-    RadiusEstimate,
-    VerificationReport,
-    canonical_weight_check,
-    decay_rate,
-    gset,
-    jost_b_combination,
-    pade_pole_probe,
-    radius_estimate,
-    verify_damanik_simon,
-    verify_jost_b_combination,
-    verify_nevai_totik,
-    verify_r_minus_s,
-)
-from .errors import (
-    AliasingError,
-    ConvergenceWarning,
-    DegenerateMeasureError,
-    DomainError,
-    IllConditionedError,
-    InvalidParameterError,
-    NumericalDegeneracyError,
-    OutOfRangeError,
-    PoleError,
-    PreconditionError,
-    SzegoConditionError,
-    SzegojostError,
-    SzegojostWarning,
-)
-from .jost import (
-    JostData,
-    blaschke,
-    e_from_z,
-    finite_range_jost_data,
-    geronimus_deltas,
-    geronimus_map,
-    jost_g_ell,
-    m_finite_range,
-    m_function,
-    u_from_dinv,
-    z_from_e,
-)
-from .measures import (
-    ExperimentConfig,
-    MeasureSpec,
-    ingest_circle,
-    ingest_line,
-    load_config,
-    parse_alpha_spec,
-    realize_circle,
-    realize_line,
-)
-from .oprl import (
-    JacobiParams,
-    PointMeasure,
-    PolyEval,
-    carmona_density,
-    carmona_moment,
-    dombrowski_nevai_s,
-    eval_polys,
-    m_n_b,
-    orthonormal_poly_coeffs,
-    spectral_measure_oracle,
-    truncated_matrix,
-)
-from .opuc import (
-    CircleMeasure,
-    CirclePolyPair,
-    ParaOrthogonalPoly,
-    PopucMeasure,
-    VerblunskyCoeffs,
-    bernstein_szego,
-    caratheodory,
-    popuc,
-    popuc_average_check,
-    popuc_point_measure,
-    roots_of_unity,
-    second_kind,
-    szego_recursion,
-)
-from .series import (
-    LaurentSeries,
-    TaylorSeries,
-    taylor_exp,
-    taylor_mul,
-    taylor_reciprocal,
-)
-from .szego import (
-    d_from_weight,
-    dinv_from_alphas,
-    r_series,
-    recover_alpha_geronimus_freud,
-    recover_alpha_simon,
-    s_series,
-)
+from . import analysis, errors, jost, measures, oprl, opuc, series, szego
+from .analysis import *
+from .errors import *
+from .jost import *
+from .measures import *
+from .oprl import *
+from .opuc import *
+from .series import *
+from .szego import *
 
-__all__ = [
-    # submodules
-    "analysis",
-    "errors",
-    "jost",
-    "measures",
-    "oprl",
-    "opuc",
-    "series",
-    "szego",
-    # analysis
-    "PadePole",
-    "ProductSet",
-    "RadiusEstimate",
-    "VerificationReport",
-    "canonical_weight_check",
-    "decay_rate",
-    "gset",
-    "jost_b_combination",
-    "pade_pole_probe",
-    "radius_estimate",
-    "verify_damanik_simon",
-    "verify_jost_b_combination",
-    "verify_nevai_totik",
-    "verify_r_minus_s",
-    # errors
-    "AliasingError",
-    "ConvergenceWarning",
-    "DegenerateMeasureError",
-    "DomainError",
-    "IllConditionedError",
-    "InvalidParameterError",
-    "NumericalDegeneracyError",
-    "OutOfRangeError",
-    "PoleError",
-    "PreconditionError",
-    "SzegoConditionError",
-    "SzegojostError",
-    "SzegojostWarning",
-    # jost
-    "JostData",
-    "blaschke",
-    "e_from_z",
-    "finite_range_jost_data",
-    "geronimus_deltas",
-    "geronimus_map",
-    "jost_g_ell",
-    "m_finite_range",
-    "m_function",
-    "u_from_dinv",
-    "z_from_e",
-    # measures
-    "ExperimentConfig",
-    "MeasureSpec",
-    "ingest_circle",
-    "ingest_line",
-    "load_config",
-    "parse_alpha_spec",
-    "realize_circle",
-    "realize_line",
-    # oprl
-    "JacobiParams",
-    "PointMeasure",
-    "PolyEval",
-    "carmona_density",
-    "carmona_moment",
-    "dombrowski_nevai_s",
-    "eval_polys",
-    "m_n_b",
-    "orthonormal_poly_coeffs",
-    "spectral_measure_oracle",
-    "truncated_matrix",
-    # opuc
-    "CircleMeasure",
-    "CirclePolyPair",
-    "ParaOrthogonalPoly",
-    "PopucMeasure",
-    "VerblunskyCoeffs",
-    "bernstein_szego",
-    "caratheodory",
-    "popuc",
-    "popuc_average_check",
-    "popuc_point_measure",
-    "roots_of_unity",
-    "second_kind",
-    "szego_recursion",
-    # series
-    "LaurentSeries",
-    "TaylorSeries",
-    "taylor_exp",
-    "taylor_mul",
-    "taylor_reciprocal",
-    # szego
-    "d_from_weight",
-    "dinv_from_alphas",
-    "r_series",
-    "recover_alpha_geronimus_freud",
-    "recover_alpha_simon",
-    "s_series",
-]
+# each module's __all__ is the one list of its public names
+_modules = (analysis, errors, jost, measures, oprl, opuc, series, szego)
+__all__ = [m.__name__.rpartition(".")[2] for m in _modules]
+__all__ += [name for m in _modules for name in m.__all__]
+del _modules

@@ -34,7 +34,6 @@ from .series import TaylorSeries
 from .szego import _r_by_product, dinv_from_alphas, s_series
 
 __all__ = [
-    "UNDERFLOW_FLOOR",
     "RadiusEstimate",
     "VerificationReport",
     "ProductSet",
@@ -58,6 +57,8 @@ _EPS = np.finfo(float).eps
 _ROW_STOP = 2.0 ** -110
 # margin of a difference series over its rounding floor, see _signal_prefix
 _SIGNAL_GUARD = 64.0
+# most candidate products gset enumerates (about 1 s at ~12 us each)
+_GSET_MAX_CANDIDATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -582,6 +583,9 @@ def gset(generators, cutoff: float, n_max: int | None = None) -> ProductSet:
     ``cutoff`` and deduplicating within 1e-10.  Every generator must lie
     strictly outside the closed unit disk, which makes the enumeration
     finite; ``n_max`` defaults to the largest order the cutoff allows.
+    Order n has C(n+k, k-1) C(n+k-1, k-1) candidate products for k
+    generators; more than ``_GSET_MAX_CANDIDATES`` in all raise
+    :class:`InvalidParameterError` before any is built.
     """
     if not math.isfinite(cutoff):
         raise InvalidParameterError(f"cutoff must be finite, got {cutoff!r}")
@@ -595,6 +599,16 @@ def gset(generators, cutoff: float, n_max: int | None = None) -> ProductSet:
     gmin = min(abs(g) for g in gens)
     auto = int(math.floor((math.log(cutoff) / math.log(gmin) - 1.0) / 2.0))
     n_hi = auto if n_max is None else min(int(n_max), auto)
+    k = len(gens)
+    candidates = 0
+    for n in range(max(0, n_hi) + 1):
+        candidates += math.comb(n + k, k - 1) * math.comb(n + k - 1, k - 1)
+        if candidates > _GSET_MAX_CANDIDATES:
+            raise InvalidParameterError(
+                f"cutoff {cutoff:g} needs more than {_GSET_MAX_CANDIDATES} candidate "
+                f"products ({candidates} through order {n} of {n_hi}); lower the cutoff "
+                "or cap the order with --n-max"
+            )
     found = []
     for n in range(max(0, n_hi) + 1):
         for plain in combinations_with_replacement(gens, n + 1):

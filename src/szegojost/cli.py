@@ -278,7 +278,8 @@ def _cmd_verify(args, config: ExperimentConfig) -> int:
             coeffs = parse_alpha_spec(args.alpha, args.order)
         report = _SUITES[name](args, config, coeffs)
         all_passed &= report.passed
-        rows.extend((name, key, _fmt(val)) for key, val in report.rows())
+        # the writer owns the delimiter: a note's commas become semicolons
+        rows.extend((name, key, _fmt(val).replace(",", ";")) for key, val in report.rows())
     _write_output(args, "reports", ["suite", "field", "value"], "%s,%s,%s", rows, config)
     return 0 if all_passed else 1
 

@@ -5,6 +5,22 @@ Every error raised on a documented failure path derives from
 accompany otherwise-usable results derive from :class:`SzegojostWarning`.
 """
 
+__all__ = [
+    "SzegojostError",
+    "SzegojostWarning",
+    "OutOfRangeError",
+    "PoleError",
+    "DomainError",
+    "InvalidParameterError",
+    "SzegoConditionError",
+    "PreconditionError",
+    "DegenerateMeasureError",
+    "AliasingError",
+    "NumericalDegeneracyError",
+    "IllConditionedError",
+    "ConvergenceWarning",
+]
+
 
 class SzegojostError(Exception):
     """Base class for all package errors."""

@@ -34,7 +34,6 @@ from .opuc import (
 __all__ = [
     "MeasureSpec",
     "ExperimentConfig",
-    "CONFIG_ENV_VAR",
     "load_config",
     "realize_circle",
     "realize_line",
@@ -54,9 +53,9 @@ class MeasureSpec:
     """Declarative description of a circle or line probability measure.
 
     Exactly one of ``family`` (with ``family_params``) or ``samples`` gives
-    the a.c. weight.  ``normalization`` scales the a.c. part; None means
-    "choose it so the total mass is 1".  Point masses are (location, mass)
-    pairs: unimodular locations for circle measures, real for line measures.
+    the a.c. weight, which realization scales so that the total mass is 1.
+    Point masses are (location, mass) pairs: unimodular locations for circle
+    measures, real for line measures.
     """
 
     kind: str
@@ -64,7 +63,6 @@ class MeasureSpec:
     family_params: tuple = ()
     samples: tuple | None = None
     point_masses: tuple = ()
-    normalization: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("circle", "line"):
@@ -104,12 +102,10 @@ class MeasureSpec:
         if total >= 1.0:
             raise InvalidParameterError("point masses must total less than 1")
         object.__setattr__(self, "point_masses", tuple(masses))
-        if self.normalization is not None and float(self.normalization) <= 0.0:
-            raise InvalidParameterError("normalization must be positive")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MeasureSpec":
-        known = {"kind", "acWeight", "pointMasses", "normalization"}
+        known = {"kind", "acWeight", "pointMasses"}
         extra = set(doc) - known
         if extra:
             raise InvalidParameterError(f"unknown field(s) in measure document: {sorted(extra)}")
@@ -137,7 +133,6 @@ class MeasureSpec:
             family_params=params,
             samples=samples,
             point_masses=masses,
-            normalization=doc.get("normalization"),
         )
 
     @classmethod
@@ -185,10 +180,7 @@ def realize_circle(spec: MeasureSpec, grid_size: int = 4096) -> CircleMeasure:
     mean = float(np.mean(w))
     if mean <= 0.0:
         raise PreconditionError("a.c. part vanishes; point-mass-only measures are excluded")
-    if spec.normalization is None:
-        scale = (1.0 - mass_total) / mean
-    else:
-        scale = float(spec.normalization)
+    scale = (1.0 - mass_total) / mean
     return CircleMeasure(weight=scale * w, point_masses=spec.point_masses)
 
 
@@ -264,7 +256,7 @@ def check_line_integrability(spec: MeasureSpec) -> None:
         )
 
 
-def realize_line(spec: MeasureSpec, size: int = _GAUSS_REFERENCE_SIZE) -> PointMeasure:
+def realize_line(spec: MeasureSpec) -> PointMeasure:
     """Discretize a line spec on free-matrix Gauss nodes.
 
     The a.c. part is re-weighted from the semicircle reference rule, so
@@ -273,7 +265,7 @@ def realize_line(spec: MeasureSpec, size: int = _GAUSS_REFERENCE_SIZE) -> PointM
     """
     if spec.kind != "line":
         raise InvalidParameterError("realize_line needs a line-kind spec")
-    nodes, gauss_w = _free_gauss_rule(size)
+    nodes, gauss_w = _free_gauss_rule(_GAUSS_REFERENCE_SIZE)
     f = _line_density(spec)(nodes)
     if np.min(f) < 0.0:
         raise InvalidParameterError("line weight is negative somewhere on (-2, 2)")
@@ -283,11 +275,7 @@ def realize_line(spec: MeasureSpec, size: int = _GAUSS_REFERENCE_SIZE) -> PointM
     if total <= 0.0:
         raise PreconditionError("a.c. part vanishes; point-mass-only measures are excluded")
     mass_total = sum(m for _, m in spec.point_masses)
-    if spec.normalization is None:
-        scale = (1.0 - mass_total) / total
-    else:
-        scale = float(spec.normalization)
-    w = scale * w
+    w = (1.0 - mass_total) / total * w
     xs, ws = list(nodes), list(w)
     for loc, mass in spec.point_masses:
         j = int(np.searchsorted(xs, loc))

@@ -7,7 +7,7 @@ spectral-measure oracle that the tests and demo 03 check bound-state
 weights against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "PolyEval",
     "PointMeasure",
     "eval_polys",
+    "orthonormal_poly_coeffs",
     "truncated_matrix",
     "m_n_b",
     "carmona_density",
@@ -33,6 +34,8 @@ __all__ = [
 
 # dense-solver size guard for the eigen-oracle
 EIGEN_ORACLE_MAX_SIZE = 2000
+# how far the total mass of a PointMeasure may sit from 1
+_MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -312,7 +315,6 @@ class PointMeasure:
 
     nodes: np.ndarray
     weights: np.ndarray
-    mass_tol: float = field(default=1e-12, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -323,9 +325,9 @@ class PointMeasure:
             raise InvalidParameterError("nodes must be strictly increasing")
         if np.any(weights <= 0):
             raise InvalidParameterError("weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > self.mass_tol:
+        if abs(float(weights.sum()) - 1.0) > _MASS_TOL:
             raise InvalidParameterError(
-                f"weights sum to {weights.sum():.17g}, not 1 within {self.mass_tol:g}"
+                f"weights sum to {weights.sum():.17g}, not 1 within {_MASS_TOL:g}"
             )
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)

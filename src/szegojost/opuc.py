@@ -8,7 +8,7 @@ of a sampled circle measure.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _polyval = np.polynomial.polynomial.polyval
+# how far the total mass of a CircleMeasure may sit from 1
+_MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -44,9 +46,10 @@ class VerblunskyCoeffs:
     """Verblunsky coefficients alpha_0, alpha_1, ... with a tail policy.
 
     ``zero_after = k`` means alpha_n = 0 for all n > k (so the sequence is
-    finitely supported); ``zero_after = None`` means the sequence is known
-    only up to the stored length and reading past it raises
-    :class:`OutOfRangeError`.
+    finitely supported): k may not lie below the last stored index, and the
+    stored array is zero-padded through index k.  ``zero_after = None``
+    means the sequence is known only up to the stored length and reading
+    past it raises :class:`OutOfRangeError`.
 
     Each instance carries a private cache of the 1/D series and the mapped
     Jacobi deltas derived from it (:func:`~szegojost.szego.dinv_from_alphas`,
@@ -67,11 +70,14 @@ class VerblunskyCoeffs:
             raise InvalidParameterError("alpha entries must be finite")
         if alpha.size and np.max(np.abs(alpha)) >= 1.0:
             raise InvalidParameterError("every |alpha_n| must be < 1")
-        if self.zero_after is not None and self.zero_after >= 0:
-            if len(alpha) < self.zero_after + 1:
-                alpha = np.concatenate(
-                    [alpha, np.zeros(self.zero_after + 1 - len(alpha), dtype=complex)]
+        if self.zero_after is not None:
+            if self.zero_after < len(alpha) - 1:
+                raise InvalidParameterError(
+                    f"zero_after={self.zero_after} is below {len(alpha) - 1}, the index "
+                    "of the last stored alpha"
                 )
+            pad = np.zeros(self.zero_after + 1 - len(alpha), dtype=complex)
+            alpha = np.concatenate([alpha, pad])
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "_cache", {})
@@ -444,7 +450,6 @@ class CircleMeasure:
 
     weight: np.ndarray
     point_masses: tuple = ()
-    mass_tol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=float)
@@ -459,10 +464,8 @@ class CircleMeasure:
             if abs(abs(z) - 1.0) > 1e-12:
                 raise InvalidParameterError("point masses must sit on the unit circle")
         total = float(w.mean()) + sum(m for _, m in masses)
-        if abs(total - 1.0) > self.mass_tol:
-            raise InvalidParameterError(
-                f"total mass {total:.17g} is not 1 within {self.mass_tol:g}"
-            )
+        if abs(total - 1.0) > _MASS_TOL:
+            raise InvalidParameterError(f"total mass {total:.17g} is not 1 within {_MASS_TOL:g}")
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "point_masses", masses)
 
@@ -507,7 +510,7 @@ def bernstein_szego(coeffs: VerblunskyCoeffs, n: int, grid_size: int = 4096) -> 
     """
     w = _bernstein_szego_weight(coeffs, n, 2.0 * np.pi * np.arange(grid_size) / grid_size)
     total = float(w.mean())
-    if abs(total - 1.0) > CircleMeasure.mass_tol:
+    if abs(total - 1.0) > _MASS_TOL:
         phi_star = szego_recursion(coeffs, n).phi_star
         # trailing coefficients below rounding only add zeros near infinity
         star = np.polynomial.polynomial.polytrim(

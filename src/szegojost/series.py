@@ -67,8 +67,8 @@ class TaylorSeries:
         c[: m + 1] = self.coeffs[: m + 1]
         return TaylorSeries(c, note=self.note)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs.imag), initial=0.0) <= tol)
+    def is_real(self) -> bool:
+        return bool(np.all(self.coeffs.imag == 0.0))
 
 
 def taylor_mul(a: TaylorSeries, b: TaylorSeries, order: int | None = None) -> TaylorSeries:

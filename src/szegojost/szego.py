@@ -183,12 +183,7 @@ def s_series(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     return TaylorSeries(c)
 
 
-def r_series(
-    dinv: TaylorSeries,
-    order: int = 64,
-    method: str = "grid",
-    grid_size: int | None = None,
-) -> LaurentSeries:
+def r_series(dinv: TaylorSeries, order: int = 64, method: str = "grid") -> LaurentSeries:
     """Laurent coefficients of r(z) = conj(D(1/conj(z))) / D(z).
 
     On the unit circle r has modulus one.  ``method="grid"`` reads the
@@ -206,7 +201,7 @@ def r_series(
         return LaurentSeries(_r_by_product(dinv, -order, order))
     _require_constant_term(dinv)
     if method == "grid":
-        size = grid_size or max(512, _next_pow2(8 * (order + 1)))
+        size = max(512, _next_pow2(8 * (order + 1)))
         rows = -(-len(dinv.coeffs) // size)
         folded = np.zeros(rows * size, dtype=complex)
         folded[: len(dinv.coeffs)] = dinv.coeffs

@@ -163,6 +163,37 @@ def test_coeffs_ingest_line(capsys, tmp_path):
         assert abs(float(r["b"])) < 1e-9
 
 
+def test_coeffs_ingest_line_samples(capsys, tmp_path):
+    """Inline samples of the semicircle on 65 points interpolate to a weight
+    close to the free one."""
+    xs = np.linspace(-2.0, 2.0, 65)
+    doc = tmp_path / "semi-samples.json"
+    doc.write_text(json.dumps({"kind": "line", "acWeight": {
+        "samples": (np.sqrt(np.maximum(4.0 - xs**2, 0.0)) / (2.0 * np.pi)).tolist()}}))
+    code, out = run(capsys, ["coeffs", "--from-measure", str(doc)])
+    assert code == 0
+    table, rows = parse_table(out)
+    assert table == "jacobi"
+    assert len(rows) == 8
+    for r in rows:
+        assert abs(float(r["a"]) - 1.0) <= 1e-2
+        assert abs(float(r["b"])) <= 1e-15
+
+
+def _readme_measure_document():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Measure documents", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_measure_document_ingests(capsys, tmp_path):
+    doc = tmp_path / "measure.json"
+    doc.write_text(_readme_measure_document())
+    code, out = run(capsys, ["coeffs", "--from-measure", str(doc), "--n", "8"])
+    assert code == 0
+    assert len(parse_table(out)[1]) == 8
+
+
 def test_szego_dinv_single_alpha(capsys):
     code, out = run(capsys, ["szego", "--alpha", "0.5", "--order", "8"])
     assert code == 0
@@ -294,6 +325,33 @@ def test_gset_non_finite_cutoff_exits_two_naming_it(capsys, cutoff):
     assert captured.err == f"error: cutoff must be finite, got {float(cutoff)!r}\n"
 
 
+def _gset_in_fresh_interpreter(*argv):
+    """Run gset with a timeout, so that an unbounded enumeration fails the
+    test instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(szegojost.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-m", "szegojost", "gset", *argv], env=env,
+                          capture_output=True, text=True, check=False, timeout=60)
+
+
+@pytest.mark.parametrize("generators", ["2,3j", "1.0000001"])
+def test_gset_over_its_candidate_budget_exits_two(generators):
+    """Two generators up to 1e308 give 45 million candidate products, and one
+    generator near the unit circle billions of orders: both are refused
+    before any product is built."""
+    proc = _gset_in_fresh_interpreter("--generators", generators, "--cutoff", "1e308")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cutoff 1e+308 needs more than 100000 candidate ")
+    assert proc.stderr.endswith("; lower the cutoff or cap the order with --n-max\n")
+
+
+def test_gset_n_max_keeps_a_large_cutoff_in_budget():
+    proc = _gset_in_fresh_interpreter("--generators", "2,3j", "--cutoff", "1e308", "--n-max", "2")
+    assert proc.returncode == 0
+    want = szegojost.gset([2, 3j], 1e308, n_max=2).elements
+    assert len(parse_table(proc.stdout)[1]) == len(want) == 18
+
+
 def test_probe_stable_pole(capsys):
     code, out = run(capsys, ["probe", "--alpha", "geometric:C=0.5,R=2",
                              "--degree", "8,1", "--series", "s", "--order", "24"])
@@ -334,6 +392,25 @@ def test_verify_low_order_is_inconclusive(capsys):
     notes = {r["suite"]: r["value"] for r in rows if r["field"] == "notes"}
     assert notes["damanik-simon"].startswith("inconclusive")
     assert notes["jost-combination"].startswith("inconclusive")
+
+
+@pytest.mark.parametrize(("argv", "inconclusive"), [
+    (["jost-combination", "--alpha=0.3,-0.2", "--order", "64"], set()),
+    (["all", "--alpha", "geometric:C=0.5,R=1.6e8", "--order", "64"],
+     {"damanik-simon", "jost-combination", "nevai-totik", "r-minus-s"}),
+    (["all", "--alpha", "geometric:C=0.5,R=1e100", "--order", "64"], {"jost-combination"}),
+], ids=["tail-degrees", "fit-window", "combination-indices"])
+def test_verify_cells_hold_no_comma(capsys, argv, inconclusive):
+    """Notes that name a window (lo, hi), tail indices or degrees keep their
+    row at three fields: the writer turns each comma into a semicolon, and an
+    inconclusive note still starts with "inconclusive"."""
+    main(["verify", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.count(",") == 2 for line in lines[1:])
+    notes = {r["suite"]: r["value"] for r in parse_table("\n".join(lines))[1]
+             if r["field"] == "notes"}
+    assert {k for k, v in notes.items() if v.startswith("inconclusive")} == inconclusive
+    assert any(";" in v for v in notes.values())
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

@@ -59,8 +59,6 @@ def test_spec_point_mass_validation():
         MeasureSpec(kind="circle", family="uniform", point_masses=((0.5, 0.1),))
     with pytest.raises(InvalidParameterError):
         MeasureSpec(kind="line", family="uniform", point_masses=((1.0 + 0.5j, 0.1),))
-    with pytest.raises(InvalidParameterError):
-        MeasureSpec(kind="circle", family="uniform", normalization=0.0)
 
 
 def test_spec_from_dict_family_and_samples():
@@ -69,11 +67,10 @@ def test_spec_from_dict_family_and_samples():
     assert spec.family_params == (0.5, -0.25)
     spec = MeasureSpec.from_dict(
         {"kind": "circle", "acWeight": {"samples": list(np.ones(16))},
-         "pointMasses": [["1", 0.25]], "normalization": 0.5}
+         "pointMasses": [["1", 0.25]]}
     )
     assert spec.samples == tuple(np.ones(16))
     assert spec.point_masses == ((1.0 + 0.0j, 0.25),)
-    assert spec.normalization == 0.5
 
 
 def test_spec_from_dict_rejects_malformed_documents():
@@ -87,6 +84,10 @@ def test_spec_from_dict_rejects_malformed_documents():
         MeasureSpec.from_dict({"kind": "circle", "acWeight": "uniform:a,b"})
     with pytest.raises(InvalidParameterError):
         MeasureSpec.from_dict({"kind": "circle", "acWeight": 17})
+    # a probability measure fixes its own scale
+    with pytest.raises(InvalidParameterError,
+                       match=r"^unknown field\(s\) in measure document: \['normalization'\]$"):
+        MeasureSpec.from_dict({"kind": "circle", "acWeight": "uniform", "normalization": 1.0})
 
 
 def test_spec_from_file(tmp_path):
@@ -147,6 +148,22 @@ def test_realize_line_merges_atoms():
     assert abs(m.nodes[j] - 0.5) < 1e-12
     assert m.weights[j] >= 0.1
     assert np.all(np.diff(m.nodes) > 0)
+
+
+@pytest.mark.parametrize("offset", [0.0, -5e-13, 5e-13])
+def test_realize_line_merges_an_atom_onto_a_gauss_node(offset):
+    """An atom within 1e-12 of a Gauss node (on it, or just left or right of
+    it) adds its mass to that node's weight instead of adding a node."""
+    plain = realize_line(MeasureSpec(kind="line", family="semicircle-free"))
+    j = 700
+    spec = MeasureSpec(kind="line", family="semicircle-free",
+                       point_masses=((plain.nodes[j] + offset, 0.1),))
+    m = realize_line(spec)
+    assert m.nodes.size == plain.nodes.size == 2000
+    assert m.nodes.tobytes() == plain.nodes.tobytes()
+    assert abs(m.weights[j] - (0.9 * plain.weights[j] + 0.1)) <= 1e-15
+    others = np.delete(np.arange(2000), j)
+    assert np.allclose(m.weights[others], 0.9 * plain.weights[others], rtol=1e-14, atol=0.0)
 
 
 def test_ingest_circle_uniform_gives_zero_alpha():
@@ -651,7 +668,7 @@ def test_ingest_line_matches_the_loop_bitwise(seed, size, full):
     rng = np.random.default_rng(seed)
     x = np.unique(rng.uniform(-2.5, 2.5, size if not full else size % 12 + 1))
     w = rng.uniform(0.0, 1.0, len(x)) ** rng.uniform(1.0, 8.0) + 1e-300
-    measure = PointMeasure(nodes=x, weights=w / np.sum(w), mass_tol=1e-9)
+    measure = PointMeasure(nodes=x, weights=w / np.sum(w))
     n = len(x) if full else int(rng.integers(0, len(x) + 1))
     try:
         want = _line_recursion_loop(measure.nodes, measure.weights, n)

@@ -71,6 +71,16 @@ def test_alpha_is_a_read_only_copy():
         coeffs.alpha[0] = 0.0
 
 
+def test_zero_after_below_the_stored_alphas_is_rejected():
+    """zero_after=0 says alpha_1 = alpha_2 = 0, which the stored 0.3 and 0.2
+    contradict; a zero_after past the stored alphas pads them with zeros."""
+    with pytest.raises(InvalidParameterError, match=r"^zero_after=0 is below 2, "):
+        VerblunskyCoeffs([0.5, 0.3, 0.2], zero_after=0)
+    assert VerblunskyCoeffs([0.5, 0.3], zero_after=3).alpha.tolist() == [0.5, 0.3, 0.0, 0.0]
+    assert VerblunskyCoeffs([0.5, 0.3], zero_after=1).alpha.tolist() == [0.5, 0.3]
+    assert VerblunskyCoeffs.zero().alpha.size == 0
+
+
 def test_coefficient_validation():
     with pytest.raises(InvalidParameterError):
         VerblunskyCoeffs(alpha=[1.0])

@@ -38,7 +38,6 @@ def test_taylor_truncation_pads_and_cuts():
 def test_taylor_is_real():
     assert TaylorSeries([1.0, -2.0]).is_real()
     assert not TaylorSeries([1.0, 1e-8j]).is_real()
-    assert TaylorSeries([1.0, 1e-8j]).is_real(tol=1e-6)
 
 
 def test_taylor_note_does_not_affect_equality():

@@ -202,25 +202,27 @@ def _r_series_grid_by_polyval(dinv, order, size):
 
 
 @pytest.mark.parametrize(
-    ("spec", "dinv_order", "order", "grid_size"),
+    ("spec", "dinv_order", "order"),
     [
-        ("geometric:C=0.5,R=3", 64, 64, None),
-        ("geometric:C=-0.7,R=1.5", 256, 200, None),
-        ("0.1,-0.2,0.25,0.05,-0.1,0.2,0.15,-0.05", 1024, 1024, None),
-        ("0.3,-0.45,0.2", 32, 7, 16),
-        ("geometric:C=0.6,R=1.2", 96, 8, 32),
-        ("geometric:C=-0.4,R=2", 200, 5, 32),
+        ("geometric:C=0.5,R=3", 64, 64),
+        ("geometric:C=-0.7,R=1.5", 256, 200),
+        ("0.1,-0.2,0.25,0.05,-0.1,0.2,0.15,-0.05", 1024, 1024),
+        ("0.3,-0.45,0.2", 1024, 7),
+        ("geometric:C=0.02,R=1.01", 1024, 8),
+        ("geometric:C=-0.05,R=1.03", 1024, 5),
+        ("geometric:C=0.1,R=1.02", 1024, 7),
     ],
 )
-def test_r_series_grid_matches_polyval_path(spec, dinv_order, order, grid_size):
+def test_r_series_grid_matches_polyval_path(spec, dinv_order, order):
     """One inverse FFT of the folded series gives the Horner boundary values.
 
-    The last three cases have a series longer than the grid, so the fold
-    modulo the grid size carries terms."""
+    The last four cases have a series longer than the 512-point grid, so the
+    fold modulo the grid size carries terms (zeros for the finite list, up
+    to 9e-3 in sum for the slowest geometric tail)."""
     dinv = dinv_from_alphas(parse_alpha_spec(spec, dinv_order), dinv_order)
-    size = grid_size or max(512, 1 << (8 * (order + 1) - 1).bit_length())
+    size = max(512, 1 << (8 * (order + 1) - 1).bit_length())
     want = _r_series_grid_by_polyval(dinv, order, size)
-    got = r_series(dinv, order, grid_size=grid_size).coeffs
+    got = r_series(dinv, order).coeffs
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
