@@ -31,7 +31,7 @@ from .jost import (
 from .oprl import JacobiParams, eval_polys
 from .opuc import VerblunskyCoeffs
 from .series import TaylorSeries
-from .szego import _r_by_product, dinv_from_alphas, s_series
+from .szego import _r_dots, _reflected_d, dinv_from_alphas, s_series
 
 __all__ = [
     "RadiusEstimate",
@@ -57,7 +57,7 @@ _EPS = np.finfo(float).eps
 _ROW_STOP = 2.0 ** -110
 # margin of a difference series over its rounding floor, see _signal_prefix
 _SIGNAL_GUARD = 64.0
-# most candidate products gset enumerates (about 1 s at ~12 us each)
+# most candidate products gset tries, see gset (about 1 s at ~12 us each)
 _GSET_MAX_CANDIDATES = 100_000
 
 
@@ -234,7 +234,7 @@ def verify_nevai_totik(coeffs: VerblunskyCoeffs, order: int = 64,
     must produce the infinite sentinel on both sides.
     """
     def legs():
-        r_alpha = decay_rate(coeffs.slice(order + 1)).radius
+        r_alpha = _alpha_decay_radius(coeffs, order)
         r_d = radius_estimate(dinv_from_alphas(coeffs, order)).radius
         return _agree(("alpha_decay_radius", "dinv_radius"), r_alpha, r_d, rel_tol)
 
@@ -245,21 +245,21 @@ def _mapped_decay_radius(coeffs: VerblunskyCoeffs) -> float:
     """Radius R with limsup (|b_n| + |a_n^2 - 1|)^(1/2n) = 1/R.
 
     Finitely supported alpha map to parameters that are free past the
-    support, so R is infinite and no delta is built.
+    support, so R is infinite and no delta is built; R is cached on ``coeffs``.
     """
     if coeffs.is_finitely_supported:
         return math.inf
     count = (len(coeffs.alpha) - 2) // 2
     if count < 16:
-        raise InvalidParameterError(
-            f"{len(coeffs.alpha)} stored alphas give {max(count, 0)} mapped "
-            "coefficients; the decay fit needs 16"
-        )
-    b, asq1 = geronimus_deltas(coeffs, count)
-    delta = np.abs(b) + np.abs(asq1)
-    if not np.any(delta > UNDERFLOW_FLOOR):
-        return math.inf
-    return math.sqrt(decay_rate(delta).radius)
+        raise InvalidParameterError(f"{len(coeffs.alpha)} stored alphas give {max(count, 0)} "
+                                    "mapped coefficients; the decay fit needs 16")
+    key = ("mapped_radius", count)
+    if key not in coeffs._cache:
+        b, asq1 = geronimus_deltas(coeffs, count)
+        delta = np.abs(b) + np.abs(asq1)
+        fit = np.any(delta > UNDERFLOW_FLOOR)
+        coeffs._cache[key] = math.sqrt(decay_rate(delta).radius) if fit else math.inf
+    return coeffs._cache[key]
 
 
 def verify_damanik_simon(coeffs: VerblunskyCoeffs, order: int = 64,
@@ -351,16 +351,30 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
         alpha = coeffs.slice(order + 1)
         dinv = dinv_from_alphas(coeffs, order)
         s = s_series(coeffs, order).coeffs
-        r_pos = _r_by_product(dinv, 0, order)
+        d_conj = _reflected_d(dinv, 0, order)
         if not np.any(np.abs(alpha) > UNDERFLOW_FLOOR):
             return ({"difference_radius": math.inf, "threshold": math.inf}, True,
                     "alpha is zero; r - S vanishes identically")
-        r_alpha = decay_rate(alpha).radius
+        r_alpha = _alpha_decay_radius(coeffs, order)
         r_s = decay_rate(s).radius
+        # the fits read the trailing half of r and the signal prefix of r - S;
+        # no other r_k is formed, and the arrays keep their full length
+        r_pos = np.zeros(order + 1, dtype=complex)
+        tail = (order + 1) // 2
+        r_pos[tail:] = _r_dots(dinv, d_conj, tail, order)
         r_r = decay_rate(r_pos).radius
-        diff = r_pos - s
-        floor = _rounding_floor(np.abs(r_pos) + np.abs(s))
-        hi = _signal_prefix(diff, floor, 2)
+        done = 0
+        while True:
+            grown = min(max(2 * done, 16), tail)
+            r_pos[done:grown] = _r_dots(dinv, d_conj, done, grown - 1)
+            done = grown
+            diff = r_pos - s
+            floor = _rounding_floor(np.abs(r_pos) + np.abs(s))
+            hi = _signal_prefix(diff, floor, 2)
+            # r_0 .. r_{done - 1} and the trailing half are formed, so a
+            # failure below done is the first one of the full series
+            if done == tail or hi + 1 < done:
+                break
         if hi < 2:
             r_diff, used = math.inf, 0
         elif hi < 10:
@@ -385,6 +399,14 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
             "" if sane else "sanity leg failed: r or S radius is off the alpha decay")
 
     return _report("r-minus-s", slack, legs)
+
+
+def _alpha_decay_radius(coeffs: VerblunskyCoeffs, order: int) -> float:
+    """Fitted decay radius of alpha_0 .. alpha_order, cached on ``coeffs``."""
+    key = ("alpha_radius", order)
+    if key not in coeffs._cache:
+        coeffs._cache[key] = decay_rate(coeffs.slice(order + 1)).radius
+    return coeffs._cache[key]
 
 
 def jost_b_combination(u: TaylorSeries, b: TaylorSeries, order: int):
@@ -583,9 +605,13 @@ def gset(generators, cutoff: float, n_max: int | None = None) -> ProductSet:
     ``cutoff`` and deduplicating within 1e-10.  Every generator must lie
     strictly outside the closed unit disk, which makes the enumeration
     finite; ``n_max`` defaults to the largest order the cutoff allows.
-    Order n has C(n+k, k-1) C(n+k-1, k-1) candidate products for k
-    generators; more than ``_GSET_MAX_CANDIDATES`` in all raise
-    :class:`InvalidParameterError` before any is built.
+
+    The enumeration skips the conjugate parts of a plain product (n+1
+    generators) above the cutoff, and tries all C(n+k-1, k-1) of them for
+    one within it, for k generators.  So the candidates are counted as the
+    plain products within the cutoff, judged by the sum of the generators'
+    log-moduli, times C(n+k-1, k-1); more than ``_GSET_MAX_CANDIDATES`` in
+    all raise :class:`InvalidParameterError` before any product is built.
     """
     if not math.isfinite(cutoff):
         raise InvalidParameterError(f"cutoff must be finite, got {cutoff!r}")
@@ -600,9 +626,12 @@ def gset(generators, cutoff: float, n_max: int | None = None) -> ProductSet:
     auto = int(math.floor((math.log(cutoff) / math.log(gmin) - 1.0) / 2.0))
     n_hi = auto if n_max is None else min(int(n_max), auto)
     k = len(gens)
+    logs = sorted((math.log(abs(g)) for g in gens), reverse=True)
+    limit = math.log(cutoff) + 1e-12
     candidates = 0
     for n in range(max(0, n_hi) + 1):
-        candidates += math.comb(n + k, k - 1) * math.comb(n + k - 1, k - 1)
+        within = _products_within(logs, n + 1, limit)
+        candidates += within * math.comb(n + k - 1, k - 1)
         if candidates > _GSET_MAX_CANDIDATES:
             raise InvalidParameterError(
                 f"cutoff {cutoff:g} needs more than {_GSET_MAX_CANDIDATES} candidate "
@@ -629,6 +658,28 @@ def gset(generators, cutoff: float, n_max: int | None = None) -> ProductSet:
         generators=tuple(gens), elements=tuple(elements),
         n_max=max(0, n_hi), cutoff=float(cutoff),
     )
+
+
+def _products_within(logs, parts: int, limit: float) -> int:
+    """How many multisets of ``parts`` generators have log-moduli summing to <= limit.
+
+    ``logs`` holds the generators' log-moduli, all positive, in descending
+    order.  Each exponent of the largest is tried in turn; the rest is
+    counted whole once even its largest-only product is within the limit.
+    """
+    first, rest = logs[0], logs[1:]
+    if not rest:
+        return int(parts * first <= limit)
+    count = 0
+    for e in range(parts + 1):
+        left = limit - e * first
+        if left < 0.0:
+            break
+        if (parts - e) * rest[0] <= left:
+            count += math.comb(parts - e + len(rest) - 1, len(rest) - 1)
+        else:
+            count += _products_within(rest, parts - e, left)
+    return count
 
 
 @dataclass(frozen=True)

@@ -347,7 +347,7 @@ def ingest_circle(measure, n: int) -> VerblunskyCoeffs:
                 m, f"|alpha_{m}| = {abs(alpha):.6f} reached the unit circle"
             )
         alphas[m] = alpha
-        _szego_step(buf, phi_star, np.conj(alpha))
+        _szego_step(buf, phi_star, np.conj(alpha), phi_star)
     return VerblunskyCoeffs(alpha=alphas)
 
 

@@ -141,25 +141,25 @@ class VerblunskyCoeffs:
 def _monic_pair(coeffs: VerblunskyCoeffs, n: int) -> tuple[np.ndarray | None, np.ndarray]:
     """Monic (Phi_{n-1}, Phi_n) as ascending coefficient arrays; Phi_{-1} is None.
 
-    Phi_m sits at ``buf[n - m:]`` of one zeroed buffer of length n + 1, so
-    z Phi_m is already in place at ``buf[n - m - 1:]`` and each
-    :func:`_szego_step` subtracts conj(alpha_m) Phi_m* there.  The recursion
-    runs in O(n) memory and allocates nothing per step.  The two returned
-    arrays may share that buffer.
-
-    The steps stop at the last nonzero alpha.  With alpha_m = 0 every part of
-    the subtracted term is +0 or -0, and x - (+-0) = x for every x but -0.
-    ``buf`` never holds a -0: it starts at +0 and 1, and a difference is -0
-    only as (-0) - (+0).  So each later step would leave ``buf`` as it is,
-    bit for bit, and Phi_m is ``buf[n - m:]`` for every m past the support.
-    That needs a finite ``buf`` (inf * 0 is nan), which is checked once
-    before the steps are skipped.
+    Phi_m sits at ``buf[n - m:]`` of one zeroed buffer of length n + 1, and
+    each :func:`_szego_step` subtracts conj(alpha_m) Phi_m* in place, so the
+    two returned arrays may share it.  ``buf`` never holds a -0: it starts
+    at +0 and 1, and a difference is -0 only as (-0) - (+0).  So subtracting
+    +-0 leaves it as it is, which gives two shortcuts with the loop's bits.
+    With real alpha a finite ``buf`` has +0 imaginary parts, and a step may
+    multiply Phi_m reversed for Phi_m*, which differs in the signs of zeros
+    only, while prod_{j<m} (1 + |alpha_j|) < e^700 bounds ``buf``; past that
+    bound ``buf`` may overflow, and the conjugate would flip the signs of
+    its nans.  And the steps stop at the last nonzero alpha, once ``buf`` is
+    checked finite (inf * 0 is nan), as each later step would subtract only
+    +-0.
     """
     if n < 0:
         raise InvalidParameterError("order must be nonnegative")
     ca = np.conj(coeffs.slice(n))
     support = np.flatnonzero(ca)
     stop = int(support[-1]) + 1 if support.size else 0
+    plain = int(np.searchsorted(np.cumsum(np.log1p(np.abs(ca))), 700.0)) if coeffs.is_real() else 0
     buf, star = _monic_buffers(n)
     prev = None
     for m in range(n):
@@ -167,7 +167,8 @@ def _monic_pair(coeffs: VerblunskyCoeffs, n: int) -> tuple[np.ndarray | None, np
             return buf[1:], buf
         if m == n - 1:
             prev = buf[1:].copy()
-        _szego_step(buf, _phi_star(buf, star, m), ca[m])
+        phi = buf[: -m - 2 : -1] if m < plain else _phi_star(buf, star, m)
+        _szego_step(buf, phi, ca[m], star[: m + 1])
     return prev, buf
 
 
@@ -183,20 +184,19 @@ def _phi_star(buf: np.ndarray, star: np.ndarray, m: int) -> np.ndarray:
     return np.conjugate(buf[: -m - 2 : -1], out=star[: m + 1])
 
 
-def _szego_step(buf: np.ndarray, term: np.ndarray, ca) -> None:
+def _szego_step(buf: np.ndarray, phi_star: np.ndarray, ca, term: np.ndarray) -> None:
     """``buf[-m - 2:]`` becomes Phi_{m+1} = z Phi_m - ca Phi_m*, with ca = conj(alpha_m).
 
-    ``buf[-m - 1:]`` holds Phi_m behind a zero, so ``buf[-m - 2:]`` already
-    holds z Phi_m.  ``term`` holds the m + 1 coefficients of Phi_m* (from
-    :func:`_phi_star`) and is overwritten with ca Phi_m*, which is then
-    subtracted in place.  With ca = 0 and a finite ``term`` the step
-    subtracts only +-0, which leaves every part of ``buf`` but a -0 as it
-    was; :func:`_monic_pair` skips such steps on that ground.  This is the
-    one monic recursion kernel: both :func:`_monic_pair` and the moment
-    recursion of circle ingestion call it.
+    ``buf[-m - 2:]`` already holds z Phi_m, Phi_m behind a zero.
+    ``phi_star`` holds Phi_m* (from :func:`_phi_star`, or Phi_m reversed
+    under the real-alpha shortcut of :func:`_monic_pair`).  ``term``, of the
+    same length and possibly ``phi_star`` itself, receives ca Phi_m*, which
+    is subtracted in place.  This is the one monic recursion kernel, of
+    :func:`_monic_pair` and the moment recursion of circle ingestion.
     """
-    np.multiply(ca, term, out=term)
-    buf[-len(term) - 1 : -1] -= term
+    seg = buf[-len(term) - 1 : -1]
+    np.multiply(ca, phi_star, out=term)
+    np.subtract(seg, term, out=seg)
 
 
 def _monic(coeffs: VerblunskyCoeffs, n: int) -> np.ndarray:

@@ -92,10 +92,12 @@ def taylor_reciprocal(a: TaylorSeries, order: int | None = None) -> TaylorSeries
     # rev[order - k] holds d_k, so d_{k-1} .. d_{k-jmax} is a forward slice
     rev = np.zeros(order + 1, dtype=complex)
     rev[order] = 1.0 / c0
-    # d_k = -(sum_{j=1..k} c_j d_{k-j}) / c_0, with absent c_j treated as 0
-    for k in range(1, order + 1):
-        jmax = min(k, top)
-        rev[order - k] = -dot(c[1 : jmax + 1], rev[order - k + 1 : order - k + 1 + jmax]) / c0
+    # d_k = -(sum_{j=1..min(k, top)} c_j d_{k-j}) / c_0, absent c_j being 0
+    tail = c[1:]
+    for k in range(1, min(top, order) + 1):
+        rev[order - k] = -dot(tail[:k], rev[order - k + 1 :]) / c0
+    for k in range(top + 1, order + 1):
+        rev[order - k] = -dot(tail, rev[order - k + 1 : order - k + 1 + top]) / c0
     return TaylorSeries(rev[::-1].copy())
 
 

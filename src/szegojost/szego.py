@@ -45,7 +45,7 @@ def dinv_from_alphas(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     runs no step past the last nonzero alpha, with the same bits as running
     them (a truncated spec whose alphas underflow to 0 is the finitely
     supported case from there on).  The series then ends in exact zeros,
-    which :func:`_r_by_product` skips.
+    which :func:`_reflected_d` and :func:`_r_dots` skip.
 
     The series is cached on ``coeffs`` under ``("dinv", order)`` for the
     lifetime of that instance, and its coefficient array is read-only.  A
@@ -195,7 +195,8 @@ def r_series(dinv: TaylorSeries, order: int = 64, method: str = "grid") -> Laure
     the reflected-D series with the 1/D series, which keeps relative
     accuracy deep into the tails and is what the wide-annulus checks use;
     it calls :func:`_r_by_product` for -order..order, which also makes its
-    checks (a nonzero constant term, ``order <= dinv.order``).
+    checks (a nonzero constant term, ``order <= dinv.order``) and runs the
+    same dot loop as the r - S suite.
     """
     if method == "product":
         return LaurentSeries(_r_by_product(dinv, -order, order))
@@ -215,27 +216,60 @@ def r_series(dinv: TaylorSeries, order: int = 64, method: str = "grid") -> Laure
 def _r_by_product(dinv: TaylorSeries, lowest: int, order: int) -> np.ndarray:
     """Coefficients r_lowest .. r_order of r by the product method.
 
-    r_k = sum_m conj(D_m) (1/D)_{m+k}, one ``np.dot`` per k, so each
-    coefficient is the same whatever range is asked for.  ``r_series``
-    takes -order..order; the r - S suite reads only the Taylor half
-    0..order and builds nothing else.
+    r_k = sum_m conj(D_m) (1/D)_{m+k}: :func:`_reflected_d` builds conj(D)
+    and makes the checks, and :func:`_r_dots` takes one ``np.dot`` per k.
+    ``r_series`` takes -order..order; the r - S suite calls the two parts
+    itself, to build D once and form only the r_k it reads.
+    """
+    return _r_dots(dinv, _reflected_d(dinv, lowest, order), lowest, order)
 
-    Past ``top``, the last nonzero index of 1/D, the work is cut without
-    changing a bit:
 
-    - For k > top, r_k is a dot of D with zeros only.  A dot of two or more
-      terms sums from +0, so it is +0+0j, which ``c`` already holds.  The
-      dot at k = N (the order of 1/D) has one term, a plain product that
-      keeps the signs of its zeros, so it is computed as before.
-    - For 0 <= k <= top, each D_m with m > top meets a zero of 1/D.  So the
-      Taylor half builds D only through ``top`` (the same dots) and leaves
-      +0 past it; every dot keeps its length and so its summation order.
+def _r_dots(dinv: TaylorSeries, d_conj: np.ndarray, lowest: int, highest: int) -> np.ndarray:
+    """r_lowest .. r_highest from ``d_conj`` of :func:`_reflected_d`, one ``np.dot`` per k.
 
-    Both need finite D_m, as inf * 0 is nan.  When 1/D is kappa Phi_n*, as
-    :func:`dinv_from_alphas` gives it once its order reaches the degree,
-    Phi_n* has no zeros in the closed unit disk and D is the Szego function
-    of a probability measure, so sum |D_m|^2 <= 1.  Negative k read D up to
-    index N, so a range that starts below 0 builds all of it.
+    The dot for r_k has the same length and operands whatever range is
+    asked for, so each r_k has the same bits in every range.  Past ``top``,
+    the last nonzero index of 1/D, the work is cut without changing a bit:
+
+    - For top < k < N (the order of 1/D), r_k is a dot of D with zeros
+      only.  A dot of two or more terms sums from +0, so it is +0+0j, which
+      the output already holds.  The dot at k = N has one term, a plain
+      product that keeps the signs of its zeros, so it is computed.
+    - For 0 <= k <= top, each D_m with m > top meets a zero of 1/D, so
+      ``d_conj`` may hold +0 past ``top`` for a range that starts at 0 or
+      above.  That needs finite D_m, as inf * 0 is nan.  When 1/D is
+      kappa Phi_n*, as :func:`dinv_from_alphas` gives it once its order
+      reaches the degree, Phi_n* has no zeros in the closed unit disk and
+      D is the Szego function of a probability measure: sum |D_m|^2 <= 1.
+
+    The r - S suite calls it on one ``d_conj`` for the trailing half of r
+    and for the chunks of its signal prefix.
+    """
+    c_dinv = dinv.coeffs
+    length = dinv.order
+    top = int(np.flatnonzero(c_dinv)[-1])
+    dot = np.dot
+    c = np.zeros(highest - lowest + 1, dtype=complex)
+    # m runs over max(0, -k) .. length - max(0, k)
+    for k in range(lowest, min(0, highest + 1)):
+        c[k - lowest] = dot(d_conj[-k : length + 1], c_dinv[: length + k + 1])
+    taylor = range(max(0, lowest), min(top, highest) + 1)
+    if top < length == highest and lowest <= length:
+        taylor = [*taylor, length]
+    for k in taylor:
+        c[k - lowest] = dot(d_conj[: length - k + 1], c_dinv[k : length + 1])
+    return c
+
+
+def _reflected_d(dinv: TaylorSeries, lowest: int, order: int) -> np.ndarray:
+    """conj(D_0) .. conj(D_N) for r_lowest .. r_order, N the order of 1/D.
+
+    Raises as the product method does: :class:`PoleError` when 1/D has no
+    constant term, then :class:`InvalidParameterError` when
+    ``order > dinv.order``.  For ``lowest >= 0`` D is built only through
+    the last nonzero index of 1/D and left at +0 past it (see
+    :func:`_r_dots`); negative k read D up to index N, so a range that
+    starts below 0 builds all of it.
     """
     _require_constant_term(dinv)
     length = dinv.order
@@ -243,22 +277,11 @@ def _r_by_product(dinv: TaylorSeries, lowest: int, order: int) -> np.ndarray:
         raise InvalidParameterError(
             "product method needs dinv order >= requested Laurent order"
         )
-    c_dinv = dinv.coeffs
-    top = int(np.flatnonzero(c_dinv)[-1])
+    top = int(np.flatnonzero(dinv.coeffs)[-1])
     built = length if lowest < 0 else top
     d_conj = np.zeros(length + 1, dtype=complex)
     d_conj[: built + 1] = np.conj(taylor_reciprocal(dinv, built).coeffs)
-    dot = np.dot
-    c = np.zeros(order - lowest + 1, dtype=complex)
-    # m runs over max(0, -k) .. length - max(0, k)
-    for k in range(lowest, min(0, order + 1)):
-        c[k - lowest] = dot(d_conj[-k : length + 1], c_dinv[: length + k + 1])
-    taylor = range(max(0, lowest), min(top, order) + 1)
-    if top < length == order and lowest <= length:
-        taylor = [*taylor, length]
-    for k in taylor:
-        c[k - lowest] = dot(d_conj[: length - k + 1], c_dinv[k : length + 1])
-    return c
+    return d_conj
 
 
 def _require_constant_term(dinv: TaylorSeries) -> None:

@@ -30,6 +30,7 @@ from szegojost.errors import (
     IllConditionedError,
     InvalidParameterError,
     NumericalDegeneracyError,
+    SzegojostError,
 )
 from szegojost.jost import (
     b_series_from_deltas,
@@ -40,7 +41,7 @@ from szegojost.jost import (
 from szegojost.oprl import JacobiParams, spectral_measure_oracle
 from szegojost.opuc import VerblunskyCoeffs
 from szegojost.series import LaurentSeries, TaylorSeries
-from szegojost.szego import dinv_from_alphas, s_series
+from szegojost.szego import _r_by_product, dinv_from_alphas, s_series
 
 
 def test_decay_rate_pure_geometric():
@@ -569,6 +570,81 @@ def test_combination_suite_rows_match_the_row_kernel(monkeypatch, c, r, order):
     monkeypatch.setattr(analysis, "jost_b_combination", _row_kernel_combination)
     old = verify_jost_b_combination(geometric_alphas(c, r, order), order=order)
     assert repr(new.rows()) == repr(old.rows())
+
+
+def _r_minus_s_before(coeffs, order=96, rel_tol=0.05, slack=0.1):
+    """verify_r_minus_s before it formed only the r_k its fits read, verbatim."""
+    def legs():
+        alpha = coeffs.slice(order + 1)
+        dinv = dinv_from_alphas(coeffs, order)
+        s = s_series(coeffs, order).coeffs
+        r_pos = _r_by_product(dinv, 0, order)
+        if not np.any(np.abs(alpha) > UNDERFLOW_FLOOR):
+            return ({"difference_radius": math.inf, "threshold": math.inf}, True,
+                    "alpha is zero; r - S vanishes identically")
+        r_alpha = decay_rate(alpha).radius
+        r_s = decay_rate(s).radius
+        r_r = decay_rate(r_pos).radius
+        diff = r_pos - s
+        floor = analysis._rounding_floor(np.abs(r_pos) + np.abs(s))
+        hi = analysis._signal_prefix(diff, floor, 2)
+        if hi < 2:
+            r_diff, used = math.inf, 0
+        elif hi < 10:
+            raise NumericalDegeneracyError(
+                f"difference signal survives rounding only through index {hi}"
+            )
+        else:
+            est = decay_rate(diff, window=(2, hi), floor=floor)
+            r_diff, used = est.radius, est.n_points
+        sane = (analysis._relative_gap(r_s, r_alpha) <= rel_tol
+                and analysis._relative_gap(r_r, r_alpha) <= rel_tol)
+        threshold = math.inf if math.isinf(r_alpha) else (r_alpha ** 3) * (1.0 - slack)
+        measured = {
+            "alpha_decay_radius": r_alpha,
+            "s_radius": r_s,
+            "r_radius": r_r,
+            "difference_radius": r_diff,
+            "threshold": threshold,
+            "usable_points": float(used),
+        }
+        claim = math.isinf(r_diff) or r_diff >= threshold
+        return measured, sane and claim, (
+            "" if sane else "sanity leg failed: r or S radius is off the alpha decay")
+
+    return analysis._report("r-minus-s", slack, legs)
+
+
+def _r_minus_s_rows(suite, make, order):
+    try:
+        return repr(suite(make(), order=order).rows())
+    except SzegojostError as exc:  # the two versions must raise alike too
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(st.sampled_from(["geometric", "real list", "complex list"]), st.floats(1.05, 6.0),
+       st.floats(0.02, 0.9), st.booleans(), st.integers(9, 1100), st.integers(0, 2**31 - 1))
+@settings(max_examples=80, deadline=None)
+@pytest.mark.filterwarnings("ignore::szegojost.errors.ConvergenceWarning")
+def test_r_minus_s_rows_match_the_full_product_suite(kind, r, c, negative, order, seed):
+    """Geometric tails (R in [1.05, 6], both signs of C) and finite real and
+    complex lists, at odd and even orders: forming only the r_k the fits
+    read leaves every row as the suite that formed all of them wrote it."""
+    c = -c if negative else c
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 60))
+    values = c * r ** -np.arange(size, dtype=float)
+    if kind == "complex list":
+        values = values * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
+    values[rng.uniform(size=size) < 0.1] = 0.0
+
+    def make():
+        if kind == "geometric":
+            return geometric_alphas(c, r, order)
+        return VerblunskyCoeffs.finitely_supported(values)
+
+    assert _r_minus_s_rows(verify_r_minus_s, make, order) == _r_minus_s_rows(
+        _r_minus_s_before, make, order)
 
 
 def test_combination_suite_geometric_family():

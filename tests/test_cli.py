@@ -345,6 +345,22 @@ def test_gset_over_its_candidate_budget_exits_two(generators):
     assert proc.stderr.endswith("; lower the cutoff or cap the order with --n-max\n")
 
 
+def test_gset_counts_only_the_products_it_tries(capsys, monkeypatch):
+    """The conjugate parts of a plain product above the cutoff are never
+    tried, so they take no share of the budget: with one small and two
+    large generators the set is the one the unbudgeted enumeration builds."""
+    from szegojost import analysis
+
+    argv = ["--generators=-1.214,4.543j,3.782", "--cutoff", "964.63"]
+    proc = _gset_in_fresh_interpreter(*argv)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(analysis, "_GSET_MAX_CANDIDATES", math.inf)
+    code, out = run(capsys, ["gset", *argv])
+    assert code == 0
+    assert proc.stdout == out
+    assert len(parse_table(out)[1]) == 191
+
+
 def test_gset_n_max_keeps_a_large_cutoff_in_budget():
     proc = _gset_in_fresh_interpreter("--generators", "2,3j", "--cutoff", "1e308", "--n-max", "2")
     assert proc.returncode == 0

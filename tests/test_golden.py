@@ -31,7 +31,14 @@ atom (``szego_mapped_line_atom.json``), the ``alpha`` table of ``coeffs
 subnormal), ``jost --what series`` from alpha and ``jost --what zeros``
 from finite-range ``--a``/``--b``, ``carmona``, ``gset`` and ``probe``,
 and one ``popuc -o`` run whose CSV and ``.meta.json`` sidecar are both
-compared.  Regenerate a file only together with a CHANGES.md entry that
+compared.  The last seven files were written before the r - S suite formed
+only the coefficients of r it reads and the Szego step subtracted in
+place: ``verify all`` at order 1024 on the four panel inputs of
+``bench/workloads.py`` that had no file yet (R = 2.5 holds the most
+subnormals; C = 0.1, R = 3.4 exits 1 on an inconclusive r - S report), and
+``verify r-minus-s`` (orders 96 and 256) and ``verify nevai-totik`` on a
+finitely supported complex list 0.5 e^{0.7in} 2^-n, n = 0..39, which runs
+the complex path of the step.  Regenerate a file only together with a CHANGES.md entry that
 declares the output change.
 
 Each command runs in a fresh interpreter with BLAS pinned to one thread:
@@ -39,6 +46,7 @@ the paraorthogonal zeros come from a LAPACK inverse and Hermitian
 eigensolver whose last bits depend on the thread count.
 """
 
+import cmath
 import os
 import subprocess
 import sys
@@ -50,6 +58,10 @@ import szegojost
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 MEASURES = Path(__file__).parent / "data" / "measures"
+# alpha_n = 0.5 e^{0.7in} 2^-n for n = 0..39, each as repr(real) then imag to 17 digits
+COMPLEX_LIST = ",".join(
+    f"{z.real!r}{z.imag:+.17g}j" for z in (0.5 * cmath.exp(0.7j * n) * 2.0**-n for n in range(40))
+)
 
 CASES = {
     "verify_all_order64": ["verify", "all", "--alpha", "geometric:C=0.5,R=2", "--order", "64"],
@@ -86,6 +98,23 @@ CASES = {
     "gset_two_generators": ["gset", "--generators=2+0.5j,-1.5+1j", "--cutoff", "30"],
     "probe_dinv_order64": ["probe", "--alpha", "geometric:C=0.5,R=2", "--series", "dinv",
                            "--degree", "6,3", "--order", "64"],
+    "verify_all_c-0.6_r2.5_order1024": ["verify", "all", "--alpha", "geometric:C=-0.6,R=2.5",
+                                        "--order", "1024"],
+    "verify_all_c0.2_r3.0_order1024": ["verify", "all", "--alpha", "geometric:C=0.2,R=3.0",
+                                       "--order", "1024"],
+    "verify_all_c-0.15_r3.2_order1024": ["verify", "all", "--alpha", "geometric:C=-0.15,R=3.2",
+                                         "--order", "1024"],
+    "verify_r_minus_s_complex_list": ["verify", "r-minus-s", "--alpha=" + COMPLEX_LIST],
+    "verify_nevai_totik_complex_list_order256": ["verify", "nevai-totik",
+                                                 "--alpha=" + COMPLEX_LIST, "--order", "256"],
+}
+
+# pinned runs that exit 1 on a failed report, with that exit code
+FAILING_CASES = {
+    "verify_all_c0.1_r3.4_order1024": ["verify", "all", "--alpha", "geometric:C=0.1,R=3.4",
+                                       "--order", "1024"],
+    "verify_r_minus_s_complex_list_order256": ["verify", "r-minus-s", "--alpha=" + COMPLEX_LIST,
+                                               "--order", "256"],
 }
 
 
@@ -101,6 +130,14 @@ def run_cli(argv):
 def test_cli_stdout_matches_golden(name):
     proc = run_cli(CASES[name])
     assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_CASES))
+def test_cli_stdout_and_exit_one_match_golden(name):
+    proc = run_cli(FAILING_CASES[name])
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert proc.stderr == b""
     assert proc.stdout == (GOLDEN / f"{name}.csv").read_bytes()
 
 

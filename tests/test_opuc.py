@@ -240,6 +240,74 @@ def test_monic_pair_matches_the_two_buffer_loop_bitwise(seed, past):
     assert n == 0 or not _has_negative_zero(prev)
 
 
+# exact zeros of both signs and subnormals, among ordinary draws
+_EDGE_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-200])
+_REAL_PART = st.one_of(_EDGE_PARTS, st.floats(-0.95, 0.95))
+_ALPHA = st.one_of(_REAL_PART, st.builds(complex, _REAL_PART, _REAL_PART).filter(
+    lambda z: abs(z) < 0.99))
+
+
+def _steps_of_monic_pair(coeffs, n):
+    """The step loop of opuc._monic_pair, verbatim but for the early stop,
+    yielding ``buf`` after every step."""
+    ca = np.conj(coeffs.slice(n))
+    plain = int(np.searchsorted(np.cumsum(np.log1p(np.abs(ca))), 700.0)) if coeffs.is_real() else 0
+    buf, star = opuc._monic_buffers(n)
+    for m in range(n):
+        phi = buf[: -m - 2 : -1] if m < plain else opuc._phi_star(buf, star, m)
+        opuc._szego_step(buf, phi, ca[m], star[: m + 1])
+        yield buf
+
+
+@given(st.lists(_ALPHA, max_size=80), st.booleans(), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_szego_steps_never_write_a_negative_zero(alphas, real, past):
+    """Real and complex alpha with exact zeros and subnormals: after every
+    step ``buf`` holds no -0 in any real or imaginary part, and its
+    imaginary parts stay +0 when alpha is real.  The conjugate the real
+    steps skip, and the stop at the last nonzero alpha, rest on this."""
+    alpha = np.array([complex(z.real if real else z) for z in alphas], dtype=complex)
+    coeffs = VerblunskyCoeffs.finitely_supported(alpha) if alpha.size else VerblunskyCoeffs.zero()
+    n = len(alpha) + past
+    buf = None
+    for buf in _steps_of_monic_pair(coeffs, n):
+        assert not _has_negative_zero(buf)
+        if real:
+            assert not np.any(np.signbit(buf.imag))
+    assert buf is None or buf.tobytes() == opuc._monic_pair(coeffs, n)[1].tobytes()
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["geometric", "list", "edge"]))
+@settings(max_examples=120, deadline=None)
+def test_monic_pair_on_real_alpha_matches_the_two_buffer_loop_bitwise(seed, kind):
+    """Real alpha only, so every step that the bound allows multiplies Phi_m
+    reversed instead of Phi_m*: geometric tails (underflowing to zeros of the
+    sign of C), lists with zeros and subnormals, and lists of |alpha| near 1
+    whose polynomials overflow past the bound."""
+    rng = np.random.default_rng(seed)
+    if kind == "geometric":
+        n = int(rng.integers(1, 2500))
+        alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.9) * rng.uniform(1.05, 6.0) ** (
+            -np.arange(n + 1.0))
+        coeffs = VerblunskyCoeffs(alpha)
+    elif kind == "list":
+        size = int(rng.integers(0, 300))
+        alpha = rng.uniform(-0.95, 0.95, size) * 10.0 ** rng.uniform(-320.0, 0.0, size)
+        alpha[rng.uniform(size=size) < 0.1] = rng.choice([0.0, -0.0])
+        coeffs = VerblunskyCoeffs.finitely_supported(alpha) if size else VerblunskyCoeffs.zero()
+        n = size + int(rng.integers(0, 4))
+    else:
+        size = int(rng.integers(1100, 1600))
+        alpha = rng.choice([-1.0, 1.0]) * rng.uniform(1.0 - 1e-3, 1.0 - 1e-9, size)
+        coeffs = VerblunskyCoeffs(alpha)
+        n = size - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        prev, last = opuc._monic_pair(coeffs, n)
+        want_prev, want_last = monic_pair_two_buffers(coeffs, n)
+    assert last.tobytes() == want_last.tobytes()
+    assert (prev is None) if n == 0 else prev.tobytes() == want_prev.tobytes()
+
+
 def _companion_zeros(coeffs, n, omega):
     """Paraorthogonal zeros from the companion matrix, verbatim from before
     they came from the cut-off CMV matrix."""
