@@ -35,7 +35,7 @@ print(f"decay radius of 1/D:   {est_dinv.radius:.4f}   (both should be near {R})
 # the run that clears 64 times a 20-eps rounding floor.
 s = s_series(alphas, order=ORDER)
 r = r_series(dinv, order=ORDER, method="product")
-r_pos = np.concatenate(([r.coeff(0)], r.positive_tail()))
+r_pos = r[ORDER:]
 diff = r_pos - s.coeffs
 floor = 64 * 20 * np.finfo(float).eps * (np.abs(r_pos) + np.abs(s.coeffs))
 hi = 4

@@ -9,11 +9,12 @@ byte-identical.  Across thread counts the last bits of values that come
 from LAPACK may differ.  LAPACK output reaches the CLI only through
 ``polyroots`` (finite-range Jost zeros, the residue moments of ``carmona``
 and the Pade poles of ``probe``), the inverse and ``eigvalsh`` that give
-the paraorthogonal zeros of ``popuc``, the linear solve of ``probe``, and
-the least-squares solve (``lstsq``) inside ``np.polyfit`` of every radius
-fit in ``decay_rate`` and of the endpoint check that ``coeffs
---from-measure`` runs on a line weight.  The package imports numpy and the
-standard library, nothing else.
+the paraorthogonal zeros of ``popuc``, the condition number of ``probe``
+(``np.linalg.cond``, an SVD, which decides its ``IllConditionedError``), the
+linear solve of ``probe``, and the least-squares solve (``lstsq``) inside
+``np.polyfit`` of every radius fit in ``decay_rate`` and of the endpoint
+check that ``coeffs --from-measure`` runs on a line weight.  The package
+imports numpy and the standard library, nothing else.
 
 Exit codes: 0 success, 1 failed verification (report still written),
 2 malformed input or invalid parameters.
@@ -167,8 +168,7 @@ def _cmd_szego(args, config: ExperimentConfig) -> int:
         return 0
     dinv = dinv_from_alphas(coeffs, args.order)
     if args.series == "r":
-        ser = r_series(dinv, args.order)
-        _write_complex(args, "r", "k", ser.coeffs, config, start=-ser.order)
+        _write_complex(args, "r", "k", r_series(dinv, args.order), config, start=-args.order)
         return 0
     _write_complex(args, "dinv", "k", dinv.coeffs, config)
     return 0

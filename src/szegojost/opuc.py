@@ -16,6 +16,7 @@ from .errors import (
     AliasingError,
     DomainError,
     InvalidParameterError,
+    NumericalDegeneracyError,
     OutOfRangeError,
 )
 from .series import TaylorSeries, taylor_mul, taylor_reciprocal
@@ -51,12 +52,12 @@ class VerblunskyCoeffs:
     means the sequence is known only up to the stored length and reading
     past it raises :class:`OutOfRangeError`.
 
-    Each instance carries a private cache of the 1/D series and the mapped
-    Jacobi deltas derived from it (:func:`~szegojost.szego.dinv_from_alphas`,
-    :func:`~szegojost.jost.geronimus_deltas`), so the suites of one
-    ``verify`` run share them.  It lives as long as the instance and is not
-    a dataclass field (it takes no part in ``repr`` or ``==``).  ``alpha``
-    is stored as a read-only copy, so the cache cannot go stale.
+    Each instance carries a private cache of what the suites derive from it
+    (1/D, the mapped Jacobi deltas, and the fitted decay radii of alpha and
+    of those deltas), so the suites of one ``verify`` run share them.  It
+    lives as long as the instance and is not a dataclass field (it takes no
+    part in ``repr`` or ``==``).  ``alpha`` is stored as a read-only copy, so
+    the cache cannot go stale.
     """
 
     alpha: np.ndarray
@@ -402,12 +403,22 @@ def popuc_point_measure(coeffs: VerblunskyCoeffs, n: int, omega: complex) -> Pop
     The zeros are those of :func:`popuc`, read straight off the alphas; the
     weights come from stepping the orthonormal Szego recursion on the zeros
     themselves (see :func:`_christoffel_weights`), O(n) vector steps with no
-    polynomial evaluation.
+    polynomial evaluation.  Near a point mass that recursion picks up the
+    growing solution and loses mass, so weights that do not sum to 1 within
+    the :class:`CircleMeasure` tolerance raise :class:`NumericalDegeneracyError`.
     """
     omega = _boundary_parameter(n, omega)
     alpha = coeffs.slice(n)
     zeros = _paraorthogonal_zeros(alpha, omega)
-    return PopucMeasure(zeros=zeros, weights=_christoffel_weights(alpha, zeros), omega=omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = _christoffel_weights(alpha, zeros)
+    total = float(np.sum(weights))
+    if not abs(total - 1.0) <= _MASS_TOL:
+        raise NumericalDegeneracyError(
+            f"paraorthogonal weights sum to {total:.17g}, not 1 within {_MASS_TOL:g}: "
+            "the Christoffel recursion lost mass at a point mass of the measure"
+        )
+    return PopucMeasure(zeros=zeros, weights=weights, omega=omega)
 
 
 def _christoffel_weights(alpha: np.ndarray, z: np.ndarray) -> np.ndarray:

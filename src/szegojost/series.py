@@ -1,10 +1,11 @@
-"""Finite Taylor and Laurent series with the small arithmetic kit used here.
+"""Finite Taylor series with the small arithmetic kit used here.
 
 Coefficients are stored densely in ascending order.  All operations are
 truncated-degree exact: the first ``order + 1`` output coefficients are the
 mathematically correct ones for the (formal) power-series operation, with no
 discretization step involved.  Radius-of-convergence questions are handled
 separately in :mod:`szegojost.analysis` by looking at coefficient decay.
+The two-sided r of :func:`szegojost.szego.r_series` is a plain array.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +16,6 @@ from .errors import DomainError, InvalidParameterError
 
 __all__ = [
     "TaylorSeries",
-    "LaurentSeries",
     "taylor_mul",
     "taylor_reciprocal",
     "taylor_exp",
@@ -117,45 +117,3 @@ def taylor_exp(a: TaylorSeries, order: int | None = None) -> TaylorSeries:
         kmax = min(n, top)
         rev[order - n - 1] = dot(dg[: kmax + 1], rev[order - n : order - n + kmax + 1]) / (n + 1)
     return TaylorSeries(rev[::-1].copy())
-
-
-@dataclass(frozen=True)
-class LaurentSeries:
-    """Two-sided truncated series sum_{|k|<=N} c_k z^k on an annulus.
-
-    ``coeffs[j]`` holds the coefficient of z^(j - N) where N is the tail
-    order, so the array length is odd: c_{-N} .. c_0 .. c_N.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = _ascoeffs(self.coeffs)
-        if c.size % 2 != 1:
-            raise InvalidParameterError(
-                "a two-sided series needs an odd coefficient count (-N..N)"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order(self) -> int:
-        return (len(self.coeffs) - 1) // 2
-
-    def coeff(self, k: int) -> complex:
-        if abs(k) > self.order:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[k + self.order])
-
-    def positive_tail(self) -> np.ndarray:
-        """Coefficients c_1 .. c_N (outward decay tells the outer radius)."""
-        return self.coeffs[self.order + 1 :]
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        if np.any(z == 0):
-            raise DomainError("a two-sided series cannot be evaluated at 0")
-        n = self.order
-        pos = np.polynomial.polynomial.polyval(z, self.coeffs[n:])
-        neg = np.polynomial.polynomial.polyval(1.0 / z, self.coeffs[n::-1])
-        # both sums include c_0 once
-        return pos + neg - self.coeffs[n]

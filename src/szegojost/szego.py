@@ -18,7 +18,7 @@ from .errors import (
     SzegoConditionError,
 )
 from .opuc import CircleMeasure, VerblunskyCoeffs, _monic, _monic_pair
-from .series import LaurentSeries, TaylorSeries, taylor_exp, taylor_reciprocal
+from .series import TaylorSeries, _ascoeffs, taylor_exp, taylor_reciprocal
 
 __all__ = [
     "dinv_from_alphas",
@@ -183,10 +183,11 @@ def s_series(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     return TaylorSeries(c)
 
 
-def r_series(dinv: TaylorSeries, order: int = 64, method: str = "grid") -> LaurentSeries:
-    """Laurent coefficients of r(z) = conj(D(1/conj(z))) / D(z).
+def r_series(dinv: TaylorSeries, order: int = 64, method: str = "grid") -> np.ndarray:
+    """Laurent coefficients r_{-order} .. r_order of r(z) = conj(D(1/conj(z))) / D(z).
 
-    On the unit circle r has modulus one.  ``method="grid"`` reads the
+    The array has length 2 * order + 1, with r_0 at index ``order``.  On the
+    unit circle r has modulus one.  ``method="grid"`` reads the
     coefficients off boundary values by FFT (grid of at least 8 * order
     points): the values of 1/D at the ``size`` roots of unity come from one
     inverse FFT of its coefficients folded modulo ``size`` (exact also when
@@ -196,10 +197,11 @@ def r_series(dinv: TaylorSeries, order: int = 64, method: str = "grid") -> Laure
     accuracy deep into the tails and is what the wide-annulus checks use;
     it calls :func:`_r_by_product` for -order..order, which also makes its
     checks (a nonzero constant term, ``order <= dinv.order``) and runs the
-    same dot loop as the r - S suite.
+    same dot loop as the r - S suite.  Either way a coefficient that is not
+    finite raises :class:`InvalidParameterError`.
     """
     if method == "product":
-        return LaurentSeries(_r_by_product(dinv, -order, order))
+        return _ascoeffs(_r_by_product(dinv, -order, order))
     _require_constant_term(dinv)
     if method == "grid":
         size = max(512, _next_pow2(8 * (order + 1)))
@@ -209,7 +211,7 @@ def r_series(dinv: TaylorSeries, order: int = 64, method: str = "grid") -> Laure
         vals = size * np.fft.ifft(folded.reshape(rows, size).sum(axis=0))
         ratio = vals / np.conj(vals)
         hat = np.fft.fft(ratio) / size
-        return LaurentSeries(hat[np.arange(-order, order + 1) % size])
+        return _ascoeffs(hat[np.arange(-order, order + 1) % size])
     raise InvalidParameterError(f"unknown method {method!r}")
 
 

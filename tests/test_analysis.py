@@ -40,7 +40,7 @@ from szegojost.jost import (
 )
 from szegojost.oprl import JacobiParams, spectral_measure_oracle
 from szegojost.opuc import VerblunskyCoeffs
-from szegojost.series import LaurentSeries, TaylorSeries
+from szegojost.series import TaylorSeries
 from szegojost.szego import _r_by_product, dinv_from_alphas, s_series
 
 
@@ -92,9 +92,6 @@ def test_radius_estimate_dispatch():
     ts = TaylorSeries(2.0 ** -np.arange(65.0))
     est = radius_estimate(ts)
     assert abs(est.radius - 2.0) < 1e-10
-    # a two-sided series has no single radius; the suites fit its tails
-    with pytest.raises(InvalidParameterError, match="cannot estimate a radius for LaurentSeries"):
-        radius_estimate(LaurentSeries(2.0 ** -np.abs(np.arange(-48.0, 49.0))))
     with pytest.raises(InvalidParameterError, match="cannot estimate a radius for list"):
         radius_estimate([1.0, 0.5])
 

@@ -23,7 +23,7 @@ from szegojost.measures import ExperimentConfig, MeasureSpec, ingest_circle, rea
 
 
 def test_package_exports_are_pinned():
-    assert len(szegojost.__all__) == 89
+    assert len(szegojost.__all__) == 88
     assert set(szegojost.__all__) == {
         "analysis", "errors", "jost", "measures", "oprl", "opuc", "series", "szego",
         "PadePole", "ProductSet", "RadiusEstimate", "VerificationReport",
@@ -46,7 +46,7 @@ def test_package_exports_are_pinned():
         "VerblunskyCoeffs", "bernstein_szego", "caratheodory", "popuc",
         "popuc_average_check", "popuc_point_measure", "roots_of_unity", "second_kind",
         "szego_recursion",
-        "LaurentSeries", "TaylorSeries", "taylor_exp", "taylor_mul", "taylor_reciprocal",
+        "TaylorSeries", "taylor_exp", "taylor_mul", "taylor_reciprocal",
         "d_from_weight", "dinv_from_alphas", "r_series", "recover_alpha_geronimus_freud",
         "recover_alpha_simon", "s_series",
     }
@@ -306,6 +306,24 @@ def test_popuc_weights(capsys):
     assert abs(total - 1.0) < 1e-12
     for r in rows:
         assert abs(abs(complex(float(r["re"]), float(r["im"]))) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(("c", "n", "total"), [
+    ("0.5", 128, "0.3333333333333"),
+    # the weights overflow to a nan row here, as they do for c = 0.5 at n = 2048
+    ("0.9", 512, "nan"),
+])
+def test_popuc_weights_that_lost_a_point_mass_exit_two(capsys, c, n, total):
+    """A constant positive alpha puts a point mass at z = 1, where the forward
+    Christoffel recursion picks up the growing solution and loses mass."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["popuc", f"--alpha=constant:c={c}", "--omega=1", "--n", str(n)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: paraorthogonal weights sum to {total}")
+    assert "not 1 within 1e-10" in captured.err
 
 
 def test_gset_table(capsys):

@@ -178,6 +178,24 @@ def test_popuc_point_measure_is_probability(rng):
     assert np.isclose(measure.moment(0), 1.0, atol=1e-10)
 
 
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.integers(1, 256))
+@settings(max_examples=40, deadline=None)
+def test_popuc_mass_check_passes_measures_without_point_masses(seed, finite, n):
+    """Geometric alphas with R >= 1.2 and finite lists give weights that sum to 1
+    within the mass tolerance, so the check never refuses them."""
+    gen = np.random.default_rng(seed)
+    phase = np.exp(2j * np.pi * gen.uniform())
+    if finite:
+        size = int(gen.integers(1, 25))
+        coeffs = VerblunskyCoeffs.finitely_supported(
+            gen.uniform(0.0, 0.7, size) * np.exp(2j * np.pi * gen.uniform(size=size)))
+    else:
+        decay = gen.uniform(1.2, 4.0) ** -np.arange(n, dtype=float)
+        coeffs = VerblunskyCoeffs(gen.uniform(-0.7, 0.7) * phase * decay)
+    measure = popuc_point_measure(coeffs, n, phase)
+    assert abs(np.sum(measure.weights) - 1.0) <= opuc._MASS_TOL
+
+
 def _monic_sequence(coeffs, n):
     """The Szego recursion as a generator of Phi_0 .. Phi_n, verbatim from
     before it became :func:`opuc._monic_pair`."""

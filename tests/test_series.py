@@ -1,4 +1,4 @@
-"""Truncated Taylor/Laurent series containers and their arithmetic."""
+"""Truncated Taylor series containers and their arithmetic."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from szegojost.errors import DomainError, InvalidParameterError
 from szegojost.series import (
-    LaurentSeries,
     TaylorSeries,
     taylor_exp,
     taylor_mul,
@@ -173,27 +172,3 @@ def test_taylor_exp_matches_the_dot_loop_bitwise(seed, length, order, zeros):
             g[i] = complex(*rng.choice([0.0, -0.0], size=2))
     got = taylor_exp(TaylorSeries(g), order).coeffs
     assert got.tobytes() == _taylor_exp_dot_loop(g, order).tobytes()
-
-
-def test_laurent_indexing_and_tails():
-    ls = LaurentSeries([5.0, 3.0, 1.0, 2.0, 4.0])  # c_{-2}..c_2
-    assert ls.order == 2
-    assert ls.coeff(0) == 1.0
-    assert ls.coeff(2) == 4.0
-    assert ls.coeff(-2) == 5.0
-    assert ls.coeff(7) == 0.0
-    assert np.all(ls.positive_tail() == [2.0, 4.0])
-
-
-def test_laurent_evaluation():
-    ls = LaurentSeries([5.0, 3.0, 1.0, 2.0, 4.0])
-    z = 0.7 - 0.2j
-    direct = sum(ls.coeff(k) * z**k for k in range(-2, 3))
-    assert np.isclose(ls(z), direct)
-    with pytest.raises(DomainError):
-        ls(0.0)
-
-
-def test_laurent_needs_odd_length():
-    with pytest.raises(InvalidParameterError):
-        LaurentSeries([1.0, 2.0])
