@@ -9,12 +9,14 @@ byte-identical.  Across thread counts the last bits of values that come
 from LAPACK may differ.  LAPACK output reaches the CLI only through
 ``polyroots`` (finite-range Jost zeros, the residue moments of ``carmona``
 and the Pade poles of ``probe``), the inverse and ``eigvalsh`` that give
-the paraorthogonal zeros of ``popuc``, the condition number of ``probe``
-(``np.linalg.cond``, an SVD, which decides its ``IllConditionedError``), the
-linear solve of ``probe``, and the least-squares solve (``lstsq``) inside
-``np.polyfit`` of every radius fit in ``decay_rate`` and of the endpoint
-check that ``coeffs --from-measure`` runs on a line weight.  The package
-imports numpy and the standard library, nothing else.
+the paraorthogonal zeros of ``popuc`` on its fallback (a Phi_n with a zero
+near the circle; its phase route needs only an FFT and Horner sweeps), the
+condition number of ``probe`` (``np.linalg.cond``, an SVD, which decides
+its ``IllConditionedError``), the linear solve of ``probe``, and the
+least-squares solve (``lstsq``) inside ``np.polyfit`` of every radius fit
+in ``decay_rate`` and of the endpoint check that ``coeffs --from-measure``
+runs on a line weight.  The package imports numpy and the standard
+library, nothing else.
 
 Exit codes: 0 success, 1 failed verification (report still written),
 2 malformed input or invalid parameters.

@@ -335,19 +335,23 @@ def ingest_circle(measure, n: int) -> VerblunskyCoeffs:
     alphas = np.zeros(n, dtype=complex)
     dot = np.dot
     buf, star = _monic_buffers(n)
-    for m in range(n):
-        phi_star = _phi_star(buf, star, m)
-        num = dot(buf[n - m :], mu[1 : m + 2])
-        den = dot(phi_star, mu[: m + 1])
-        if abs(den) < 1e-13:
-            raise DegenerateMeasureError(m, "monic norm collapsed; measure is numerically trivial")
-        alpha = np.conj(num / den)
-        if abs(alpha) >= 1.0 - 1e-13:
-            raise DegenerateMeasureError(
-                m, f"|alpha_{m}| = {abs(alpha):.6f} reached the unit circle"
-            )
-        alphas[m] = alpha
-        _szego_step(buf, phi_star, np.conj(alpha), phi_star)
+    # an overflow leaves a non-finite alpha, which VerblunskyCoeffs refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(n):
+            phi_star = _phi_star(buf, star, m)
+            num = dot(buf[n - m :], mu[1 : m + 2])
+            den = dot(phi_star, mu[: m + 1])
+            if abs(den) < 1e-13:
+                raise DegenerateMeasureError(
+                    m, "monic norm collapsed; measure is numerically trivial"
+                )
+            alpha = np.conj(num / den)
+            if abs(alpha) >= 1.0 - 1e-13:
+                raise DegenerateMeasureError(
+                    m, f"|alpha_{m}| = {abs(alpha):.6f} reached the unit circle"
+                )
+            alphas[m] = alpha
+            _szego_step(buf, phi_star, np.conj(alpha), phi_star)
     return VerblunskyCoeffs(alpha=alphas)
 
 

@@ -163,13 +163,15 @@ def _monic_pair(coeffs: VerblunskyCoeffs, n: int) -> tuple[np.ndarray | None, np
     plain = int(np.searchsorted(np.cumsum(np.log1p(np.abs(ca))), 700.0)) if coeffs.is_real() else 0
     buf, star = _monic_buffers(n)
     prev = None
-    for m in range(n):
-        if m == stop and np.isfinite(buf).all():
-            return buf[1:], buf
-        if m == n - 1:
-            prev = buf[1:].copy()
-        phi = buf[: -m - 2 : -1] if m < plain else _phi_star(buf, star, m)
-        _szego_step(buf, phi, ca[m], star[: m + 1])
+    # an overflow leaves non-finite coefficients, which the callers refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(n):
+            if m == stop and np.isfinite(buf).all():
+                return buf[1:], buf
+            if m == n - 1:
+                prev = buf[1:].copy()
+            phi = buf[: -m - 2 : -1] if m < plain else _phi_star(buf, star, m)
+            _szego_step(buf, phi, ca[m], star[: m + 1])
     return prev, buf
 
 
@@ -269,8 +271,9 @@ class ParaOrthogonalPoly:
 def popuc(coeffs: VerblunskyCoeffs, n: int, omega: complex) -> ParaOrthogonalPoly:
     """Paraorthogonal polynomial of degree n+1 for boundary parameter omega.
 
-    Zeros are the eigenvalues of the cut-off CMV matrix (see
-    :func:`_paraorthogonal_zeros`), so they lie on the circle to rounding.
+    Zeros come from the boundary phase of Phi_n, or from the cut-off CMV
+    matrix where that cannot certify them (see :func:`_paraorthogonal_zeros`);
+    either way they are e^{i theta} for real theta, on the circle to rounding.
     """
     omega = _boundary_parameter(n, omega)
     phi = _monic(coeffs, n)
@@ -290,12 +293,126 @@ def _boundary_parameter(n: int, omega) -> complex:
     return omega
 
 
+def _paraorthogonal_zeros(alpha: np.ndarray, omega: complex) -> np.ndarray:
+    """Zeros of z Phi_n - conj(omega) Phi_n* for alpha_0 .. alpha_{n-1}, sorted.
+
+    :func:`_phase_zeros` finds them from the boundary phase of Phi_n in
+    O(n^2).  Where it cannot certify its answer (Phi_n has a zero within
+    about 1/K of the circle, K its grid size), :func:`_eigen_zeros` takes
+    them from the cut-off CMV matrix in O(n^3).
+    """
+    zeros = _phase_zeros(alpha, omega)
+    return _eigen_zeros(alpha, omega) if zeros is None else zeros
+
+
+# first phase grid: this many cells per zero, rounded up to a power of two;
+# the grid may double up to _PHASE_REFINE times that
+_PHASE_CELLS = 8
+_PHASE_REFINE = 64
+# Newton on the phase stops once every step is below this (radians)
+_NEWTON_TOL = 1e-12
+_NEWTON_STEPS = 8
+
+
+def _phase_zeros(alpha: np.ndarray, omega: complex) -> np.ndarray | None:
+    """The zeros of :func:`_paraorthogonal_zeros` from the phase of Phi_n, or None.
+
+    b = z Phi_n / Phi_n* is a Blaschke product of degree n + 1, so on the
+    circle b = e^{i Psi} with Psi(theta) = (1 - n) theta + 2 arg Phi_n(e^{i theta})
+    rising strictly (Psi' is 1 plus a Poisson kernel for each zero of Phi_n),
+    by 2 pi (n + 1) over a turn.  The zeros are where Psi = arg conj(omega)
+    mod 2 pi, one per rise of 2 pi.
+
+    One inverse FFT gives Phi_n on K roots of unity, and
+    :func:`_phase_brackets` certifies the grid or refuses it; a refused grid
+    is doubled, up to ``_PHASE_REFINE`` times the first.  A resolved phase
+    halves its largest cell rise with each doubling, so a grid that does
+    not shrink it by a quarter stops the refinement: a zero of Phi_n that
+    near the circle needs a finer grid than any here.  Linear interpolation
+    in each bracket starts one Newton iteration on all n + 1 angles, with
+    Psi' = (1 - n) + 2 Re(z Phi_n' / Phi_n).  Once the last step is below
+    ``_NEWTON_TOL`` for every angle, the zeros are accepted if each lies
+    within a quarter cell of its bracket.  Brackets lie at least three cells
+    apart (a rise of 2 pi over cells of at most pi/2), so those n + 1 zeros
+    are distinct, and they are all of them.
+
+    None means some step could not certify: a grid too coarse at its finest,
+    a Newton iteration that did not settle in its bracket, or a non-finite
+    value.  Everything runs under ``np.errstate``, so a refused input
+    prints no warning.
+    """
+    n = len(alpha)
+    with np.errstate(all="ignore"):
+        phi = _monic(VerblunskyCoeffs(alpha, zero_after=n - 1), n)
+        target = cmath.phase(omega.conjugate())
+        first = _PHASE_CELLS << n.bit_length()
+        cells, last = first, math.inf
+        while True:
+            values = np.fft.ifft(phi, cells)
+            rise = (1 - n) * (2.0 * math.pi / cells) + 2.0 * np.angle(
+                np.roll(values, -1) * np.conj(values))
+            bracket = _phase_brackets(values, rise, target, n + 1)
+            if bracket is not None:
+                break
+            worst = float(np.max(np.abs(rise)))
+            # a nan worst fails the test too
+            if cells == _PHASE_REFINE * first or not worst <= 0.75 * last:
+                return None
+            cells, last = 2 * cells, worst
+        cell, theta = bracket
+        # columns c_k and k c_k: one Horner sweep gives Phi_n and z Phi_n'
+        pairs = np.stack((phi, np.arange(n + 1) * phi), axis=1)
+        for _ in range(_NEWTON_STEPS):
+            value, slope = _polyval(np.exp(1j * theta), pairs)
+            res = (1 - n) * theta - target + 2.0 * np.angle(value)
+            res -= 2.0 * math.pi * np.round(res / (2.0 * math.pi))
+            step = res / ((1 - n) + 2.0 * (slope / value).real)
+            theta -= step
+            # a nan step fails the test, so a settled theta is finite
+            if np.all(np.abs(step) < _NEWTON_TOL):
+                offset = theta * (cells / (2.0 * math.pi)) - cell
+                return np.sort(np.exp(1j * theta)) if np.all(np.abs(offset - 0.5) <= 0.75) else None
+        return None
+
+
+def _phase_brackets(values: np.ndarray, rise: np.ndarray, target: float, size: int):
+    """(cell, theta) for each zero from a certified phase grid, or None.
+
+    ``values`` holds Phi_n on the K roots of unity (up to a common factor)
+    and ``rise`` the measured rise of Psi over each cell, the true rise
+    minus a multiple of 4 pi.  The grid is certified when every rise lies
+    in (0, pi/2] and they add up to 2 pi ``size``, the true total by the
+    argument principle (size = n + 1).  No true rise is negative, so no
+    multiple is negative, and the multiples add up to 0, so every one is 0.
+    (This holds up to the rounding of ``values``, which the Newton check of
+    :func:`_phase_zeros` covers.)  Then Psi crosses the target once in each
+    of ``size`` cells: ``cell[j]`` is the cell of the j-th crossing and
+    ``theta[j]`` the angle where the linear interpolant of Psi crosses.
+    """
+    cells = len(values)
+    if not (np.all(rise > 0.0) and np.all(rise <= 0.5 * math.pi)):
+        return None
+    # Psi - Psi(0) in turns at the cell edges, closed at exactly size
+    edges = np.empty(cells + 1)
+    edges[0] = 0.0
+    np.cumsum(rise / (2.0 * math.pi), out=edges[1:])
+    if not abs(edges[-1] - size) < 0.25:
+        return None
+    edges[-1] = size
+    start = (2.0 * np.angle(values[0]) - target) / (2.0 * math.pi)
+    # the crossings sit at Psi - Psi(0) = j - frac(start), j = 1 .. size
+    cross = np.arange(1, size + 1) - (start - math.floor(start))
+    cell = np.searchsorted(edges, cross) - 1
+    lo, hi = edges[cell], edges[cell + 1]
+    return cell, (cell + (cross - lo) / (hi - lo)) * (2.0 * math.pi / cells)
+
+
 # |t| above which the first pole counts as too near a zero (about 2e-13 of angle)
 _POLE_LIMIT = 1e3
 
 
-def _paraorthogonal_zeros(alpha: np.ndarray, omega: complex) -> np.ndarray:
-    """Zeros of z Phi_n - conj(omega) Phi_n* for alpha_0 .. alpha_{n-1}, sorted.
+def _eigen_zeros(alpha: np.ndarray, omega: complex) -> np.ndarray:
+    """The zeros of :func:`_paraorthogonal_zeros` as eigenvalues of the cut-off CMV matrix.
 
     They are the eigenvalues of the unitary cut-off CMV matrix U of
     :func:`_cut_cmv` (Cantero-Moral-Velazquez; Simon, OPUC 1, ch. 4).  For
@@ -400,7 +517,7 @@ class PopucMeasure:
 def popuc_point_measure(coeffs: VerblunskyCoeffs, n: int, omega: complex) -> PopucMeasure:
     """Zeros plus Christoffel weights 1/sum_{k<=n} |phi_k(z_j)|^2.
 
-    The zeros are those of :func:`popuc`, read straight off the alphas; the
+    The zeros are those of :func:`popuc` (see :func:`_paraorthogonal_zeros`); the
     weights come from stepping the orthonormal Szego recursion on the zeros
     themselves (see :func:`_christoffel_weights`), O(n) vector steps with no
     polynomial evaluation.  Near a point mass that recursion picks up the

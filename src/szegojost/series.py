@@ -94,10 +94,12 @@ def taylor_reciprocal(a: TaylorSeries, order: int | None = None) -> TaylorSeries
     rev[order] = 1.0 / c0
     # d_k = -(sum_{j=1..min(k, top)} c_j d_{k-j}) / c_0, absent c_j being 0
     tail = c[1:]
-    for k in range(1, min(top, order) + 1):
-        rev[order - k] = -dot(tail[:k], rev[order - k + 1 :]) / c0
-    for k in range(top + 1, order + 1):
-        rev[order - k] = -dot(tail, rev[order - k + 1 : order - k + 1 + top]) / c0
+    # an overflow leaves non-finite coefficients, which TaylorSeries refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, min(top, order) + 1):
+            rev[order - k] = -dot(tail[:k], rev[order - k + 1 :]) / c0
+        for k in range(top + 1, order + 1):
+            rev[order - k] = -dot(tail, rev[order - k + 1 : order - k + 1 + top]) / c0
     return TaylorSeries(rev[::-1].copy())
 
 

@@ -64,17 +64,19 @@ def dinv_from_alphas(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     if steps < 1:
         raise InvalidParameterError("truncated coefficients are empty")
     prev, last = _monic_pair(coeffs, steps)
-    c = _star_coeffs(coeffs, last, steps, order)
     note = None
-    if not coeffs.is_finitely_supported:
-        prev_c = _star_coeffs(coeffs, prev, steps - 1, order)
-        drift = float(np.max(np.abs(c - prev_c)))
-        if drift > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
-            note = (
-                f"series unconverged: last step moved coefficients by {drift:.3e}; "
-                "supply more coefficients"
-            )
-            warnings.warn(note, ConvergenceWarning, stacklevel=2)
+    # an overflow leaves non-finite coefficients, which TaylorSeries refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _star_coeffs(coeffs, last, steps, order)
+        if not coeffs.is_finitely_supported:
+            prev_c = _star_coeffs(coeffs, prev, steps - 1, order)
+            drift = float(np.max(np.abs(c - prev_c)))
+            if drift > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
+                note = (
+                    f"series unconverged: last step moved coefficients by {drift:.3e}; "
+                    "supply more coefficients"
+                )
+                warnings.warn(note, ConvergenceWarning, stacklevel=2)
     series = TaylorSeries(c, note=note)
     series.coeffs.setflags(write=False)
     coeffs._cache[key] = series
@@ -209,8 +211,9 @@ def r_series(dinv: TaylorSeries, order: int = 64, method: str = "grid") -> np.nd
         folded = np.zeros(rows * size, dtype=complex)
         folded[: len(dinv.coeffs)] = dinv.coeffs
         vals = size * np.fft.ifft(folded.reshape(rows, size).sum(axis=0))
-        ratio = vals / np.conj(vals)
-        hat = np.fft.fft(ratio) / size
+        # an overflow leaves non-finite coefficients, which _ascoeffs refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            hat = np.fft.fft(vals / np.conj(vals)) / size
         return _ascoeffs(hat[np.arange(-order, order + 1) % size])
     raise InvalidParameterError(f"unknown method {method!r}")
 

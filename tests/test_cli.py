@@ -343,12 +343,40 @@ def test_gset_non_finite_cutoff_exits_two_naming_it(capsys, cutoff):
     assert captured.err == f"error: cutoff must be finite, got {float(cutoff)!r}\n"
 
 
+def _in_fresh_interpreter(*argv):
+    """Run the CLI in a new interpreter, where numpy's RuntimeWarnings reach
+    stderr as a user sees them, with a timeout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(szegojost.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-m", "szegojost", *argv], env=env,
+                          capture_output=True, text=True, check=False, timeout=60)
+
+
 def _gset_in_fresh_interpreter(*argv):
     """Run gset with a timeout, so that an unbounded enumeration fails the
     test instead of hanging the suite."""
-    env = dict(os.environ, PYTHONPATH=str(Path(szegojost.__file__).resolve().parent.parent))
-    return subprocess.run([sys.executable, "-m", "szegojost", "gset", *argv], env=env,
-                          capture_output=True, text=True, check=False, timeout=60)
+    return _in_fresh_interpreter("gset", *argv)
+
+
+def test_overflowing_recursion_writes_one_line_to_stderr():
+    """The monic recursion of constant c = 0.99 overflows before order 1100.
+    Its kernels run under np.errstate, so the refusal is the only line on
+    stderr, not the last of six numpy RuntimeWarnings."""
+    proc = _in_fresh_interpreter("szego", "--series", "dinv", "--alpha", "constant:c=0.99",
+                                 "--order", "1100")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: coefficients must be finite\n"
+
+
+def test_popuc_whose_recursion_overflows_writes_only_the_mass_error():
+    """Phi_1100 of constant c = 0.99 overflows, so the phase route refuses it
+    in silence and the CMV eigensolver gives the zeros; the weights then lose
+    the point mass at z = 1, which is the one line on stderr."""
+    proc = _in_fresh_interpreter("popuc", "--alpha=constant:c=0.99", "--n", "1100")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: paraorthogonal weights sum to nan, not 1 within 1e-10")
 
 
 @pytest.mark.parametrize("generators", ["2,3j", "1.0000001"])

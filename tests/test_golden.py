@@ -16,7 +16,12 @@ zeros moved from the companion matrix to the cut-off CMV matrix: each zero
 moved by at most 1.5e-14 and each weight by at most 3.6e-12 relative, the
 weights now sum to 1 within 2.6e-15 (was 1.2e-12), and the two rows of a
 conjugate pair, whose real parts agree to rounding, may sort the other way
-round.  The two ``szego --series r`` files (an eight-entry list at order
+round.  It and ``popuc_n16_output.csv`` were rewritten once more when the
+zeros moved from the CMV eigensolver to the boundary phase of Phi_n
+(a certified FFT grid and one Newton iteration): each zero moved by at
+most 6.3e-15 and each weight by at most 2.6e-14 relative; the zeros of
+``popuc_n256`` now lie within 1.4e-15 of their 50-digit values (was
+6.6e-15), and the sidecar did not move.  The two ``szego --series r`` files (an eight-entry list at order
 1024, a geometric tail at order 64) were written when the grid path of
 ``r_series`` moved to one inverse FFT.  The three ``verify_all`` files were rewritten when the
 canonical-weights suite moved from a 500-row eigen-oracle to the exact
@@ -42,8 +47,11 @@ the complex path of the step.  Regenerate a file only together with a CHANGES.md
 declares the output change.
 
 Each command runs in a fresh interpreter with BLAS pinned to one thread:
-the paraorthogonal zeros come from a LAPACK inverse and Hermitian
-eigensolver whose last bits depend on the thread count.
+several files hold values that pass through LAPACK (``polyroots``,
+``lstsq``, a linear solve), whose last bits may depend on the thread
+count.  The ``popuc`` zeros come from an FFT and Horner sweeps and reach
+LAPACK only on inputs whose Phi_n has a zero near the circle, so
+``popuc_n256`` is also pinned at two threads.
 """
 
 import cmath
@@ -118,9 +126,10 @@ FAILING_CASES = {
 }
 
 
-def run_cli(argv):
+def run_cli(argv, threads=1):
     src = str(Path(szegojost.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "szegojost", *argv], env=env,
                           capture_output=True, check=False, timeout=300)
@@ -149,3 +158,11 @@ def test_output_file_and_sidecar_match_golden(tmp_path):
     assert proc.stdout == b""
     for name in (out.name, out.name + ".meta.json"):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_popuc_golden_bytes_do_not_depend_on_the_blas_thread_count():
+    """The benchmark-domain ``popuc`` zeros never reach LAPACK, so two BLAS
+    threads write the same bytes as one."""
+    proc = run_cli(CASES["popuc_n256"], threads=2)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / "popuc_n256.csv").read_bytes()

@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import complex_alphas, monic_pair_two_buffers, real_alphas, zero_tail_coeffs
@@ -446,14 +446,16 @@ def _zero_at_first_pole(alpha):
 
 def test_popuc_moves_a_pole_that_lands_on_a_zero(monkeypatch):
     """A first pole on a zero gives a huge Cayley eigenvalue (or a singular
-    solve); the second pole, mid widest gap, keeps every zero exact."""
+    solve); the second pole, mid widest gap, keeps every zero exact.  Only
+    the eigensolver route solves about a pole, and the phase route takes
+    this input, so :func:`opuc._eigen_zeros` is called directly."""
     alpha = np.array([0.8j, 0.8, -0.8j])
     coeffs = VerblunskyCoeffs.finitely_supported(alpha)
     omega, on_pole = _zero_at_first_pole(alpha)
     pole = (np.angle(np.conj(omega)) + np.pi) / 4
     _, t_max = opuc._cayley_angles(alpha, omega, pole)
     assert t_max > 1e3
-    zeros = popuc(coeffs, 3, omega).zeros
+    zeros = opuc._eigen_zeros(alpha, omega)
     assert np.min(np.abs(zeros - on_pole)) < 1e-14
     assert _zero_error(coeffs, 3, omega, zeros) < 1e-14
 
@@ -466,9 +468,72 @@ def test_popuc_moves_a_pole_that_lands_on_a_zero(monkeypatch):
         return real_inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", singular_once)
-    again = popuc(coeffs, 3, omega).zeros
+    again = opuc._eigen_zeros(alpha, omega)
     assert len(calls) == 2
     assert _zero_error(coeffs, 3, omega, again) < 1e-14
+
+
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.integers(0, 300))
+@settings(max_examples=6, deadline=None)
+def test_phase_zeros_match_50_digits(seed, listed, n):
+    """Geometric alphas (|C| <= 0.7, R in [1.2, 6]) and decaying complex
+    lists at n <= 300, random omega: where the phase route certifies its
+    zeros, each lies within 1e-12 of its 50-digit value."""
+    gen = np.random.default_rng(seed)
+    omega = complex(np.exp(2j * np.pi * gen.uniform()))
+    k = np.arange(n, dtype=float)
+    if listed:
+        alpha = (gen.uniform(0.0, 0.7, n) * gen.uniform(1.05, 1.5) ** -k
+                 * np.exp(2j * np.pi * gen.uniform(size=n)))
+    else:
+        alpha = gen.uniform(-0.7, 0.7) * gen.uniform(1.2, 6.0) ** -k + 0j
+    zeros = opuc._phase_zeros(alpha, omega)
+    assume(zeros is not None)
+    assert len(zeros) == n + 1
+    assert np.max(np.abs(zeros - _polished_zeros(alpha, omega, zeros))) < 1e-12
+
+
+def test_phase_route_refuses_a_zero_of_phi_near_the_circle(rng):
+    """Phi_40 of the draw in
+    ``test_popuc_zeros_match_50_digits_where_phi_star_nears_the_circle`` has
+    a zero 1.8e-6 inside the circle, and Phi_64 of geometric C = 0.9,
+    R = 1.05 one within rounding of it.  No phase grid resolves either, so
+    the phase route refuses both, and popuc's zeros from the CMV
+    eigensolver still lie within 1e-12 of their 50-digit values."""
+    cases = [(complex_alphas(rng, 40), 40, roots_of_unity(82)[9]),
+             (parse_alpha_spec("geometric:C=0.9,R=1.05", 64), 64, 1.0)]
+    for coeffs, n, omega in cases:
+        assert opuc._phase_zeros(coeffs.slice(n), complex(omega)) is None
+        zeros = popuc(coeffs, n, omega).zeros
+        assert _zero_error(coeffs, n, omega, zeros) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [[], [0.6 - 0.3j]])
+def test_phase_zeros_at_orders_zero_and_one(alpha):
+    """n = 0 has the one zero conj(omega), and n = 1 the two roots of
+    z^2 + (conj(omega) alpha_0 - conj(alpha_0)) z - conj(omega)."""
+    omega = complex(np.exp(0.9j))
+    zeros = opuc._phase_zeros(np.array(alpha, dtype=complex), omega)
+    want = np.roots([1.0, *(np.conj(omega) * a - np.conj(a) for a in alpha), -np.conj(omega)])
+    assert len(zeros) == len(alpha) + 1
+    assert _nearest_error(zeros, want) < 1e-15
+
+
+def test_benchmark_domain_takes_the_phase_route(monkeypatch):
+    """Draws like the benchmark's popuc ops (geometric |C| in [0.1, 0.7],
+    R in [2.2, 3.6], n = 256 or 1..32) never reach the CMV eigensolver."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CMV eigensolver ran")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    gen = np.random.default_rng(29)
+    for n in [256, 256, *gen.integers(1, 33, size=10).tolist()]:
+        c = float(gen.uniform(0.1, 0.7) * gen.choice([-1.0, 1.0]))
+        coeffs = parse_alpha_spec(f"geometric:C={c!r},R={float(gen.uniform(2.2, 3.6))!r}", n)
+        measure = popuc_point_measure(coeffs, n, np.exp(2j * np.pi * gen.uniform()))
+        assert len(measure.zeros) == n + 1
+        assert abs(np.sum(measure.weights) - 1.0) < 1e-12
 
 
 def _christoffel_sum_mp(alpha, zeros, dps=50):
