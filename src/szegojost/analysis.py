@@ -10,6 +10,7 @@ run their legs through ``_report``, the one place where an estimator
 failure becomes an inconclusive (failed) report rather than an exception.
 """
 
+import decimal
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -294,13 +295,14 @@ def canonical_weight_check(params: JacobiParams, rel_tol: float = 1e-4) -> Verif
     and the Christoffel sum closes in a geometric tail:
     1/w = sum_{k<l-1} p_k(E)^2 + p_{l-1}(E)^2 / (1 - z0^2).
     Near the band edge the tail factor amplifies the error in z0 by about
-    2 / (1 - z0^2), so each zero first gets one Newton step on
-    z^-l u(z) = p_l(E) - z p_{l-1}(E), evaluated by the recursion instead of
-    from the rounded coefficients of u.
+    2 / (1 - z0^2), so each zero (real, as bound states are) first gets one
+    Newton step whose residual u(z0), a few rounding units of its terms in
+    double precision, is taken at 40 digits.  E is symmetric under z <-> 1/z, so
+    u(1/z0) = z0^-l (p_l(E) - p_{l-1}(E) / z0) needs no coefficients of u
+    at |z| > 1, where their rounding would grow by |z0|^-2l.
     """
     check = "canonical-weights"
     u = jost_g_ell(params)
-    c = u.coeffs
     roots = _disk_roots(u)
     if roots.size == 0:
         return VerificationReport(
@@ -311,17 +313,15 @@ def canonical_weight_check(params: JacobiParams, rel_tol: float = 1e-4) -> Verif
     du = TaylorSeries(np.polynomial.polynomial.polyder(u.coeffs))
     measured = {"n_zeros": float(roots.size)}
     worst = 0.0
-    for i, z in enumerate(roots):
+    for i, z in enumerate(roots.real):
+        z = z - _jost_value(params, ell, z) / du(z)
         p = eval_polys(params, ell, (z + 1.0 / z).real).p
-        z = z - z**ell * (p[ell] - z * p[ell - 1]) / du(z)
-        u_reflected = u(1.0 / z)
-        if abs(u_reflected) < 1e-10 * float(np.max(np.abs(c))):
+        u_reflected = z**-ell * (p[ell] - p[ell - 1] / z)
+        if abs(u_reflected) < 1e-10 * float(np.max(np.abs(u.coeffs))):
             raise NumericalDegeneracyError(
                 f"u(1/z0) vanishes at z0 = {z:.6g}; zero/resonance collision"
             )
         rhs = (z - 1.0 / z) / (du(z) * u_reflected)
-        e0 = z + 1.0 / z
-        p = eval_polys(params, ell, e0.real).p
         weight = 1.0 / (np.sum(p[: ell - 1] ** 2) + p[ell - 1] ** 2 / (1.0 - z.real**2))
         residue = weight / (1.0 - 1.0 / z**2)
         dev = abs(residue - rhs) / abs(rhs)
@@ -334,6 +334,19 @@ def canonical_weight_check(params: JacobiParams, rel_tol: float = 1e-4) -> Verif
         check_id=check, measured=measured, tolerance=rel_tol,
         passed=bool(worst <= rel_tol), notes="",
     )
+
+
+def _jost_value(params: JacobiParams, ell: int, z: float) -> float:
+    """u(z) = q_l(z) - z^2 q_{l-1}(z) at real z by the recursion of jost_g_ell, at 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        z = decimal.Decimal(z)
+        z2 = z * z
+        prev, cur, a_prev = 0, 1, 1
+        for a, b in zip(params.a_slice(ell).tolist(), params.b_slice(ell).tolist()):
+            a, b = decimal.Decimal(a), decimal.Decimal(b)
+            prev, cur, a_prev = cur, ((1 - b * z + z2) * cur - a_prev * z2 * prev) / a, a
+        return float(cur - z2 * prev)
 
 
 def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float = 0.05,

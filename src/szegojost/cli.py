@@ -14,9 +14,8 @@ near the circle; its phase route needs only an FFT and Horner sweeps), the
 condition number of ``probe`` (``np.linalg.cond``, an SVD, which decides
 its ``IllConditionedError``), the linear solve of ``probe``, and the
 least-squares solve (``lstsq``) inside ``np.polyfit`` of every radius fit
-in ``decay_rate`` and of the endpoint check that ``coeffs --from-measure``
-runs on a line weight.  The package imports numpy and the standard
-library, nothing else.
+in ``decay_rate``.  The package imports numpy and the standard library,
+nothing else.
 
 Exit codes: 0 success, 1 failed verification (report still written),
 2 malformed input or invalid parameters.

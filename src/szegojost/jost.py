@@ -7,7 +7,6 @@ and Blaschke products.
 """
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from .errors import (
     NumericalDegeneracyError,
     PoleError,
 )
-from .oprl import JacobiParams, PointMeasure, orthonormal_poly_coeffs
+from .oprl import JacobiParams, PointMeasure
 from .opuc import VerblunskyCoeffs
 from .series import TaylorSeries
 from .szego import dinv_from_alphas
@@ -62,8 +61,9 @@ def jost_g_ell(params: JacobiParams, ell: int | None = None) -> TaylorSeries:
     """Exact Jost polynomial g_l(z) = z^l (p_l(z + 1/z) - z p_{l-1}(z + 1/z)).
 
     Needs a free tail: a_n = 1 for n >= l and b_n = 0 for n > l.  The
-    apparent poles at z = 0 cancel, leaving a polynomial of degree <= 2l,
-    assembled here exactly through binomial expansion of z^l (z + 1/z)^j.
+    poles at z = 0 cancel: q_n(z) = z^n p_n(z + 1/z) is a polynomial with
+    a_{n+1} q_{n+1} = (1 - b_{n+1} z + z^2) q_n - a_n z^2 q_{n-1}, whose
+    coefficients stay O(1), and g_l = q_l - z^2 q_{l-1} has degree <= 2l.
     ``ell`` defaults to the smallest valid range and may be any value >= it
     (the function does not depend on the choice).
     """
@@ -76,17 +76,16 @@ def jost_g_ell(params: JacobiParams, ell: int | None = None) -> TaylorSeries:
         )
     if ell == 0:
         return TaylorSeries(np.array([1.0, 0.0]))
-    p = orthonormal_poly_coeffs(params, ell)
-    acc = np.zeros(2 * ell + 1, dtype=float)
-    # z^l * x^j -> sum_i C(j,i) z^{l+j-2i}
-    for j, cj in enumerate(p[ell]):
-        for i in range(j + 1):
-            acc[ell + j - 2 * i] += cj * comb(j, i)
-    # z^{l+1} * x^j -> sum_i C(j,i) z^{l+1+j-2i}
-    for j, cj in enumerate(p[ell - 1]):
-        for i in range(j + 1):
-            acc[ell + 1 + j - 2 * i] -= cj * comb(j, i)
-    return TaylorSeries(acc)
+    a, b = params.a_slice(ell).tolist(), params.b_slice(ell).tolist()
+    prev, cur = np.zeros(2 * ell + 1), np.zeros(2 * ell + 1)
+    cur[0] = 1.0
+    for k in range(ell):
+        new = cur.copy()
+        new[1:] -= b[k] * cur[:-1]
+        new[2:] += cur[:-2] - (a[k - 1] if k else 1.0) * prev[:-2]
+        prev, cur = cur, new / a[k]
+    cur[2:] -= prev[:-2]
+    return TaylorSeries(cur)
 
 
 def geronimus_deltas(coeffs: VerblunskyCoeffs, count: int | None = None):

@@ -227,27 +227,15 @@ def _line_density(spec: MeasureSpec):
     return _LINE_FAMILIES[spec.family](spec.family_params)
 
 
-def _endpoint_exponents(density) -> tuple:
-    """Fitted vanishing exponents of f near -2 and +2."""
-    deltas = np.array([1e-2, 1e-3, 1e-4, 1e-5])
-    out = []
-    for sign in (-1.0, 1.0):
-        xs = sign * (2.0 - deltas)
-        vals = np.maximum(np.asarray(density(xs), dtype=float), 1e-300)
-        slope = np.polyfit(np.log(deltas), np.log(vals), 1)[0]
-        out.append(float(slope))
-    return tuple(out)
-
-
 def check_line_integrability(spec: MeasureSpec) -> None:
     """Require f(x)/(4 - x^2) to be integrable, naming a divergent endpoint.
 
-    The weight must vanish at each endpoint at a positive fitted rate;
-    a flat (or growing) endpoint makes the integral logarithmically (or
-    worse) divergent there.
+    The families carry a sqrt(4 - x^2) factor or are flat, and samples
+    interpolate linearly, so the integral converges exactly at an endpoint
+    where f vanishes; a nonzero f(+-2) makes it diverge logarithmically.
     """
-    lo, hi = _endpoint_exponents(_line_density(spec))
-    bad = [name for name, p in (("-2", lo), ("+2", hi)) if p <= 0.05]
+    ends = _line_density(spec)(np.array([-2.0, 2.0]))
+    bad = [name for name, f in zip(("-2", "+2"), ends) if f != 0.0]
     if bad:
         raise PreconditionError(
             "integral of f(x)/(4 - x^2) diverges at endpoint "

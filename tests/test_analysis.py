@@ -219,6 +219,19 @@ def test_canonical_weights_single_b_closed_form():
     assert report.value("worst_relative_deviation") < 1e-6
 
 
+@pytest.mark.parametrize("ell", [16, 24, 32])
+def test_canonical_weights_hold_at_long_range(ell):
+    """a = 1 and b_k = 1.5 2^-k keep the identity to 1e-8 through range 32.
+
+    Reading u(1/z0) off the coefficients of u, at |z| = 1/|z0| > 1, put the
+    deviation at 2.7e-6, 1.0 and 2.2e5.
+    """
+    params = JacobiParams(a=np.ones(ell), b=1.5 * 2.0 ** -np.arange(ell), free_after=ell)
+    report = canonical_weight_check(params)
+    assert report.passed
+    assert report.value("worst_relative_deviation") <= 1e-8
+
+
 def _near_edge_params(name):
     a, b = NEAR_EDGE[name]
     return JacobiParams(a=np.array(a), b=np.array(b), free_after=len(a))

@@ -652,6 +652,19 @@ def test_verify_canonical_weights_near_the_band_edge(capsys, name):
     assert float(measured["worst_relative_deviation"]) < 1e-12
 
 
+def test_verify_canonical_weights_at_range_sixteen(capsys):
+    """16 rows of a = 1 and b_k = 3 4^-k: the identity holds, so the suite
+    passes (it failed with deviation 0.158 when u(1/z0) came from the
+    rounded coefficients of u)."""
+    a = ",".join(["1"] * 16)
+    b = ",".join(repr(3.0 * 4.0**-k) for k in range(16))
+    code, out = run(capsys, ["verify", "canonical-weights", f"--a={a}", f"--b={b}"])
+    assert code == 0
+    _, rows = parse_table(out)
+    measured = {row["field"]: row["value"] for row in rows}
+    assert float(measured["worst_relative_deviation"]) < 1e-9
+
+
 def test_config_overrides_default_order(capsys, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"seriesOrder": 16, "gridSize": 128}))

@@ -43,7 +43,13 @@ place: ``verify all`` at order 1024 on the four panel inputs of
 subnormals; C = 0.1, R = 3.4 exits 1 on an inconclusive r - S report), and
 ``verify r-minus-s`` (orders 96 and 256) and ``verify nevai-totik`` on a
 finitely supported complex list 0.5 e^{0.7in} 2^-n, n = 0..39, which runs
-the complex path of the step.  Regenerate a file only together with a CHANGES.md entry that
+the complex path of the step.  The seven ``verify_all`` files were
+rewritten when the canonical-weights suite took u(1/z0) from the p_k(E)
+it already evaluates instead of the coefficients of u (only its
+``jost_residue_0`` and ``worst_relative_deviation`` rows moved), and
+``jost_zeros_finite_range`` when the Jost polynomial moved from a binomial
+expansion to the three-term recursion in z (each zero moved by at most
+6.2e-16, each eigenvalue by at most 3.2e-15).  Regenerate a file only together with a CHANGES.md entry that
 declares the output change.
 
 Each command runs in a fresh interpreter with BLAS pinned to one thread:

@@ -234,6 +234,31 @@ def test_line_integrability_precheck():
         check_line_integrability(MeasureSpec(kind="line", family="uniform"))
     with pytest.raises(PreconditionError):
         ingest_line(MeasureSpec(kind="line", family="uniform"), 3)
+    # zero on a stretch at each end is integrable
+    samples = np.zeros(101)
+    samples[10:-10] = 1.0
+    check_line_integrability(MeasureSpec(kind="line", samples=tuple(samples)))
+    samples[0] = 0.5
+    with pytest.raises(PreconditionError, match=r"endpoint -2; "):
+        check_line_integrability(MeasureSpec(kind="line", samples=tuple(samples)))
+
+
+# 13 real alphas whose szego-mapped weight a fitted endpoint exponent refused
+_PRECHECK_LINE = (
+    0.16815744103397023, 0.3847149824854088, 0.4998030282851982, -0.35636305365231447,
+    0.03729772442731616, 0.3812005287254918, -0.4469703251415782, 0.0882931558557919,
+    -0.32608865061170633, 0.2678302621654288, 0.4376310347269122, 0.03828819266067918,
+    -0.49103352674956424)
+
+
+def test_szego_mapped_weight_passes_the_precheck():
+    """The weight vanishes like sqrt(4 - x^2) at both ends, so it ingests,
+    and its 92 rows match the coefficient map of the same alphas."""
+    spec = MeasureSpec(kind="line", family="szego-mapped", family_params=_PRECHECK_LINE)
+    got = ingest_line(spec, 92)
+    want = geronimus_map(VerblunskyCoeffs.finitely_supported(_PRECHECK_LINE), 92)
+    assert np.max(np.abs(got.a - want.a_slice(92))) <= 1e-10
+    assert np.max(np.abs(got.b - want.b_slice(92))) <= 1e-10
 
 
 def test_config_defaults_and_validation():
