@@ -30,11 +30,11 @@ print(f"decay radius of 1/D:   {est_dinv.radius:.4f}   (both should be near {R})
 
 # S keeps only the first-order alpha contribution; r is the full phase.
 # Their difference decays at rate R^-3 and soon cancels down to rounding
-# noise.  The product method keeps r accurate deep into its tail, and the
+# noise.  The exact finite sums keep r accurate deep into its tail, and the
 # fit window ends where the r-minus-s suite ends it: at the last index of
 # the run that clears 64 times a 20-eps rounding floor.
 s = s_series(alphas, order=ORDER)
-r = r_series(dinv, order=ORDER, method="product")
+r = r_series(dinv, order=ORDER)
 r_pos = r[ORDER:]
 diff = r_pos - s.coeffs
 floor = 64 * 20 * np.finfo(float).eps * (np.abs(r_pos) + np.abs(s.coeffs))

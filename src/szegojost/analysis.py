@@ -10,7 +10,6 @@ run their legs through ``_report``, the one place where an estimator
 failure becomes an inconclusive (failed) report rather than an exception.
 """
 
-import decimal
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -23,7 +22,7 @@ from .errors import (
     NumericalDegeneracyError,
 )
 from .jost import (
-    _disk_roots,
+    _bound_state_zeros,
     b_series_from_deltas,
     geronimus_deltas,
     jost_g_ell,
@@ -295,26 +294,24 @@ def canonical_weight_check(params: JacobiParams, rel_tol: float = 1e-4) -> Verif
     and the Christoffel sum closes in a geometric tail:
     1/w = sum_{k<l-1} p_k(E)^2 + p_{l-1}(E)^2 / (1 - z0^2).
     Near the band edge the tail factor amplifies the error in z0 by about
-    2 / (1 - z0^2), so each zero (real, as bound states are) first gets one
-    Newton step whose residual u(z0), a few rounding units of its terms in
-    double precision, is taken at 40 digits.  E is symmetric under z <-> 1/z, so
-    u(1/z0) = z0^-l (p_l(E) - p_{l-1}(E) / z0) needs no coefficients of u
-    at |z| > 1, where their rounding would grow by |z0|^-2l.
+    2 / (1 - z0^2), so the zeros are the Newton-polished ones of
+    :func:`~szegojost.jost._bound_state_zeros`.  E is symmetric under
+    z <-> 1/z, so u(1/z0) = z0^-l (p_l(E) - p_{l-1}(E) / z0) needs no
+    coefficients of u at |z| > 1, where their rounding would grow by |z0|^-2l.
     """
     check = "canonical-weights"
     u = jost_g_ell(params)
-    roots = _disk_roots(u)
-    if roots.size == 0:
+    ell = max(params.free_range_order(), 1)
+    zeros = _bound_state_zeros(params, u, ell)
+    if zeros.size == 0:
         return VerificationReport(
             check_id=check, measured={"n_zeros": 0.0}, tolerance=rel_tol,
             passed=True, notes="no disk zeros; nothing to check",
         )
-    ell = max(params.free_range_order(), 1)
     du = TaylorSeries(np.polynomial.polynomial.polyder(u.coeffs))
-    measured = {"n_zeros": float(roots.size)}
+    measured = {"n_zeros": float(zeros.size)}
     worst = 0.0
-    for i, z in enumerate(roots.real):
-        z = z - _jost_value(params, ell, z) / du(z)
+    for i, z in enumerate(zeros):
         p = eval_polys(params, ell, (z + 1.0 / z).real).p
         u_reflected = z**-ell * (p[ell] - p[ell - 1] / z)
         if abs(u_reflected) < 1e-10 * float(np.max(np.abs(u.coeffs))):
@@ -334,19 +331,6 @@ def canonical_weight_check(params: JacobiParams, rel_tol: float = 1e-4) -> Verif
         check_id=check, measured=measured, tolerance=rel_tol,
         passed=bool(worst <= rel_tol), notes="",
     )
-
-
-def _jost_value(params: JacobiParams, ell: int, z: float) -> float:
-    """u(z) = q_l(z) - z^2 q_{l-1}(z) at real z by the recursion of jost_g_ell, at 40 digits."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        z = decimal.Decimal(z)
-        z2 = z * z
-        prev, cur, a_prev = 0, 1, 1
-        for a, b in zip(params.a_slice(ell).tolist(), params.b_slice(ell).tolist()):
-            a, b = decimal.Decimal(a), decimal.Decimal(b)
-            prev, cur, a_prev = cur, ((1 - b * z + z2) * cur - a_prev * z2 * prev) / a, a
-        return float(cur - z2 * prev)
 
 
 def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float = 0.05,

@@ -6,6 +6,7 @@ Jacobi-side coefficient series B(z), M-functions in the Joukowski variable,
 and Blaschke products.
 """
 
+import decimal
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,11 +209,40 @@ def finite_range_jost_data(params: JacobiParams, ell: int | None = None) -> Jost
     """Jost polynomial of a finite-range perturbation with its disk zeros.
 
     The polynomial is exact, so every root inside the open disk is a
-    genuine bound state; the eigenvalues are the Joukowski images z + 1/z.
+    genuine bound state: real, polished by :func:`_bound_state_zeros`.  The
+    eigenvalues are the Joukowski images z + 1/z.
     """
     u = jost_g_ell(params, ell)
-    zeros = _disk_roots(u)
+    ell = params.free_range_order() if ell is None else ell
+    zeros = _bound_state_zeros(params, u, ell).real
     return JostData(u=u, zeros_in_disk=zeros, eigenvalues=e_from_z(zeros))
+
+
+def _bound_state_zeros(params: JacobiParams, u: TaylorSeries, ell: int) -> np.ndarray:
+    """Disk zeros of the range-``ell`` Jost polynomial ``u``, each polished once.
+
+    Bound states are real, so each root of :func:`_disk_roots` keeps its
+    real part and takes one Newton step whose residual u(z0), a few
+    rounding units of its terms in double precision, is taken at 40 digits
+    by :func:`_jost_value`.  The zeros come back complex, with imaginary
+    parts of zero.
+    """
+    du = TaylorSeries(np.polynomial.polynomial.polyder(u.coeffs))
+    return np.array([z - _jost_value(params, ell, z) / du(z) for z in _disk_roots(u).real],
+                    dtype=complex)
+
+
+def _jost_value(params: JacobiParams, ell: int, z: float) -> float:
+    """u(z) = q_l(z) - z^2 q_{l-1}(z) at real z by the recursion of jost_g_ell, at 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        z = decimal.Decimal(z)
+        z2 = z * z
+        prev, cur, a_prev = 0, 1, 1
+        for a, b in zip(params.a_slice(ell).tolist(), params.b_slice(ell).tolist()):
+            a, b = decimal.Decimal(a), decimal.Decimal(b)
+            prev, cur, a_prev = cur, ((1 - b * z + z2) * cur - a_prev * z2 * prev) / a, a
+        return float(cur - z2 * prev)
 
 
 def _disk_roots(series: TaylorSeries) -> np.ndarray:

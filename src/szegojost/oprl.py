@@ -2,7 +2,7 @@
 
 Covers the coefficient side of the real-line theory: orthonormal and
 second-kind polynomial evaluation, truncated matrices with a boundary shift,
-their m-functions, the averaged (Carmona-type) density, and a brute-force
+the averaged (Carmona-type) density, and a brute-force
 spectral-measure oracle that the tests and demo 03 check bound-state
 weights against.
 """
@@ -25,11 +25,9 @@ __all__ = [
     "eval_polys",
     "orthonormal_poly_coeffs",
     "truncated_matrix",
-    "m_n_b",
     "carmona_density",
     "carmona_moment",
     "spectral_measure_oracle",
-    "dombrowski_nevai_s",
 ]
 
 # dense-solver size guard for the eigen-oracle
@@ -211,24 +209,6 @@ def truncated_matrix(params: JacobiParams, n: int, shift: complex = 0.0) -> np.n
     return mat
 
 
-def m_n_b(params: JacobiParams, n: int, b: complex, z: complex) -> complex:
-    """m-function of the shifted truncation: -(a_n q_n - b q_{n-1})/(a_n p_n - b p_{n-1}).
-
-    Agrees with the (1,1) resolvent entry of the n-by-n matrix with boundary
-    term b; poles sit at its eigenvalues.
-    """
-    if n < 1:
-        raise InvalidParameterError("truncation size must be >= 1")
-    ev = eval_polys(params, n, complex(z))
-    a_n = params.a_entry(n)
-    num = a_n * ev.q[n] - b * ev.q[n - 1]
-    den = a_n * ev.p[n] - b * ev.p[n - 1]
-    scale = max(abs(ev.p[n]), abs(ev.p[n - 1]), 1.0)
-    if abs(den) < 1e-13 * scale:
-        raise PoleError(z, context=f"m-function of the size-{n} truncation")
-    return complex(-num / den)
-
-
 def carmona_density(params: JacobiParams, n: int, x) -> np.ndarray:
     """Density 1/(pi (a_n^2 p_n^2 + p_{n-1}^2)) of the boundary-averaged measure.
 
@@ -295,18 +275,6 @@ def spectral_measure_oracle(params: JacobiParams, n: int, shift: float = 0.0) ->
         raise NumericalDegeneracyError(f"eigensolver failed: {exc}") from exc
     weights = vecs[0, :] ** 2
     return PointMeasure(nodes=vals, weights=weights)
-
-
-def dombrowski_nevai_s(params: JacobiParams, ell: int, x) -> np.ndarray:
-    """S_l(x) = p_l^2 + p_{l-1}^2 - x p_l p_{l-1}.
-
-    Under x = z + 1/z this equals g_l(z) g_l(1/z); it vanishes at eigenvalues
-    of the range-l operator and also at resonance energies.
-    """
-    if ell < 1:
-        raise InvalidParameterError("the approximant needs l >= 1")
-    ev = eval_polys(params, ell, np.asarray(x, dtype=float))
-    return ev.p[ell] ** 2 + ev.p[ell - 1] ** 2 - ev.x * ev.p[ell] * ev.p[ell - 1]
 
 
 @dataclass(frozen=True)

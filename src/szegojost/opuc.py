@@ -1,7 +1,7 @@
 """Unit-circle recursion engine.
 
 Covers the coefficient side of the circle theory: the Szego recursion for
-orthonormal and second-kind polynomials, paraorthogonal polynomials and their
+orthonormal polynomials, paraorthogonal polynomials and their
 point measures, Bernstein-Szego approximants, and the Caratheodory transform
 of a sampled circle measure.
 """
@@ -28,7 +28,6 @@ __all__ = [
     "ParaOrthogonalPoly",
     "PopucMeasure",
     "szego_recursion",
-    "second_kind",
     "popuc",
     "popuc_point_measure",
     "bernstein_szego",
@@ -245,11 +244,6 @@ def szego_recursion(coeffs: VerblunskyCoeffs, n: int) -> CirclePolyPair:
     kappa = coeffs.kappa(n)
     phi = kappa * monic
     return CirclePolyPair(phi=phi, phi_star=np.conj(phi[::-1]), kappa=kappa)
-
-
-def second_kind(coeffs: VerblunskyCoeffs, n: int) -> CirclePolyPair:
-    """(psi_n, psi_n*): the recursion run with every alpha negated."""
-    return szego_recursion(coeffs.negated(), n)
 
 
 @dataclass(frozen=True)

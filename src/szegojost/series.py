@@ -5,7 +5,8 @@ truncated-degree exact: the first ``order + 1`` output coefficients are the
 mathematically correct ones for the (formal) power-series operation, with no
 discretization step involved.  Radius-of-convergence questions are handled
 separately in :mod:`szegojost.analysis` by looking at coefficient decay.
-The two-sided r of :func:`szegojost.szego.r_series` is a plain array.
+The two-sided r of :func:`szegojost.szego.r_series` is a plain array whose
+entries are finite sums of Taylor coefficients, with no grid either.
 """
 
 from dataclasses import dataclass, field

@@ -185,67 +185,42 @@ def s_series(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     return TaylorSeries(c)
 
 
-def r_series(dinv: TaylorSeries, order: int = 64, method: str = "grid") -> np.ndarray:
+def r_series(dinv: TaylorSeries, order: int = 64) -> np.ndarray:
     """Laurent coefficients r_{-order} .. r_order of r(z) = conj(D(1/conj(z))) / D(z).
 
     The array has length 2 * order + 1, with r_0 at index ``order``.  On the
-    unit circle r has modulus one.  ``method="grid"`` reads the
-    coefficients off boundary values by FFT (grid of at least 8 * order
-    points): the values of 1/D at the ``size`` roots of unity come from one
-    inverse FFT of its coefficients folded modulo ``size`` (exact also when
-    the series is longer than the grid), and the coefficients of r from one
-    forward FFT of (1/D) / conj(1/D) there.  ``method="product"`` convolves
-    the reflected-D series with the 1/D series, which keeps relative
-    accuracy deep into the tails and is what the wide-annulus checks use;
-    it calls :func:`_r_by_product` for -order..order, which also makes its
-    checks (a nonzero constant term, ``order <= dinv.order``) and runs the
-    same dot loop as the r - S suite.  Either way a coefficient that is not
-    finite raises :class:`InvalidParameterError`.
+    unit circle r has modulus one and equals P / conj(P) for the polynomial
+    P = 1/D of ``dinv``, so each coefficient is the finite sum
+    r_k = sum_j P_j conj(D_{j-k}) over the nonzero P_j: no grid and no
+    truncation of D.  :func:`_reflected_d` builds conj(D) as far as the
+    range needs and makes the checks (a nonzero constant term, then
+    ``order <= dinv.order``); :func:`_r_dots` takes one ``np.dot`` per k,
+    the same loop the r - S suite runs on its own range.  A coefficient
+    that is not finite raises :class:`InvalidParameterError`.
     """
-    if method == "product":
-        return _ascoeffs(_r_by_product(dinv, -order, order))
-    _require_constant_term(dinv)
-    if method == "grid":
-        size = max(512, _next_pow2(8 * (order + 1)))
-        rows = -(-len(dinv.coeffs) // size)
-        folded = np.zeros(rows * size, dtype=complex)
-        folded[: len(dinv.coeffs)] = dinv.coeffs
-        vals = size * np.fft.ifft(folded.reshape(rows, size).sum(axis=0))
-        # an overflow leaves non-finite coefficients, which _ascoeffs refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            hat = np.fft.fft(vals / np.conj(vals)) / size
-        return _ascoeffs(hat[np.arange(-order, order + 1) % size])
-    raise InvalidParameterError(f"unknown method {method!r}")
-
-
-def _r_by_product(dinv: TaylorSeries, lowest: int, order: int) -> np.ndarray:
-    """Coefficients r_lowest .. r_order of r by the product method.
-
-    r_k = sum_m conj(D_m) (1/D)_{m+k}: :func:`_reflected_d` builds conj(D)
-    and makes the checks, and :func:`_r_dots` takes one ``np.dot`` per k.
-    ``r_series`` takes -order..order; the r - S suite calls the two parts
-    itself, to build D once and form only the r_k it reads.
-    """
-    return _r_dots(dinv, _reflected_d(dinv, lowest, order), lowest, order)
+    return _ascoeffs(_r_dots(dinv, _reflected_d(dinv, -order, order), -order, order))
 
 
 def _r_dots(dinv: TaylorSeries, d_conj: np.ndarray, lowest: int, highest: int) -> np.ndarray:
     """r_lowest .. r_highest from ``d_conj`` of :func:`_reflected_d`, one ``np.dot`` per k.
 
-    The dot for r_k has the same length and operands whatever range is
-    asked for, so each r_k has the same bits in every range.  Past ``top``,
-    the last nonzero index of 1/D, the work is cut without changing a bit:
+    r_k = sum_j (1/D)_j conj(D_{j-k}), j running over 0 .. ``top``, the last
+    nonzero index of 1/D.  For k < 0 that is a dot of conj(D_{-k}) ..
+    conj(D_{top-k}) with the nonzero head of 1/D.  For k >= 0 the dot runs
+    over m = j - k = 0 .. N - k, N the order of 1/D, and has the same length
+    and operands whatever range is asked for, so each r_k has the same bits
+    in every range.  Past ``top`` its work is cut without changing a bit:
 
-    - For top < k < N (the order of 1/D), r_k is a dot of D with zeros
-      only.  A dot of two or more terms sums from +0, so it is +0+0j, which
-      the output already holds.  The dot at k = N has one term, a plain
-      product that keeps the signs of its zeros, so it is computed.
+    - For top < k < N, r_k is a dot of D with zeros only.  A dot of two or
+      more terms sums from +0, so it is +0+0j, which the output already
+      holds.  The dot at k = N has one term, a plain product that keeps the
+      signs of its zeros, so it is computed.
     - For 0 <= k <= top, each D_m with m > top meets a zero of 1/D, so
-      ``d_conj`` may hold +0 past ``top`` for a range that starts at 0 or
-      above.  That needs finite D_m, as inf * 0 is nan.  When 1/D is
-      kappa Phi_n*, as :func:`dinv_from_alphas` gives it once its order
-      reaches the degree, Phi_n* has no zeros in the closed unit disk and
-      D is the Szego function of a probability measure: sum |D_m|^2 <= 1.
+      ``d_conj`` may hold +0 past ``top``.  That needs finite D_m, as
+      inf * 0 is nan.  When 1/D is kappa Phi_n*, as :func:`dinv_from_alphas`
+      gives it once its order reaches the degree, Phi_n* has no zeros in
+      the closed unit disk and D is the Szego function of a probability
+      measure: sum |D_m|^2 <= 1.
 
     The r - S suite calls it on one ``d_conj`` for the trailing half of r
     and for the chunks of its signal prefix.
@@ -253,11 +228,11 @@ def _r_dots(dinv: TaylorSeries, d_conj: np.ndarray, lowest: int, highest: int) -
     c_dinv = dinv.coeffs
     length = dinv.order
     top = int(np.flatnonzero(c_dinv)[-1])
+    head = c_dinv[: top + 1]
     dot = np.dot
     c = np.zeros(highest - lowest + 1, dtype=complex)
-    # m runs over max(0, -k) .. length - max(0, k)
     for k in range(lowest, min(0, highest + 1)):
-        c[k - lowest] = dot(d_conj[-k : length + 1], c_dinv[: length + k + 1])
+        c[k - lowest] = dot(d_conj[-k : top - k + 1], head)
     taylor = range(max(0, lowest), min(top, highest) + 1)
     if top < length == highest and lowest <= length:
         taylor = [*taylor, length]
@@ -267,24 +242,21 @@ def _r_dots(dinv: TaylorSeries, d_conj: np.ndarray, lowest: int, highest: int) -
 
 
 def _reflected_d(dinv: TaylorSeries, lowest: int, order: int) -> np.ndarray:
-    """conj(D_0) .. conj(D_N) for r_lowest .. r_order, N the order of 1/D.
+    """conj(D_m) from m = 0 for r_lowest .. r_order, at least N + 1 of them, N the order of 1/D.
 
-    Raises as the product method does: :class:`PoleError` when 1/D has no
-    constant term, then :class:`InvalidParameterError` when
-    ``order > dinv.order``.  For ``lowest >= 0`` D is built only through
-    the last nonzero index of 1/D and left at +0 past it (see
-    :func:`_r_dots`); negative k read D up to index N, so a range that
-    starts below 0 builds all of it.
+    Raises :class:`PoleError` when 1/D has no constant term, then
+    :class:`InvalidParameterError` when ``order > dinv.order``.  D is built
+    through top - min(lowest, 0), ``top`` the last nonzero index of 1/D,
+    which is as far as :func:`_r_dots` reads it, and left at +0 from there
+    to index N.
     """
     _require_constant_term(dinv)
     length = dinv.order
     if order > length:
-        raise InvalidParameterError(
-            "product method needs dinv order >= requested Laurent order"
-        )
+        raise InvalidParameterError("r needs dinv order >= requested Laurent order")
     top = int(np.flatnonzero(dinv.coeffs)[-1])
-    built = length if lowest < 0 else top
-    d_conj = np.zeros(length + 1, dtype=complex)
+    built = top - min(lowest, 0)
+    d_conj = np.zeros(max(length, built) + 1, dtype=complex)
     d_conj[: built + 1] = np.conj(taylor_reciprocal(dinv, built).coeffs)
     return d_conj
 
@@ -293,9 +265,3 @@ def _require_constant_term(dinv: TaylorSeries) -> None:
     if abs(dinv.coeffs[0]) < 1e-280:
         raise PoleError(0.0, context="reciprocal Szego series has no constant term")
 
-
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p

@@ -41,7 +41,7 @@ from szegojost.jost import (
 from szegojost.oprl import JacobiParams, spectral_measure_oracle
 from szegojost.opuc import VerblunskyCoeffs
 from szegojost.series import TaylorSeries
-from szegojost.szego import _r_by_product, dinv_from_alphas, s_series
+from szegojost.szego import _r_dots, _reflected_d, dinv_from_alphas, s_series
 
 
 def test_decay_rate_pure_geometric():
@@ -583,12 +583,13 @@ def test_combination_suite_rows_match_the_row_kernel(monkeypatch, c, r, order):
 
 
 def _r_minus_s_before(coeffs, order=96, rel_tol=0.05, slack=0.1):
-    """verify_r_minus_s before it formed only the r_k its fits read, verbatim."""
+    """verify_r_minus_s before it formed only the r_k its fits read, verbatim
+    but for the retired ``_r_by_product``, written out as its two calls."""
     def legs():
         alpha = coeffs.slice(order + 1)
         dinv = dinv_from_alphas(coeffs, order)
         s = s_series(coeffs, order).coeffs
-        r_pos = _r_by_product(dinv, 0, order)
+        r_pos = _r_dots(dinv, _reflected_d(dinv, 0, order), 0, order)
         if not np.any(np.abs(alpha) > UNDERFLOW_FLOOR):
             return ({"difference_radius": math.inf, "threshold": math.inf}, True,
                     "alpha is zero; r - S vanishes identically")

@@ -19,11 +19,18 @@ import szegojost
 from conftest import NEAR_EDGE
 from szegojost.cli import _PAIR_ROW, _build_parser, _fmt, main
 from szegojost.errors import ConvergenceWarning
-from szegojost.measures import ExperimentConfig, MeasureSpec, ingest_circle, realize_circle
+from szegojost.measures import (
+    ExperimentConfig,
+    MeasureSpec,
+    ingest_circle,
+    parse_alpha_spec,
+    realize_circle,
+)
+from szegojost.szego import dinv_from_alphas
 
 
 def test_package_exports_are_pinned():
-    assert len(szegojost.__all__) == 88
+    assert len(szegojost.__all__) == 85
     assert set(szegojost.__all__) == {
         "analysis", "errors", "jost", "measures", "oprl", "opuc", "series", "szego",
         "PadePole", "ProductSet", "RadiusEstimate", "VerificationReport",
@@ -40,11 +47,11 @@ def test_package_exports_are_pinned():
         "ExperimentConfig", "MeasureSpec", "ingest_circle", "ingest_line", "load_config",
         "parse_alpha_spec", "realize_circle", "realize_line",
         "JacobiParams", "PointMeasure", "PolyEval", "carmona_density", "carmona_moment",
-        "dombrowski_nevai_s", "eval_polys", "m_n_b", "orthonormal_poly_coeffs",
+        "eval_polys", "orthonormal_poly_coeffs",
         "spectral_measure_oracle", "truncated_matrix",
         "CircleMeasure", "CirclePolyPair", "ParaOrthogonalPoly", "PopucMeasure",
         "VerblunskyCoeffs", "bernstein_szego", "caratheodory", "popuc",
-        "popuc_average_check", "popuc_point_measure", "roots_of_unity", "second_kind",
+        "popuc_average_check", "popuc_point_measure", "roots_of_unity",
         "szego_recursion",
         "TaylorSeries", "taylor_exp", "taylor_mul", "taylor_reciprocal",
         "d_from_weight", "dinv_from_alphas", "r_series", "recover_alpha_geronimus_freud",
@@ -222,6 +229,24 @@ def test_szego_r_series(capsys):
     table, rows = parse_table(out)
     assert table == "r"
     assert [r["k"] for r in rows] == [str(k) for k in range(-8, 9)]
+
+
+def test_szego_r_series_is_exact_where_a_grid_aliases(capsys):
+    """r at order 64 for geometric C = 0.6267.., R = 1.232.., where 1/D has
+    a zero at |z| = 1.0012, lies on a 2^16-point FFT of P / conj(P), P = 1/D,
+    whose aliases weigh about 1.0012^-65536.  A grid of 1024 points, as r
+    was once read off, misses by 1.05e-3."""
+    spec = "geometric:C=0.6267430976375139,R=1.232033233988311"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        code, out = run(capsys, ["szego", "--series", "r", "--alpha", spec, "--order", "64"])
+        p = dinv_from_alphas(parse_alpha_spec(spec, 64), 64).coeffs
+    assert code == 0
+    got = np.array([complex(float(r["re"]), float(r["im"])) for r in parse_table(out)[1]])
+    size = 1 << 16
+    vals = size * np.fft.ifft(p, size)
+    want = (np.fft.fft(vals / np.conj(vals)) / size)[np.arange(-64, 65) % size]
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_szego_d_from_measure(capsys, tmp_path):

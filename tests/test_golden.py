@@ -1,56 +1,28 @@
 """Byte-for-byte pins of CLI stdout against checked-in golden files.
 
-The files under ``tests/data/golden/`` were written by the CLI before
-changes that must not move a single output byte: the first four before the
-row-wise ``jost_b_combination`` and the O(N) Szego recursion, the next
-three (the costliest ``verify all`` of the benchmark panel, ``s_series``
-and ``geronimus_deltas`` through ``coeffs --map``) before the series
-derived from one coefficient set were cached on it and shared by the
-``verify`` suites.  The two measure-side files (``coeffs --from-measure``
-on a Bernstein-Szego document with an atom, ``szego --from-measure`` on a
-cosine-polynomial document, both under ``tests/data/measures/``) were
-written after circle ingestion moved to moments and ``taylor_exp`` to one
-dot per coefficient.  ``popuc_n256`` was rewritten when the Christoffel
-weights moved to the Szego recursion on the zeros, and again when the
-zeros moved from the companion matrix to the cut-off CMV matrix: each zero
-moved by at most 1.5e-14 and each weight by at most 3.6e-12 relative, the
-weights now sum to 1 within 2.6e-15 (was 1.2e-12), and the two rows of a
-conjugate pair, whose real parts agree to rounding, may sort the other way
-round.  It and ``popuc_n16_output.csv`` were rewritten once more when the
-zeros moved from the CMV eigensolver to the boundary phase of Phi_n
-(a certified FFT grid and one Newton iteration): each zero moved by at
-most 6.3e-15 and each weight by at most 2.6e-14 relative; the zeros of
-``popuc_n256`` now lie within 1.4e-15 of their 50-digit values (was
-6.6e-15), and the sidecar did not move.  The two ``szego --series r`` files (an eight-entry list at order
-1024, a geometric tail at order 64) were written when the grid path of
-``r_series`` moved to one inverse FFT.  The three ``verify_all`` files were rewritten when the
-canonical-weights suite moved from a 500-row eigen-oracle to the exact
-bound-state weight; only its ``residue_0``, ``weight_0`` and
-``worst_relative_deviation`` rows changed.  The last ten files were
-written before the CSV writer moved from one ``_fmt`` call per cell to
-one printf row template per table, to pin every table that had no file
-yet: the
-``jacobi`` table of ``coeffs --from-measure`` on a line document with an
-atom (``szego_mapped_line_atom.json``), the ``alpha`` table of ``coeffs
---alpha`` (a geometric tail, and a complex list with -0, 1e-300 and a
-subnormal), ``jost --what series`` from alpha and ``jost --what zeros``
-from finite-range ``--a``/``--b``, ``carmona``, ``gset`` and ``probe``,
-and one ``popuc -o`` run whose CSV and ``.meta.json`` sidecar are both
-compared.  The last seven files were written before the r - S suite formed
-only the coefficients of r it reads and the Szego step subtracted in
-place: ``verify all`` at order 1024 on the four panel inputs of
-``bench/workloads.py`` that had no file yet (R = 2.5 holds the most
-subnormals; C = 0.1, R = 3.4 exits 1 on an inconclusive r - S report), and
-``verify r-minus-s`` (orders 96 and 256) and ``verify nevai-totik`` on a
-finitely supported complex list 0.5 e^{0.7in} 2^-n, n = 0..39, which runs
-the complex path of the step.  The seven ``verify_all`` files were
-rewritten when the canonical-weights suite took u(1/z0) from the p_k(E)
-it already evaluates instead of the coefficients of u (only its
-``jost_residue_0`` and ``worst_relative_deviation`` rows moved), and
-``jost_zeros_finite_range`` when the Jost polynomial moved from a binomial
-expansion to the three-term recursion in z (each zero moved by at most
-6.2e-16, each eigenvalue by at most 3.2e-15).  Regenerate a file only together with a CHANGES.md entry that
-declares the output change.
+Each file under ``tests/data/golden/`` is the stdout of one command in
+``CASES`` or ``FAILING_CASES``, named after it:
+
+- ``verify_*``: every suite of ``verify all`` on C = 0.5, R = 2 at orders
+  64 and 1024 and on the order-1024 panel of ``bench/workloads.py``
+  (C = 0.1, R = 3.4 exits 1 on an inconclusive r - S report), and ``verify r-minus-s`` / ``verify
+  nevai-totik`` on a finitely supported complex list, which runs the
+  complex path of the Szego step;
+- ``szego_*``: the 1/D, S and r series from alpha (r on an eight-entry
+  list at order 1024 and a geometric tail at order 64) and D from a
+  cosine-polynomial measure document;
+- ``coeffs_*``: the alpha table of ``--alpha`` (a geometric tail, and a
+  complex list with -0, 1e-300 and a subnormal), the mapped Jacobi
+  parameters of ``--map``, and ingestion of a Bernstein-Szego circle
+  document and a szego-mapped line document, both with an atom (under
+  ``tests/data/measures/``);
+- ``jost_*``, ``carmona_n3``, ``gset_two_generators`` and
+  ``probe_dinv_order64``: one table of each remaining subcommand;
+- ``popuc_n256``, and ``popuc_n16_output.csv`` with its ``.meta.json``
+  sidecar, written by ``-o``.
+
+Regenerate a file only together with a CHANGES.md entry that declares the
+output change; CHANGES.md keeps the history of every regeneration.
 
 Each command runs in a fresh interpreter with BLAS pinned to one thread:
 several files hold values that pass through LAPACK (``polyroots``,

@@ -11,15 +11,12 @@ from szegojost.errors import (
     OutOfRangeError,
     PoleError,
 )
-from szegojost.jost import jost_g_ell, z_from_e
 from szegojost.oprl import (
     JacobiParams,
     PointMeasure,
     carmona_density,
     carmona_moment,
-    dombrowski_nevai_s,
     eval_polys,
-    m_n_b,
     orthonormal_poly_coeffs,
     spectral_measure_oracle,
     truncated_matrix,
@@ -196,25 +193,6 @@ def test_negative_imaginary_shift_pushes_spectrum_down(rng):
     assert np.all(eigs.imag < 0.0)
 
 
-def test_m_n_b_matches_dense_resolvent(rng):
-    """m agrees with the (1,1) entry of (J_{n;b} - z)^{-1}."""
-    params = wide_jacobi(rng, 10, free=False)
-    n = 6
-    z = 0.7 + 0.9j
-    for bval in (0.0, 0.4 - 0.3j):
-        mat = truncated_matrix(params, n, shift=bval)
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        dense = np.linalg.solve(mat - z * np.eye(n), e1.astype(complex))[0]
-        assert np.isclose(m_n_b(params, n, bval, z), dense, atol=1e-12)
-
-
-def test_m_n_b_pole_at_eigenvalue():
-    free = JacobiParams.free()
-    with pytest.raises(PoleError):
-        m_n_b(free, 1, 0.0, 0.0)
-
-
 def test_carmona_density_free_closed_form():
     """n = 1 free density is 1/(pi (x^2 + 1))."""
     free = JacobiParams.free()
@@ -287,24 +265,6 @@ def test_spectral_oracle_guards():
         spectral_measure_oracle(free, 3000)
     with pytest.raises(InvalidParameterError):
         spectral_measure_oracle(free, 4, shift=1.0j)
-
-
-def test_dombrowski_nevai_free_is_one():
-    free = JacobiParams.free()
-    xs = np.linspace(-1.9, 1.9, 25)
-    assert np.max(np.abs(dombrowski_nevai_s(free, 3, xs) - 1.0)) < 1e-12
-
-
-def test_dombrowski_nevai_factors_through_jost(rng):
-    """S_l(x) = g_l(z) g_l(1/z) under x = z + 1/z."""
-    params = mild_jacobi(rng, 4)
-    ell = 5
-    g = jost_g_ell(params, ell)
-    xs = rng.uniform(-1.9, 1.9, 15)
-    s_vals = dombrowski_nevai_s(params, ell, xs)
-    for x, s in zip(xs, s_vals):
-        z = z_from_e(x)
-        assert np.isclose(g(z) * g(1.0 / z), s, atol=1e-10)
 
 
 def test_point_measure_validation():

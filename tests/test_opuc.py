@@ -24,7 +24,6 @@ from szegojost.opuc import (
     popuc_average_check,
     popuc_point_measure,
     roots_of_unity,
-    second_kind,
     szego_recursion,
 )
 
@@ -140,14 +139,6 @@ def test_monic_leading_coefficient_and_bound(rng):
     bound = np.prod([1.0 + abs(c.entry(j)) for j in range(7)])
     vals = np.polynomial.polynomial.polyval(z, monic)
     assert np.max(np.abs(vals)) <= bound * (1.0 + 1e-12)
-
-
-def test_second_kind_negates_coefficients(rng):
-    c = complex_alphas(rng, 4)
-    psi = second_kind(c, 4)
-    ref = szego_recursion(c.negated(), 4)
-    assert np.allclose(psi.phi, ref.phi)
-    assert np.isclose(psi.kappa, ref.kappa)
 
 
 def test_popuc_zeros_unimodular_and_simple(rng):

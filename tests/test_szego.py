@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -18,6 +18,7 @@ from conftest import (
 from szegojost.errors import (
     ConvergenceWarning,
     InvalidParameterError,
+    PoleError,
     PreconditionError,
     SzegoConditionError,
     SzegojostError,
@@ -26,7 +27,8 @@ from szegojost.measures import parse_alpha_spec
 from szegojost.opuc import CircleMeasure, VerblunskyCoeffs, bernstein_szego
 from szegojost.series import TaylorSeries, taylor_mul, taylor_reciprocal
 from szegojost.szego import (
-    _r_by_product,
+    _r_dots,
+    _reflected_d,
     _star_coeffs,
     d_from_weight,
     dinv_from_alphas,
@@ -180,52 +182,6 @@ def test_s_series_layout():
         s_series(c, order=0)
 
 
-def test_r_series_methods_agree():
-    c = geometric_alphas(0.5, 2.0)
-    dinv = dinv_from_alphas(c, order=64)
-    grid = r_series(dinv, order=24, method="grid")
-    product = r_series(dinv, order=24, method="product")
-    assert np.max(np.abs(grid - product)) < 1e-12
-
-
-def _r_series_grid_by_polyval(dinv, order, size):
-    """The grid path as it evaluated 1/D by Horner before the inverse FFT."""
-    theta = 2.0 * np.pi * np.arange(size) / size
-    zeta = np.exp(1j * theta)
-    vals = dinv(zeta)
-    ratio = vals / np.conj(vals)
-    hat = np.fft.fft(ratio) / size
-    c = np.zeros(2 * order + 1, dtype=complex)
-    for k in range(-order, order + 1):
-        c[k + order] = hat[k % size]
-    return c
-
-
-@pytest.mark.parametrize(
-    ("spec", "dinv_order", "order"),
-    [
-        ("geometric:C=0.5,R=3", 64, 64),
-        ("geometric:C=-0.7,R=1.5", 256, 200),
-        ("0.1,-0.2,0.25,0.05,-0.1,0.2,0.15,-0.05", 1024, 1024),
-        ("0.3,-0.45,0.2", 1024, 7),
-        ("geometric:C=0.02,R=1.01", 1024, 8),
-        ("geometric:C=-0.05,R=1.03", 1024, 5),
-        ("geometric:C=0.1,R=1.02", 1024, 7),
-    ],
-)
-def test_r_series_grid_matches_polyval_path(spec, dinv_order, order):
-    """One inverse FFT of the folded series gives the Horner boundary values.
-
-    The last four cases have a series longer than the 512-point grid, so the
-    fold modulo the grid size carries terms (zeros for the finite list, up
-    to 9e-3 in sum for the slowest geometric tail)."""
-    dinv = dinv_from_alphas(parse_alpha_spec(spec, dinv_order), dinv_order)
-    size = max(512, 1 << (8 * (order + 1) - 1).bit_length())
-    want = _r_series_grid_by_polyval(dinv, order, size)
-    got = r_series(dinv, order)
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-
 def _laurent_eval(c, z):
     """sum_k c_k z^k for the array c_{-N} .. c_N."""
     n = (len(c) - 1) // 2
@@ -250,8 +206,13 @@ def test_r_series_unimodular_on_circle():
 def test_r_series_real_coefficients_for_real_alpha(rng):
     c = real_alphas(rng, 4)
     dinv = dinv_from_alphas(c, order=32)
-    r = r_series(dinv, order=16, method="product")
+    r = r_series(dinv, order=16)
     assert np.max(np.abs(r.imag)) < 1e-13
+
+
+def _r_range(dinv, lowest, order):
+    """r_lowest .. r_order as r_series forms them, for any starting index."""
+    return _r_dots(dinv, _reflected_d(dinv, lowest, order), lowest, order)
 
 
 def _r_product_loop(dinv, order):
@@ -271,8 +232,9 @@ def _r_product_loop(dinv, order):
        st.integers(0, 40))
 @settings(max_examples=40, deadline=None)
 def test_r_taylor_half_is_bitwise_the_product_series(seed, finite, cplx, order, extra):
-    """r_0..r_N alone are the Taylor half of the -N..N product series, bit for bit,
-    and that series is the old loop's."""
+    """r_0..r_N alone are the Taylor half of r_series, bit for bit, and that
+    half is the old product loop's (the k < 0 half is checked against a fine
+    grid by test_r_negative_half_matches_a_fine_grid)."""
     rng = np.random.default_rng(seed)
     dinv_order = order + extra
     if finite:
@@ -285,9 +247,9 @@ def test_r_taylor_half_is_bitwise_the_product_series(seed, finite, cplx, order, 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         dinv = dinv_from_alphas(coeffs, dinv_order)
-    full = r_series(dinv, order, method="product")
-    assert full.tobytes() == _r_product_loop(dinv, order).tobytes()
-    assert _r_by_product(dinv, 0, order).tobytes() == full[order:].tobytes()
+    full = r_series(dinv, order)
+    assert full[order:].tobytes() == _r_product_loop(dinv, order)[order:].tobytes()
+    assert _r_range(dinv, 0, order).tobytes() == full[order:].tobytes()
 
 
 def _dinv_two_buffers(coeffs, order):
@@ -362,33 +324,83 @@ def test_dinv_matches_the_two_buffer_recursion_bitwise(seed, order):
 @settings(max_examples=100, deadline=None)
 def test_r_by_product_matches_the_full_product_bitwise(seed, dinv_order, share, window, alpha):
     """1/D of zero-tail alpha draws, or polynomials whose constant term has
-    any phase; ranges that start below 0 (which build all of D) and at or
-    above 0 (which build D through the last nonzero coefficient of 1/D),
-    with the top order N and its one-term dot in about half of the draws."""
+    any phase; ranges that start below 0 (which build D through top - lowest)
+    and at or above 0 (which build D through top, the last nonzero
+    coefficient of 1/D), with the top order N and its one-term dot in about
+    half of the draws.  Each r_k with k >= 0 has the bits of the full
+    product, which builds D through N; the k < 0 half is checked against a
+    fine grid by test_r_negative_half_matches_a_fine_grid."""
     dinv = _zero_tail_dinv(seed, dinv_order)[1] if alpha else _zero_tail_series(seed, dinv_order)
     if dinv is None:
         return
     order = dinv_order if share > 0.5 else int(share * 2 * dinv_order)
     lowest = {"full": -order, "taylor": 0, "above-zero": order // 3,
               "below-zero": -(order // 3) - 1}[window]
+    start = max(0, lowest)
     try:
-        want = _r_by_full_product(dinv, lowest, order)
+        want = _r_by_full_product(dinv, start, order)
     except InvalidParameterError:  # D overflows
         with pytest.raises(InvalidParameterError):
-            _r_by_product(dinv, lowest, order)
+            _r_range(dinv, start, order)
         return
-    assert _r_by_product(dinv, lowest, order).tobytes() == want.tobytes()
+    assert _r_range(dinv, lowest, order)[start - lowest :].tobytes() == want.tobytes()
+
+
+def _fine_grid_r(p, order):
+    """r_{-order} .. r_order of P / conj(P) by FFT on a grid of at least 2^16
+    points, grown until it resolves the zero of P nearest the circle (an
+    alias of r_k weighs about rho^-size); None when 2^20 points do not."""
+    rho = np.min(np.abs(np.polynomial.polynomial.polyroots(p))) if len(p) > 1 else np.inf
+    size = 1 << 16
+    while size < 1 << 20 and size * np.log(rho) < 45.0:
+        size <<= 1
+    if size * np.log(rho) < 45.0:
+        return None
+    vals = size * np.fft.ifft(p, size)
+    return (np.fft.fft(vals / np.conj(vals)) / size)[np.arange(-order, order + 1) % size]
+
+
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.booleans(), st.integers(8, 256),
+       st.integers(0, 40))
+@settings(max_examples=30, deadline=None)
+def test_r_negative_half_matches_a_fine_grid(seed, finite, cplx, order, extra):
+    """r_{-N} .. r_{-1} of finite lists (1/D exact, of degree up to 24) and of
+    geometric tails are the Fourier coefficients of P / conj(P), P = 1/D.
+
+    The bound is 1e-14 max|r| times the size of the terms of the dots,
+    sum |P_j| * max |D_m| (1 when P is a constant): with a zero of P near the
+    circle D decays slowly, and its recursion and the dots round in
+    proportion (on 1440 draws the worst error was 3.2e-16 of that scale)."""
+    rng = np.random.default_rng(seed)
+    if finite:
+        n = int(rng.integers(1, 25))
+        alpha = rng.uniform(-0.6, 0.6, n) + (1j * rng.uniform(-0.5, 0.5, n) if cplx else 0.0)
+        coeffs = VerblunskyCoeffs.finitely_supported(alpha)
+        dinv_order = max(order, n) + extra
+    else:
+        dinv_order = order + extra
+        c = rng.uniform(-0.7, 0.7) + (1j * rng.uniform(-0.5, 0.5) if cplx else 0.0)
+        coeffs = VerblunskyCoeffs(c * rng.uniform(1.2, 4.0) ** -np.arange(dinv_order + 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        dinv = dinv_from_alphas(coeffs, dinv_order)
+    p = np.trim_zeros(dinv.coeffs, "b")
+    want = _fine_grid_r(p, order)
+    assume(want is not None)
+    r = r_series(dinv, order)
+    scale = np.sum(np.abs(p)) * np.max(np.abs(taylor_reciprocal(dinv, len(p) - 1 + order).coeffs))
+    assert np.max(np.abs(r[:order] - want[:order])) <= 1e-14 * np.max(np.abs(r)) * scale
 
 
 def test_r_taylor_half_guards_match_r_series():
-    """The helper raises what r_series(method="product") raises."""
+    """The Taylor half raises what r_series raises."""
     short = dinv_from_alphas(geometric_alphas(0.5, 2.0), order=16)
     no_constant = TaylorSeries([1e-300, 1.0, 0.5])
     for dinv, order in ((short, 32), (no_constant, 2)):
         with pytest.raises(SzegojostError) as want:
-            r_series(dinv, order, method="product")
+            r_series(dinv, order)
         with pytest.raises(type(want.value)) as got:
-            _r_by_product(dinv, 0, order)
+            _r_range(dinv, 0, order)
         assert str(got.value) == str(want.value)
 
 
@@ -396,13 +408,13 @@ def test_r_series_guards():
     c = geometric_alphas(0.5, 2.0)
     dinv = dinv_from_alphas(c, order=16)
     with pytest.raises(InvalidParameterError):
-        r_series(dinv, order=32, method="product")
-    with pytest.raises(InvalidParameterError):
-        r_series(dinv, order=8, method="newton")
+        r_series(dinv, order=32)
+    with pytest.raises(PoleError):
+        r_series(TaylorSeries([0.0, 1.0]), order=1)
 
 
 def test_r_series_refuses_non_finite_coefficients():
     """A constant term just above the pole cut-off overflows D: r_0 is -inf."""
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InvalidParameterError, match="coefficients must be finite"):
-            r_series(TaylorSeries([1e-200, 1.0]), 1, method="product")
+            r_series(TaylorSeries([1e-200, 1.0]), 1)
