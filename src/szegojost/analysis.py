@@ -31,7 +31,7 @@ from .jost import (
 from .oprl import JacobiParams, eval_polys
 from .opuc import VerblunskyCoeffs
 from .series import TaylorSeries
-from .szego import _r_dots, _reflected_d, dinv_from_alphas, s_series
+from .szego import _dinv_is_whole, _taylor_r, dinv_from_alphas, s_series
 
 __all__ = [
     "RadiusEstimate",
@@ -343,12 +343,20 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
     ``slack``.  Coefficients of the difference below their rounding-noise
     level (the two terms agree to ~R^(-3k) out of magnitude R^(-k)) are
     excluded through an adaptive floor.
+
+    When the alphas vanish from an index s <= ``order``, 1/D is the whole
+    polynomial kappa_s Phi_s* and D has unit l2 norm, so D is built only
+    through the index M past which its terms move no r_k by a bit: twice
+    the norm of the tail of 1/D beyond M + k is within 2^-110 |D_0| |(1/D)_k|
+    for every k, and within 2^-110 |r_k| for each r_k formed, or D is built
+    in full (see :func:`~szegojost.szego._taylor_r`).  Otherwise D is built
+    through the last nonzero coefficient of 1/D.
     """
     def legs():
         alpha = coeffs.slice(order + 1)
         dinv = dinv_from_alphas(coeffs, order)
         s = s_series(coeffs, order).coeffs
-        d_conj = _reflected_d(dinv, 0, order)
+        r_range = _taylor_r(dinv, order, whole=_dinv_is_whole(coeffs, order))
         if not np.any(np.abs(alpha) > UNDERFLOW_FLOOR):
             return ({"difference_radius": math.inf, "threshold": math.inf}, True,
                     "alpha is zero; r - S vanishes identically")
@@ -358,12 +366,12 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
         # no other r_k is formed, and the arrays keep their full length
         r_pos = np.zeros(order + 1, dtype=complex)
         tail = (order + 1) // 2
-        r_pos[tail:] = _r_dots(dinv, d_conj, tail, order)
+        r_pos[tail:] = r_range(tail, order)
         r_r = decay_rate(r_pos).radius
         done = 0
         while True:
             grown = min(max(2 * done, 16), tail)
-            r_pos[done:grown] = _r_dots(dinv, d_conj, done, grown - 1)
+            r_pos[done:grown] = r_range(done, grown - 1)
             done = grown
             diff = r_pos - s
             floor = _rounding_floor(np.abs(r_pos) + np.abs(s))

@@ -25,6 +25,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -246,10 +247,21 @@ def _cmd_popuc(args, config: ExperimentConfig) -> int:
 
 
 def _canonical_weights(args, config, coeffs):
+    """The canonical-weights report of --a/--b or --b1, else of the default row.
+
+    The default row a = [1], b = [1.5], which ``verify all`` runs, has a
+    constant report (the suite reads neither the config nor the alphas),
+    so it is built once per process.
+    """
     if args.b1 is None and not args.a:
-        return canonical_weight_check(JacobiParams(a=np.array([1.0]), b=np.array([1.5]),
-                                                   free_after=1))
+        return _default_canonical_report()
     return canonical_weight_check(_jacobi_from_args(args))
+
+
+@lru_cache(maxsize=1)
+def _default_canonical_report():
+    return canonical_weight_check(JacobiParams(a=np.array([1.0]), b=np.array([1.5]),
+                                               free_after=1))
 
 
 # suite name -> runner(args, config, coeffs), in report order

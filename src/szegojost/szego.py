@@ -6,6 +6,7 @@ orthonormal polynomials (exact for finitely supported coefficients); the
 weight-side construction of D itself lives in :func:`d_from_weight`.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -30,6 +31,12 @@ __all__ = [
 ]
 
 _polyval = np.polynomial.polynomial.polyval
+
+# how far sum |r_k|^2 may exceed 1 before r_series refuses
+_PARSEVAL_SLACK = 1e-9
+# log (2^-110 / 2)^2: the terms of D left out may move r_k by 2^-110 of its size,
+# halved for rounding
+_FELT_LOG_BOUND = -222.0 * math.log(2.0)
 
 
 def dinv_from_alphas(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
@@ -81,6 +88,17 @@ def dinv_from_alphas(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     series.coeffs.setflags(write=False)
     coeffs._cache[key] = series
     return series
+
+
+def _dinv_is_whole(coeffs: VerblunskyCoeffs, order: int) -> bool:
+    """Whether ``dinv_from_alphas(coeffs, order)`` holds all of kappa_s Phi_s*.
+
+    It does when the alphas vanish from an index s <= ``order``: Phi_s* has
+    degree s.  This reads the alpha support, not the last nonzero entry of
+    1/D: a polynomial cut at the order may end in zeros too.
+    """
+    support = np.flatnonzero(coeffs.alpha)
+    return (int(support[-1]) + 1 if support.size else 0) <= order
 
 
 def _star_coeffs(coeffs: VerblunskyCoeffs, monic: np.ndarray, n: int, order: int) -> np.ndarray:
@@ -197,8 +215,22 @@ def r_series(dinv: TaylorSeries, order: int = 64) -> np.ndarray:
     ``order <= dinv.order``); :func:`_r_dots` takes one ``np.dot`` per k,
     the same loop the r - S suite runs on its own range.  A coefficient
     that is not finite raises :class:`InvalidParameterError`.
+
+    A unimodular r has sum_k |r_k|^2 = 1 (Parseval), so the sum over
+    -order .. order is at most 1.  When the computed sum exceeds 1 by more
+    than ``_PARSEVAL_SLACK`` (1e-9, far above the rounding of the sums on a
+    zero-free P), :class:`PreconditionError` names it: either P has a zero
+    in the closed unit disk, as a truncated tail near R = 1 can give it,
+    and the sums are a formal product, or rounding has swamped them.
     """
-    return _ascoeffs(_r_dots(dinv, _reflected_d(dinv, -order, order), -order, order))
+    r = _ascoeffs(_r_dots(dinv, _reflected_d(dinv, -order, order), -order, order))
+    energy = float(np.sum(r.real**2 + r.imag**2))
+    if energy > 1.0 + _PARSEVAL_SLACK:
+        raise PreconditionError(
+            f"sum of |r_k|^2 over k = -{order} .. {order} is {energy!r}, above 1: 1/D has a "
+            "zero in the closed unit disk or rounding swamped r"
+        )
+    return r
 
 
 def _r_dots(dinv: TaylorSeries, d_conj: np.ndarray, lowest: int, highest: int) -> np.ndarray:
@@ -220,10 +252,11 @@ def _r_dots(dinv: TaylorSeries, d_conj: np.ndarray, lowest: int, highest: int) -
       inf * 0 is nan.  When 1/D is kappa Phi_n*, as :func:`dinv_from_alphas`
       gives it once its order reaches the degree, Phi_n* has no zeros in
       the closed unit disk and D is the Szego function of a probability
-      measure: sum |D_m|^2 <= 1.
+      measure: sum |D_m|^2 <= 1.  :func:`_taylor_r` then has ``d_conj``
+      hold +0 past an index M where the terms it drops move no r_k.
 
-    The r - S suite calls it on one ``d_conj`` for the trailing half of r
-    and for the chunks of its signal prefix.
+    The r - S suite calls it, through :func:`_taylor_r`, on one ``d_conj``
+    for the trailing half of r and for the chunks of its signal prefix.
     """
     c_dinv = dinv.coeffs
     length = dinv.order
@@ -241,14 +274,23 @@ def _r_dots(dinv: TaylorSeries, d_conj: np.ndarray, lowest: int, highest: int) -
     return c
 
 
-def _reflected_d(dinv: TaylorSeries, lowest: int, order: int) -> np.ndarray:
+def _reflected_d(dinv: TaylorSeries, lowest: int, order: int,
+                 through: int | None = None) -> np.ndarray:
     """conj(D_m) from m = 0 for r_lowest .. r_order, at least N + 1 of them, N the order of 1/D.
 
     Raises :class:`PoleError` when 1/D has no constant term, then
     :class:`InvalidParameterError` when ``order > dinv.order``.  D is built
     through top - min(lowest, 0), ``top`` the last nonzero index of 1/D,
     which is as far as :func:`_r_dots` reads it, and left at +0 from there
-    to index N.
+    to index N.  ``through`` builds it no further than that index, the M
+    that :func:`_taylor_r` picks when 1/D is all of kappa_s Phi_s*: with
+    sum |D_m|^2 = 1, the terms m > M of
+    r_k = sum_m conj(D_m) (1/D)_{m+k} sum to at most ||(1/D)_{>M+k}||_2
+    (Cauchy-Schwarz), and M is the smallest index with
+
+        2 ||(1/D)_{>M+k}||_2 <= 2^-110 |D_0| |(1/D)_k|  for k = 0 .. min(top, order),
+
+    the factor 2 covering rounding.
     """
     _require_constant_term(dinv)
     length = dinv.order
@@ -256,9 +298,68 @@ def _reflected_d(dinv: TaylorSeries, lowest: int, order: int) -> np.ndarray:
         raise InvalidParameterError("r needs dinv order >= requested Laurent order")
     top = int(np.flatnonzero(dinv.coeffs)[-1])
     built = top - min(lowest, 0)
+    if through is not None:
+        built = min(built, through)
     d_conj = np.zeros(max(length, built) + 1, dtype=complex)
     d_conj[: built + 1] = np.conj(taylor_reciprocal(dinv, built).coeffs)
     return d_conj
+
+
+def _taylor_r(dinv: TaylorSeries, order: int, whole: bool = False):
+    """The function (lowest, highest) -> r_lowest .. r_highest, 0 <= lowest <= highest <= order.
+
+    Its calls run :func:`_r_dots` on one conj(D) of :func:`_reflected_d`.
+    With ``whole`` (see :func:`_dinv_is_whole`) D is first built only
+    through the M of the bound stated there, so each dropped part of r_k
+    lies far below the last bit of its m = 0 term.  The sum r_k may be
+    smaller than that term, far smaller where it cancels (an alpha_{k-1}
+    of 0 inside a decaying tail does it), and a dropped part would then
+    show.  So the r_k of each range are checked against the same bound
+    with |r_k| in place of |D_0| |(1/D)_k|, and where one fails it, D is
+    built through the M that they all meet and the range is formed again.
+    A zero (1/D)_k or r_k asks for every term through ``top``.
+
+    The norms are taken as logs of sums of squares, since a square below
+    1e-308 would underflow: one cumulative log-sum from the top down gives
+    every tail, and one ``searchsorted`` the smallest M + k for each k.
+    """
+    if not whole:
+        d_conj = _reflected_d(dinv, 0, order)
+        return lambda lowest, highest: _r_dots(dinv, d_conj, lowest, highest)
+    _require_constant_term(dinv)
+    top = int(np.flatnonzero(dinv.coeffs)[-1])
+    with np.errstate(divide="ignore"):
+        log_sq = 2.0 * np.log(np.abs(dinv.coeffs[: top + 1]))
+    # tails[t] = log sum_{i >= top - t} |(1/D)_i|^2, nondecreasing in t
+    tails = np.logaddexp.accumulate(log_sq[::-1])
+
+    def reach(ks: np.ndarray, log_sq_size: np.ndarray) -> int:
+        """The smallest M with 2 ||(1/D)_{>M+k}||_2 <= 2^-110 size_k for each k."""
+        # the smallest such M + k is top less the count of tails within the
+        # bound, and a bound of -inf leaves only the empty tail, M + k = top
+        count = np.searchsorted(tails, log_sq_size + _FELT_LOG_BOUND, side="right")
+        return max(0, int(np.max(top - count - ks)))
+
+    ks = np.arange(min(top, order) + 1)
+    # |D_0| = 1 / |(1/D)_0|
+    built = reach(ks, log_sq[ks] - log_sq[0])
+    d_conj = _reflected_d(dinv, 0, order, through=built)
+
+    def r_range(lowest: int, highest: int) -> np.ndarray:
+        nonlocal built
+        while True:
+            r = _r_dots(dinv, d_conj, lowest, highest)
+            ks = np.arange(lowest, min(top, highest) + 1)
+            if built >= top or not ks.size:
+                return r
+            with np.errstate(divide="ignore"):
+                need = reach(ks, 2.0 * np.log(np.abs(r[: ks.size])))
+            if need <= built:
+                return r
+            built = need
+            d_conj[: built + 1] = np.conj(taylor_reciprocal(dinv, built).coeffs)
+
+    return r_range
 
 
 def _require_constant_term(dinv: TaylorSeries) -> None:

@@ -249,6 +249,22 @@ def test_szego_r_series_is_exact_where_a_grid_aliases(capsys):
     assert np.max(np.abs(got - want)) < 1e-13
 
 
+def test_szego_r_series_refuses_a_formal_product(capsys):
+    """A truncated tail near R = 1 at order 8 gives a 1/D with a zero in
+    the unit disk, so r = P / conj(P) has no expansion in powers of z and
+    1/z there, and the sums are a formal product: max |r_k| is 3.41 and
+    sum |r_k|^2 is 28.26, where a unimodular r has sum 1 (Parseval)."""
+    spec = "geometric:C=-0.6522833501420462,R=1.05286064842791"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        code = main(["szego", "--series", "r", "--alpha", spec, "--order", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: sum of |r_k|^2 over k = -8 .. 8 is 28.26")
+    assert "1/D has a zero in the closed unit disk" in captured.err
+
+
 def test_szego_d_from_measure(capsys, tmp_path):
     doc = tmp_path / "uniform.json"
     doc.write_text(json.dumps({"kind": "circle", "acWeight": "uniform"}))
@@ -560,8 +576,9 @@ def test_verify_all_runs_one_szego_recursion(capsys, monkeypatch):
 
 def test_verify_all_stops_at_the_last_nonzero_alpha(capsys, monkeypatch):
     """alpha_n = 0.1 * 3.4^-n underflows to 0 from n = 608 at order 1024, so
-    the recursion takes 608 steps, not 1025, and D is built through the last
-    nonzero coefficient of 1/D, index 608."""
+    the recursion takes 608 steps, not 1025.  1/D is then the whole
+    polynomial kappa_608 Phi_608*, and the r - S suite builds D through
+    index 63 only, past which no term of D moves an r_k."""
     from szegojost import opuc, szego
 
     steps, reciprocal_orders = [], []
@@ -579,7 +596,7 @@ def test_verify_all_stops_at_the_last_nonzero_alpha(capsys, monkeypatch):
     monkeypatch.setattr(szego, "taylor_reciprocal", counting_reciprocal)
     run(capsys, ["verify", "all", "--alpha", "geometric:C=0.1,R=3.4", "--order", "1024"])
     assert len(steps) == 608
-    assert reciprocal_orders == [608]
+    assert reciprocal_orders == [63]
 
 
 def test_jost_combination_maps_the_alphas_once(capsys, monkeypatch):

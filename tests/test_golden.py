@@ -21,8 +21,14 @@ Each file under ``tests/data/golden/`` is the stdout of one command in
 - ``popuc_n256``, and ``popuc_n16_output.csv`` with its ``.meta.json``
   sidecar, written by ``-o``.
 
-Regenerate a file only together with a CHANGES.md entry that declares the
-output change; CHANGES.md keeps the history of every regeneration.
+``CORPUS_DIGEST`` pins, in one hash, the exit codes and stdout of ``verify
+all`` over a grid of geometric inputs (C, R and order) and a few finite
+lists, run in one process, so that the default canonical-weights report,
+built once per process, is reused across the commands.
+
+Regenerate a file or the digest only together with a CHANGES.md entry that
+declares the output change; CHANGES.md keeps the history of every
+regeneration.
 
 Each command runs in a fresh interpreter with BLAS pinned to one thread:
 several files hold values that pass through LAPACK (``polyroots``,
@@ -33,6 +39,7 @@ LAPACK only on inputs whose Phi_n has a zero near the circle, so
 """
 
 import cmath
+import json
 import os
 import subprocess
 import sys
@@ -104,12 +111,46 @@ FAILING_CASES = {
 }
 
 
-def run_cli(argv, threads=1):
+# ``verify all`` over C in {+-0.1, +-0.5, +-0.9}, R in {1.05, 1.2, 1.5, 2, 3, 5} and
+# orders 64, 256 and 1024, then finite lists (one with interior zeros)
+CORPUS = [
+    ["verify", "all", f"--alpha=geometric:C={c},R={r}", "--order", str(order)]
+    for c in (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)
+    for r in (1.05, 1.2, 1.5, 2, 3, 5)
+    for order in (64, 256, 1024)
+] + [
+    ["verify", "all", f"--alpha={alpha}", "--order", str(order)]
+    for alpha in ("0.5", "0.1,-0.2,0.25,0.05,-0.1,0.2,0.15,-0.05", "0.6,0,0,-0.3,0,0,0,0.1",
+                  COMPLEX_LIST)
+    for order in (64, 256)
+]
+# sha256 of each command's exit code (a line) and stdout, in turn
+CORPUS_DIGEST = "793a00abbd35aa9fdfae57508d923c272a4d626e970de4e07c26a533eda7b3fd"
+
+# runs CORPUS (read as JSON on stdin) through one interpreter and prints the digest
+_CORPUS_RUNNER = """
+import contextlib, hashlib, io, json, sys
+from szegojost.cli import main
+digest = hashlib.sha256()
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    digest.update(f"{code}\\n{out.getvalue()}".encode())
+print(digest.hexdigest())
+"""
+
+
+def _cli_env(threads):
     src = str(Path(szegojost.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
                MKL_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "szegojost", *argv], env=env,
+    return env
+
+
+def run_cli(argv, threads=1):
+    return subprocess.run([sys.executable, "-m", "szegojost", *argv], env=_cli_env(threads),
                           capture_output=True, check=False, timeout=300)
 
 
@@ -144,3 +185,13 @@ def test_popuc_golden_bytes_do_not_depend_on_the_blas_thread_count():
     proc = run_cli(CASES["popuc_n256"], threads=2)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / "popuc_n256.csv").read_bytes()
+
+
+def test_verify_all_corpus_matches_its_digest():
+    """Exit codes and stdout of ``verify all`` over CORPUS, in one process
+    with BLAS on one thread, hash to CORPUS_DIGEST."""
+    proc = subprocess.run([sys.executable, "-c", _CORPUS_RUNNER], env=_cli_env(1),
+                          input=json.dumps(CORPUS).encode(), capture_output=True, check=False,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == CORPUS_DIGEST

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NEAR_EDGE, mild_jacobi, real_alphas
+from szegojost import cli
 from szegojost.cli import main
 from szegojost.errors import (
     ConvergenceWarning,
@@ -301,8 +302,10 @@ def test_panel_runs_no_companion_solve(r, c, monkeypatch, capsys):
 
     ``jost --what zeros`` solves nothing.  ``verify all`` solves only the
     Jost polynomial 1 - 1.5 z of its canonical-weights suite, which has a
-    genuine zero and which numpy solves in closed form at degree 1.
+    genuine zero and which numpy solves in closed form at degree 1.  That
+    report is built once per process, so it is cleared before counting.
     """
+    cli._default_canonical_report.cache_clear()
     degrees = _polyroots_degrees(monkeypatch)
     spec = f"geometric:C={c},R={r}"
     assert main(["jost", "--what", "zeros", "--alpha", spec, "--order", "1024"]) == 0

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -27,9 +27,11 @@ from szegojost.measures import parse_alpha_spec
 from szegojost.opuc import CircleMeasure, VerblunskyCoeffs, bernstein_szego
 from szegojost.series import TaylorSeries, taylor_mul, taylor_reciprocal
 from szegojost.szego import (
+    _dinv_is_whole,
     _r_dots,
     _reflected_d,
     _star_coeffs,
+    _taylor_r,
     d_from_weight,
     dinv_from_alphas,
     r_series,
@@ -234,7 +236,9 @@ def _r_product_loop(dinv, order):
 def test_r_taylor_half_is_bitwise_the_product_series(seed, finite, cplx, order, extra):
     """r_0..r_N alone are the Taylor half of r_series, bit for bit, and that
     half is the old product loop's (the k < 0 half is checked against a fine
-    grid by test_r_negative_half_matches_a_fine_grid)."""
+    grid by test_r_negative_half_matches_a_fine_grid).  A list longer than
+    the order cuts 1/D, which may then have a zero in the disk; r_series
+    refuses that, and its sums before the refusal are compared."""
     rng = np.random.default_rng(seed)
     dinv_order = order + extra
     if finite:
@@ -247,9 +251,68 @@ def test_r_taylor_half_is_bitwise_the_product_series(seed, finite, cplx, order, 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         dinv = dinv_from_alphas(coeffs, dinv_order)
-    full = r_series(dinv, order)
+    try:
+        full = r_series(dinv, order)
+    except PreconditionError:
+        assert np.min(np.abs(np.polynomial.polynomial.polyroots(dinv.coeffs))) <= 1.0
+        full = _r_range(dinv, -order, order)
     assert full[order:].tobytes() == _r_product_loop(dinv, order)[order:].tobytes()
     assert _r_range(dinv, 0, order).tobytes() == full[order:].tobytes()
+
+
+def _cut_family_coeffs(rng, family, order):
+    """Alphas of one family of test_r_minus_s_cut_d_is_bitwise_the_full_build."""
+    if family == "geometric":
+        c = rng.uniform(0.05, 0.95) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        return VerblunskyCoeffs(c * rng.uniform(1.01, 8.0) ** -np.arange(order + 1.0))
+    if family == "list":
+        # a geometric list with interior zeros: r - S is of order R^-3k, so
+        # at a zero alpha_{k-1} the sum r_k cancels far below its m = 0 term
+        c = rng.uniform(-0.99, 0.99)
+        if rng.random() < 0.5:
+            c *= np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        alpha = c * rng.uniform(1.05, 8.0) ** -np.arange(int(rng.integers(2, order + 2)) + 0.0)
+        alpha[:-1][rng.random(len(alpha) - 1) < 0.2] = 0.0
+        return VerblunskyCoeffs.finitely_supported(alpha)
+    c = rng.uniform(-0.95, 0.95)
+    return VerblunskyCoeffs(c * rng.uniform(1.001, 1.05) ** -np.arange(order + 1.0))
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["geometric", "list", "near-one"]),
+       st.integers(8, 4096))
+@example(82, "list", 256)
+@example(232, "list", 256)
+@settings(max_examples=150, deadline=None)
+def test_r_minus_s_cut_d_is_bitwise_the_full_build(seed, family, order):
+    """The r - S suite builds D only as far as r_0 .. r_order can feel it
+    when 1/D is the whole polynomial kappa_s Phi_s*, and every r_k it forms,
+    in the ranges it forms them, is the full build's, bit for bit.  A
+    geometric tail with R from 1.01 to 8 is whole once its alphas underflow
+    within the order, a list once it fits in it; a tail with R near 1 is
+    cut at the order, and its D is built in full.  The two examples are
+    lists where D built through the M of the m = 0 terms alone moves an
+    r_k that cancels, so the check of the r_k themselves must extend it."""
+    rng = np.random.default_rng(seed)
+    coeffs = _cut_family_coeffs(rng, family, order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        dinv = dinv_from_alphas(coeffs, order)
+    whole = _dinv_is_whole(coeffs, order)
+    assert whole == (family != "near-one" and not np.any(coeffs.alpha[order:]))
+    if not whole:
+        return
+    assert int(np.flatnonzero(dinv.coeffs)[-1]) <= order
+    full = _r_dots(dinv, _reflected_d(dinv, 0, order), 0, order)
+    r_range = _taylor_r(dinv, order, whole=True)
+    tail = (order + 1) // 2
+    got = np.zeros(order + 1, dtype=complex)
+    got[tail:] = r_range(tail, order)
+    done = 0
+    while done < tail:
+        grown = min(max(2 * done, 16), tail)
+        got[done:grown] = r_range(done, grown - 1)
+        done = grown
+    assert got.tobytes() == full.tobytes()
 
 
 def _dinv_two_buffers(coeffs, order):
