@@ -9,7 +9,7 @@ alpha and 1/D share the rate 1/R, and r - S decays three times faster.
 
 import numpy as np
 
-from szegojost.analysis import decay_rate, radius_estimate
+from szegojost.analysis import decay_rate
 from szegojost.jost import geronimus_deltas
 from szegojost.opuc import VerblunskyCoeffs
 from szegojost.szego import dinv_from_alphas, r_series, s_series
@@ -24,7 +24,7 @@ dinv = dinv_from_alphas(alphas, order=ORDER)
 print(f"1/D coefficients start {np.round(dinv.coeffs[:4].real, 6)}")
 
 est_alpha = decay_rate(alphas.alpha)
-est_dinv = radius_estimate(dinv)
+est_dinv = decay_rate(dinv.coeffs)
 print(f"decay radius of alpha: {est_alpha.radius:.4f}")
 print(f"decay radius of 1/D:   {est_dinv.radius:.4f}   (both should be near {R})")
 

@@ -21,17 +21,11 @@ from .errors import (
     InvalidParameterError,
     NumericalDegeneracyError,
 )
-from .jost import (
-    _bound_state_zeros,
-    b_series_from_deltas,
-    geronimus_deltas,
-    jost_g_ell,
-    u_from_dinv,
-)
+from .jost import b_series_from_deltas, finite_range_jost_data, geronimus_deltas, u_from_dinv
 from .oprl import JacobiParams, eval_polys
 from .opuc import VerblunskyCoeffs
 from .series import TaylorSeries
-from .szego import _dinv_is_whole, _taylor_r, dinv_from_alphas, s_series
+from .szego import _taylor_r, dinv_from_alphas, s_series
 
 __all__ = [
     "RadiusEstimate",
@@ -39,7 +33,6 @@ __all__ = [
     "ProductSet",
     "PadePole",
     "decay_rate",
-    "radius_estimate",
     "verify_nevai_totik",
     "verify_damanik_simon",
     "canonical_weight_check",
@@ -125,13 +118,6 @@ def decay_rate(seq, window=None, floor=UNDERFLOW_FLOOR) -> RadiusEstimate:
     if radius > INFINITE_RADIUS_CUTOFF:
         radius = math.inf
     return RadiusEstimate(radius, (lo, hi), residual, used)
-
-
-def radius_estimate(series):
-    """Radius of convergence of a TaylorSeries from its coefficient decay."""
-    if isinstance(series, TaylorSeries):
-        return decay_rate(series.coeffs)
-    raise InvalidParameterError(f"cannot estimate a radius for {type(series).__name__}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +221,7 @@ def verify_nevai_totik(coeffs: VerblunskyCoeffs, order: int = 64,
     """
     def legs():
         r_alpha = _alpha_decay_radius(coeffs, order)
-        r_d = radius_estimate(dinv_from_alphas(coeffs, order)).radius
+        r_d = decay_rate(dinv_from_alphas(coeffs, order).coeffs).radius
         return _agree(("alpha_decay_radius", "dinv_radius"), r_alpha, r_d, rel_tol)
 
     return _report("nevai-totik", rel_tol, legs)
@@ -274,19 +260,19 @@ def verify_damanik_simon(coeffs: VerblunskyCoeffs, order: int = 64,
 
     def legs():
         r_jacobi = _mapped_decay_radius(coeffs)
-        r_u = radius_estimate(u_from_dinv(coeffs, order=order).u).radius
+        r_u = decay_rate(u_from_dinv(coeffs, order=order).u.coeffs).radius
         return _agree(("jacobi_decay_radius", "jost_radius"), r_jacobi, r_u, rel_tol)
 
     return _report("damanik-simon", rel_tol, legs)
 
 
-def canonical_weight_check(params: JacobiParams, rel_tol: float = 1e-4) -> VerificationReport:
+def canonical_weight_check(params: JacobiParams) -> VerificationReport:
     """Point-mass weights of a finite-range measure against the Jost residue.
 
     For each disk zero z0 of the Jost polynomial, the eigenvalue residue
     lim (z - z0) M(z) = w / (1 - 1/z0^2), with w the point mass at
-    E = z0 + 1/z0, must equal (z0 - 1/z0) / (u'(z0) u(1/z0)).  Free
-    parameters have no disk zeros and pass trivially.
+    E = z0 + 1/z0, must equal (z0 - 1/z0) / (u'(z0) u(1/z0)) within a
+    relative 1e-4.  Free parameters have no disk zeros and pass trivially.
 
     The weight is exact, not read off a truncated matrix.  Past the range
     l = max(free_range_order, 1) the recursion is free, so the square-
@@ -295,14 +281,14 @@ def canonical_weight_check(params: JacobiParams, rel_tol: float = 1e-4) -> Verif
     1/w = sum_{k<l-1} p_k(E)^2 + p_{l-1}(E)^2 / (1 - z0^2).
     Near the band edge the tail factor amplifies the error in z0 by about
     2 / (1 - z0^2), so the zeros are the Newton-polished ones of
-    :func:`~szegojost.jost._bound_state_zeros`.  E is symmetric under
+    :func:`~szegojost.jost.finite_range_jost_data`.  E is symmetric under
     z <-> 1/z, so u(1/z0) = z0^-l (p_l(E) - p_{l-1}(E) / z0) needs no
     coefficients of u at |z| > 1, where their rounding would grow by |z0|^-2l.
     """
-    check = "canonical-weights"
-    u = jost_g_ell(params)
+    check, rel_tol = "canonical-weights", 1e-4
+    data = finite_range_jost_data(params)
+    u, zeros = data.u, data.zeros_in_disk
     ell = max(params.free_range_order(), 1)
-    zeros = _bound_state_zeros(params, u, ell)
     if zeros.size == 0:
         return VerificationReport(
             check_id=check, measured={"n_zeros": 0.0}, tolerance=rel_tol,
@@ -344,19 +330,17 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
     level (the two terms agree to ~R^(-3k) out of magnitude R^(-k)) are
     excluded through an adaptive floor.
 
-    When the alphas vanish from an index s <= ``order``, 1/D is the whole
-    polynomial kappa_s Phi_s* and D has unit l2 norm, so D is built only
-    through the index M past which its terms move no r_k by a bit: twice
-    the norm of the tail of 1/D beyond M + k is within 2^-110 |D_0| |(1/D)_k|
-    for every k, and within 2^-110 |r_k| for each r_k formed, or D is built
-    in full (see :func:`~szegojost.szego._taylor_r`).  Otherwise D is built
-    through the last nonzero coefficient of 1/D.
+    The r_k come from :func:`~szegojost.szego._taylor_r`, which decides from
+    the alphas how far D is built: when they vanish from an index
+    s <= ``order``, D has unit l2 norm and is built only as far as its
+    terms can move an r_k by a bit, otherwise through the last nonzero
+    coefficient of 1/D.  Either way each r_k has the bits of the full build.
     """
     def legs():
         alpha = coeffs.slice(order + 1)
         dinv = dinv_from_alphas(coeffs, order)
         s = s_series(coeffs, order).coeffs
-        r_range = _taylor_r(dinv, order, whole=_dinv_is_whole(coeffs, order))
+        r_range = _taylor_r(coeffs, dinv, order)
         if not np.any(np.abs(alpha) > UNDERFLOW_FLOOR):
             return ({"difference_radius": math.inf, "threshold": math.inf}, True,
                     "alpha is zero; r - S vanishes identically")

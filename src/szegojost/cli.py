@@ -247,13 +247,14 @@ def _cmd_popuc(args, config: ExperimentConfig) -> int:
 
 
 def _canonical_weights(args, config, coeffs):
-    """The canonical-weights report of --a/--b or --b1, else of the default row.
+    """The canonical-weights report of the default row when none of --a, --b
+    and --b1 is given, else of the row :func:`_jacobi_from_args` reads.
 
     The default row a = [1], b = [1.5], which ``verify all`` runs, has a
     constant report (the suite reads neither the config nor the alphas),
     so it is built once per process.
     """
-    if args.b1 is None and not args.a:
+    if args.a is None and args.b is None and args.b1 is None:
         return _default_canonical_report()
     return canonical_weight_check(_jacobi_from_args(args))
 

@@ -205,16 +205,15 @@ def _jost_prefactor(coeffs: VerblunskyCoeffs, order: int) -> float:
     return float(np.sqrt((1.0 - a0 * a0) * (1.0 - a1)))
 
 
-def finite_range_jost_data(params: JacobiParams, ell: int | None = None) -> JostData:
+def finite_range_jost_data(params: JacobiParams) -> JostData:
     """Jost polynomial of a finite-range perturbation with its disk zeros.
 
     The polynomial is exact, so every root inside the open disk is a
     genuine bound state: real, polished by :func:`_bound_state_zeros`.  The
     eigenvalues are the Joukowski images z + 1/z.
     """
-    u = jost_g_ell(params, ell)
-    ell = params.free_range_order() if ell is None else ell
-    zeros = _bound_state_zeros(params, u, ell).real
+    u = jost_g_ell(params)
+    zeros = _bound_state_zeros(params, u, params.free_range_order()).real
     return JostData(u=u, zeros_in_disk=zeros, eigenvalues=e_from_z(zeros))
 
 

@@ -162,20 +162,15 @@ _CIRCLE_FAMILIES = {
 }
 
 
-def _circle_weight(spec: MeasureSpec, thetas: np.ndarray) -> np.ndarray:
-    if spec.samples is not None:
-        return np.asarray(spec.samples, dtype=float)
-    return _CIRCLE_FAMILIES[spec.family](spec.family_params, thetas)
-
-
 def realize_circle(spec: MeasureSpec, grid_size: int = 4096) -> CircleMeasure:
     """Sample a circle spec onto its grid and normalize the total mass."""
     if spec.kind != "circle":
         raise InvalidParameterError("realize_circle needs a circle-kind spec")
     if spec.samples is not None:
-        grid_size = len(spec.samples)
-    thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    w = _circle_weight(spec, thetas)
+        w = np.asarray(spec.samples, dtype=float)
+    else:
+        thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
+        w = _CIRCLE_FAMILIES[spec.family](spec.family_params, thetas)
     mass_total = sum(m for _, m in spec.point_masses)
     mean = float(np.mean(w))
     if mean <= 0.0:

@@ -1,10 +1,9 @@
 """Half-line Jacobi recursion engine.
 
 Covers the coefficient side of the real-line theory: orthonormal and
-second-kind polynomial evaluation, truncated matrices with a boundary shift,
-the averaged (Carmona-type) density, and a brute-force
-spectral-measure oracle that the tests and demo 03 check bound-state
-weights against.
+second-kind polynomial evaluation, truncated matrices, the averaged
+(Carmona-type) density, and a brute-force spectral-measure oracle that the
+tests and demo 03 check bound-state weights against.
 """
 
 from dataclasses import dataclass
@@ -195,13 +194,11 @@ def orthonormal_poly_coeffs(params: JacobiParams, n: int) -> list[np.ndarray]:
     return coeffs
 
 
-def truncated_matrix(params: JacobiParams, n: int, shift: complex = 0.0) -> np.ndarray:
-    """Top-left n-by-n block of the Jacobi matrix with b_n replaced by b_n + shift."""
+def truncated_matrix(params: JacobiParams, n: int) -> np.ndarray:
+    """Top-left n-by-n block of the Jacobi matrix."""
     if n < 1:
         raise InvalidParameterError("matrix size must be >= 1")
-    diag = params.b_slice(n).astype(complex if np.iscomplexobj(shift) else float)
-    diag[-1] += shift
-    mat = np.diag(diag)
+    mat = np.diag(params.b_slice(n))
     if n > 1:
         off = params.a_slice(n - 1)
         mat[np.arange(n - 1), np.arange(1, n)] = off
@@ -253,12 +250,11 @@ def carmona_moment(params: JacobiParams, n: int, ell: int) -> float:
     return float((2j * total).real)
 
 
-def spectral_measure_oracle(params: JacobiParams, n: int, shift: float = 0.0) -> "PointMeasure":
+def spectral_measure_oracle(params: JacobiParams, n: int) -> "PointMeasure":
     """Eigen-decomposition route to the spectral measure of the truncation.
 
-    Nodes are eigenvalues of the n-by-n matrix (diagonal boundary shift added
-    to the last entry); weights are squared first components of the
-    orthonormal eigenvectors.
+    Nodes are eigenvalues of the n-by-n matrix; weights are squared first
+    components of the orthonormal eigenvectors.
     """
     if n < 1:
         raise InvalidParameterError("truncation size must be >= 1")
@@ -266,9 +262,7 @@ def spectral_measure_oracle(params: JacobiParams, n: int, shift: float = 0.0) ->
         raise InvalidParameterError(
             f"eigen-oracle size {n} exceeds the cap {EIGEN_ORACLE_MAX_SIZE}"
         )
-    if np.iscomplexobj(np.asarray(shift)):
-        raise InvalidParameterError("spectral measure needs a real shift")
-    mat = truncated_matrix(params, n, float(shift))
+    mat = truncated_matrix(params, n)
     try:
         vals, vecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure is exotic

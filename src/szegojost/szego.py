@@ -90,17 +90,6 @@ def dinv_from_alphas(coeffs: VerblunskyCoeffs, order: int = 64) -> TaylorSeries:
     return series
 
 
-def _dinv_is_whole(coeffs: VerblunskyCoeffs, order: int) -> bool:
-    """Whether ``dinv_from_alphas(coeffs, order)`` holds all of kappa_s Phi_s*.
-
-    It does when the alphas vanish from an index s <= ``order``: Phi_s* has
-    degree s.  This reads the alpha support, not the last nonzero entry of
-    1/D: a polynomial cut at the order may end in zeros too.
-    """
-    support = np.flatnonzero(coeffs.alpha)
-    return (int(support[-1]) + 1 if support.size else 0) <= order
-
-
 def _star_coeffs(coeffs: VerblunskyCoeffs, monic: np.ndarray, n: int, order: int) -> np.ndarray:
     """kappa_n * Phi_n* from the monic Phi_n, cut or zero-padded to order + 1."""
     star = coeffs.kappa(n) * np.conj(monic[::-1])
@@ -221,7 +210,9 @@ def r_series(dinv: TaylorSeries, order: int = 64) -> np.ndarray:
     than ``_PARSEVAL_SLACK`` (1e-9, far above the rounding of the sums on a
     zero-free P), :class:`PreconditionError` names it: either P has a zero
     in the closed unit disk, as a truncated tail near R = 1 can give it,
-    and the sums are a formal product, or rounding has swamped them.
+    and the sums are a formal product, or rounding has swamped them.  Such
+    a zero may leave the sum below 1, so :func:`_require_zero_free` then
+    runs the Schur-Cohn test on P.
     """
     r = _ascoeffs(_r_dots(dinv, _reflected_d(dinv, -order, order), -order, order))
     energy = float(np.sum(r.real**2 + r.imag**2))
@@ -230,7 +221,32 @@ def r_series(dinv: TaylorSeries, order: int = 64) -> np.ndarray:
             f"sum of |r_k|^2 over k = -{order} .. {order} is {energy!r}, above 1: 1/D has a "
             "zero in the closed unit disk or rounding swamped r"
         )
+    _require_zero_free(dinv)
     return r
+
+
+def _require_zero_free(dinv: TaylorSeries) -> None:
+    """Raise :class:`PreconditionError` unless P = 1/D has no zero in the closed unit disk.
+
+    The Schur-Cohn test: Phi = (P / P_0)* is monic, and the inverse Szego
+    recursion beta_n = -conj(Phi_{n+1}(0)),
+    Phi_n = (Phi_{n+1} + conj(beta_n) Phi*_{n+1}) / (z (1 - |beta_n|^2)), takes
+    it down to degree 0.  Every zero of Phi lies in the open disk, so every
+    zero of P outside the closed one, exactly when every |beta_n| < 1.
+    """
+    c = dinv.coeffs
+    top = int(np.flatnonzero(c)[-1])
+    phi = np.conj(c[top::-1] / c[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(top - 1, -1, -1):
+            # Phi_{n+1}(0) = -conj(beta_n), and z divides Phi_{n+1} + conj(beta_n) Phi*_{n+1}
+            lead = complex(phi[0])
+            if not abs(lead) < 1.0:
+                raise PreconditionError(
+                    f"1/D has a zero in the closed unit disk: the Schur-Cohn test gives "
+                    f"|beta_{n}| = {abs(lead)!r}, not below 1"
+                )
+            phi = (phi[1:] - lead * np.conj(phi[-2::-1])) / (1.0 - abs(lead) ** 2)
 
 
 def _r_dots(dinv: TaylorSeries, d_conj: np.ndarray, lowest: int, highest: int) -> np.ndarray:
@@ -305,27 +321,29 @@ def _reflected_d(dinv: TaylorSeries, lowest: int, order: int,
     return d_conj
 
 
-def _taylor_r(dinv: TaylorSeries, order: int, whole: bool = False):
+def _taylor_r(coeffs: VerblunskyCoeffs, dinv: TaylorSeries, order: int):
     """The function (lowest, highest) -> r_lowest .. r_highest, 0 <= lowest <= highest <= order.
 
-    Its calls run :func:`_r_dots` on one conj(D) of :func:`_reflected_d`.
-    With ``whole`` (see :func:`_dinv_is_whole`) D is first built only
-    through the M of the bound stated there, so each dropped part of r_k
-    lies far below the last bit of its m = 0 term.  The sum r_k may be
-    smaller than that term, far smaller where it cancels (an alpha_{k-1}
-    of 0 inside a decaying tail does it), and a dropped part would then
-    show.  So the r_k of each range are checked against the same bound
-    with |r_k| in place of |D_0| |(1/D)_k|, and where one fails it, D is
-    built through the M that they all meet and the range is formed again.
-    A zero (1/D)_k or r_k asks for every term through ``top``.
+    ``dinv`` is ``dinv_from_alphas(coeffs, order)``, and the calls run
+    :func:`_r_dots` on one conj(D) of :func:`_reflected_d`.  When the alphas
+    vanish from an index s <= ``order`` (read off their support, not off
+    the last nonzero entry of 1/D, as a polynomial cut at the order may end
+    in zeros too), 1/D is all of kappa_s Phi_s* and D is first built only
+    through the M of the bound that :func:`_reflected_d` states, so each
+    dropped part of r_k lies far below the last bit of its m = 0 term.
+    Otherwise D is built through ``top``, the last nonzero index of 1/D,
+    and every range returns as formed.  The sum r_k may be smaller than its
+    m = 0 term, far smaller where it cancels (an alpha_{k-1} of 0 inside a
+    decaying tail does it), and a dropped part would then show.  So the r_k
+    of each range are checked against the same bound with |r_k| in place of
+    |D_0| |(1/D)_k|, and where one fails it, D is built through the M that
+    they all meet and the range is formed again.  A zero (1/D)_k or r_k
+    asks for every term through ``top``.
 
     The norms are taken as logs of sums of squares, since a square below
     1e-308 would underflow: one cumulative log-sum from the top down gives
     every tail, and one ``searchsorted`` the smallest M + k for each k.
     """
-    if not whole:
-        d_conj = _reflected_d(dinv, 0, order)
-        return lambda lowest, highest: _r_dots(dinv, d_conj, lowest, highest)
     _require_constant_term(dinv)
     top = int(np.flatnonzero(dinv.coeffs)[-1])
     with np.errstate(divide="ignore"):
@@ -340,9 +358,12 @@ def _taylor_r(dinv: TaylorSeries, order: int, whole: bool = False):
         count = np.searchsorted(tails, log_sq_size + _FELT_LOG_BOUND, side="right")
         return max(0, int(np.max(top - count - ks)))
 
-    ks = np.arange(min(top, order) + 1)
-    # |D_0| = 1 / |(1/D)_0|
-    built = reach(ks, log_sq[ks] - log_sq[0])
+    support = np.flatnonzero(coeffs.alpha)
+    built = top
+    if (int(support[-1]) + 1 if support.size else 0) <= order:
+        ks = np.arange(min(top, order) + 1)
+        # |D_0| = 1 / |(1/D)_0|
+        built = reach(ks, log_sq[ks] - log_sq[0])
     d_conj = _reflected_d(dinv, 0, order, through=built)
 
     def r_range(lowest: int, highest: int) -> np.ndarray:

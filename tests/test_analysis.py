@@ -20,7 +20,6 @@ from szegojost.analysis import (
     gset,
     jost_b_combination,
     pade_pole_probe,
-    radius_estimate,
     verify_damanik_simon,
     verify_jost_b_combination,
     verify_nevai_totik,
@@ -86,14 +85,6 @@ def test_decay_rate_floor_array_masks_noise():
     est = decay_rate(seq, window=(2, 63), floor=floor)
     assert abs(est.radius - 2.0) < 1e-8
     assert est.n_points == 38
-
-
-def test_radius_estimate_dispatch():
-    ts = TaylorSeries(2.0 ** -np.arange(65.0))
-    est = radius_estimate(ts)
-    assert abs(est.radius - 2.0) < 1e-10
-    with pytest.raises(InvalidParameterError, match="cannot estimate a radius for list"):
-        radius_estimate([1.0, 0.5])
 
 
 def test_radius_estimate_record_validation():

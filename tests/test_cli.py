@@ -30,12 +30,12 @@ from szegojost.szego import dinv_from_alphas
 
 
 def test_package_exports_are_pinned():
-    assert len(szegojost.__all__) == 85
+    assert len(szegojost.__all__) == 84
     assert set(szegojost.__all__) == {
         "analysis", "errors", "jost", "measures", "oprl", "opuc", "series", "szego",
         "PadePole", "ProductSet", "RadiusEstimate", "VerificationReport",
         "canonical_weight_check", "decay_rate", "gset", "jost_b_combination",
-        "pade_pole_probe", "radius_estimate", "verify_damanik_simon",
+        "pade_pole_probe", "verify_damanik_simon",
         "verify_jost_b_combination", "verify_nevai_totik", "verify_r_minus_s",
         "AliasingError", "ConvergenceWarning", "DegenerateMeasureError", "DomainError",
         "IllConditionedError", "InvalidParameterError", "NumericalDegeneracyError",
@@ -263,6 +263,24 @@ def test_szego_r_series_refuses_a_formal_product(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: sum of |r_k|^2 over k = -8 .. 8 is 28.26")
     assert "1/D has a zero in the closed unit disk" in captured.err
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("geometric:C=-0.9282152787314307,R=1.0827779849655137", "64"),
+    ("geometric:C=0.9,R=1.05", "1024"),
+], ids=["order64", "order1024"])
+def test_szego_r_series_refuses_a_zero_that_parseval_misses(capsys, spec, order):
+    """1/D has a zero inside the disk (at |z| = 0.99858 for the first input)
+    while sum |r_k|^2 stays below 1 (0.974 there), so the Parseval check
+    passes the formal product and the Schur-Cohn test refuses it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        code = main(["szego", "--series", "r", "--alpha", spec, "--order", order])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: 1/D has a zero in the closed unit disk: the Schur-Cohn test gives |beta_")
 
 
 def test_szego_d_from_measure(capsys, tmp_path):
@@ -676,6 +694,18 @@ def test_verify_canonical_weights_ignores_alpha(capsys):
                              "--alpha", "not-a-spec"])
     assert code == 0
     assert parse_table(out)[0] == "reports"
+
+
+@pytest.mark.parametrize("suite", ["canonical-weights", "all"])
+@pytest.mark.parametrize("flags", [["--b=2.5,0.3"], ["--a=1,0.9"]], ids=["b-only", "a-only"])
+def test_verify_canonical_weights_refuses_half_a_row(capsys, flags, suite):
+    """The default row a = [1], b = [1.5] is taken only when none of --a,
+    --b and --b1 is given; half a row is refused, not replaced by it."""
+    code = main(["verify", suite, "--alpha", "geometric:C=0.5,R=2", "--order", "64", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: give either --b1 or both --a and --b\n"
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_EDGE))

@@ -25,6 +25,9 @@ Each file under ``tests/data/golden/`` is the stdout of one command in
 all`` over a grid of geometric inputs (C, R and order) and a few finite
 lists, run in one process, so that the default canonical-weights report,
 built once per process, is reused across the commands.
+``FINITE_RANGE_DIGEST`` pins, in the same way, ``verify canonical-weights``
+and ``jost --what zeros`` over 300 seeded finite ranges and four ``--b1``
+rows.
 
 Regenerate a file or the digest only together with a CHANGES.md entry that
 declares the output change; CHANGES.md keeps the history of every
@@ -41,6 +44,7 @@ LAPACK only on inputs whose Phi_n has a zero near the circle, so
 import cmath
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -127,7 +131,27 @@ CORPUS = [
 # sha256 of each command's exit code (a line) and stdout, in turn
 CORPUS_DIGEST = "793a00abbd35aa9fdfae57508d923c272a4d626e970de4e07c26a533eda7b3fd"
 
-# runs CORPUS (read as JSON on stdin) through one interpreter and prints the digest
+
+def _finite_ranges(count=300, seed=34):
+    """``count`` seeded ranges of 1-8 rows, a_n in [0.6, 1.3] and b_n in [-2.5, 2.5]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows = rng.randint(1, 8)
+        a = ",".join(repr(rng.uniform(0.6, 1.3)) for _ in range(rows))
+        b = ",".join(repr(rng.uniform(-2.5, 2.5)) for _ in range(rows))
+        yield [f"--a={a}", f"--b={b}"]
+    for b1 in (1.5, -2.2, 1.05, 0.5):
+        yield [f"--b1={b1!r}"]
+
+
+FINITE_RANGE_CORPUS = [
+    command + flags
+    for flags in _finite_ranges()
+    for command in (["verify", "canonical-weights"], ["jost", "--what", "zeros"])
+]
+FINITE_RANGE_DIGEST = "f5432bb98123d16946984d2ea5a3213f2abe7bc251fa1d7bb55d1a65623718d0"
+
+# runs a corpus (read as JSON on stdin) through one interpreter and prints the digest
 _CORPUS_RUNNER = """
 import contextlib, hashlib, io, json, sys
 from szegojost.cli import main
@@ -187,11 +211,21 @@ def test_popuc_golden_bytes_do_not_depend_on_the_blas_thread_count():
     assert proc.stdout == (GOLDEN / "popuc_n256.csv").read_bytes()
 
 
+def _corpus_digest(corpus):
+    proc = subprocess.run([sys.executable, "-c", _CORPUS_RUNNER], env=_cli_env(1),
+                          input=json.dumps(corpus).encode(), capture_output=True, check=False,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode().strip()
+
+
 def test_verify_all_corpus_matches_its_digest():
     """Exit codes and stdout of ``verify all`` over CORPUS, in one process
     with BLAS on one thread, hash to CORPUS_DIGEST."""
-    proc = subprocess.run([sys.executable, "-c", _CORPUS_RUNNER], env=_cli_env(1),
-                          input=json.dumps(CORPUS).encode(), capture_output=True, check=False,
-                          timeout=600)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == CORPUS_DIGEST
+    assert _corpus_digest(CORPUS) == CORPUS_DIGEST
+
+
+def test_finite_range_corpus_matches_its_digest():
+    """Exit codes and stdout of the canonical-weights report and the Jost
+    zero table over FINITE_RANGE_CORPUS hash to FINITE_RANGE_DIGEST."""
+    assert _corpus_digest(FINITE_RANGE_CORPUS) == FINITE_RANGE_DIGEST

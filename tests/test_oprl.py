@@ -186,13 +186,6 @@ def test_truncation_eigenvalues_are_p_n_zeros(rng):
     assert np.max(np.abs(ev.p[n])) < 1e-9
 
 
-def test_negative_imaginary_shift_pushes_spectrum_down(rng):
-    params = wide_jacobi(rng, 8, free=False)
-    mat = truncated_matrix(params, 8, shift=-1.0j)
-    eigs = np.linalg.eigvals(mat)
-    assert np.all(eigs.imag < 0.0)
-
-
 def test_carmona_density_free_closed_form():
     """n = 1 free density is 1/(pi (x^2 + 1))."""
     free = JacobiParams.free()
@@ -263,8 +256,6 @@ def test_spectral_oracle_guards():
     free = JacobiParams.free()
     with pytest.raises(InvalidParameterError):
         spectral_measure_oracle(free, 3000)
-    with pytest.raises(InvalidParameterError):
-        spectral_measure_oracle(free, 4, shift=1.0j)
 
 
 def test_point_measure_validation():

@@ -27,9 +27,9 @@ from szegojost.measures import parse_alpha_spec
 from szegojost.opuc import CircleMeasure, VerblunskyCoeffs, bernstein_szego
 from szegojost.series import TaylorSeries, taylor_mul, taylor_reciprocal
 from szegojost.szego import (
-    _dinv_is_whole,
     _r_dots,
     _reflected_d,
+    _require_zero_free,
     _star_coeffs,
     _taylor_r,
     d_from_weight,
@@ -297,13 +297,14 @@ def test_r_minus_s_cut_d_is_bitwise_the_full_build(seed, family, order):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         dinv = dinv_from_alphas(coeffs, order)
-    whole = _dinv_is_whole(coeffs, order)
+    support = np.flatnonzero(coeffs.alpha)
+    whole = (int(support[-1]) + 1 if support.size else 0) <= order
     assert whole == (family != "near-one" and not np.any(coeffs.alpha[order:]))
     if not whole:
         return
     assert int(np.flatnonzero(dinv.coeffs)[-1]) <= order
     full = _r_dots(dinv, _reflected_d(dinv, 0, order), 0, order)
-    r_range = _taylor_r(dinv, order, whole=True)
+    r_range = _taylor_r(coeffs, dinv, order)
     tail = (order + 1) // 2
     got = np.zeros(order + 1, dtype=complex)
     got[tail:] = r_range(tail, order)
@@ -481,3 +482,28 @@ def test_r_series_refuses_non_finite_coefficients():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InvalidParameterError, match="coefficients must be finite"):
             r_series(TaylorSeries([1e-200, 1.0]), 1)
+
+
+@given(st.floats(0.05, 0.95), st.sampled_from([-1.0, 1.0]), st.floats(1.02, 6.0),
+       st.integers(8, 256))
+@example(0.6267430976375139, 1.0, 1.232033233988311, 64)
+@example(0.9282152787314307, -1.0, 1.0827779849655137, 64)
+@settings(max_examples=100, deadline=None)
+def test_schur_cohn_test_matches_the_roots_of_p(size, sign, radius, order):
+    """The Schur-Cohn test refuses 1/D exactly when ``polyroots`` puts a zero
+    of its polynomial P in the closed unit disk, on truncated geometric
+    tails whose nearest zero lies at least 1e-6 from the circle.  The first
+    example is the ``known-defects`` input with its zero at |z| = 1.0012,
+    the second has a zero at 0.99858 and passes the Parseval check."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        dinv = dinv_from_alphas(parse_alpha_spec(f"geometric:C={sign * size!r},R={radius!r}",
+                                                 order), order)
+    p = dinv.coeffs[: int(np.flatnonzero(dinv.coeffs)[-1]) + 1]
+    moduli = np.abs(np.polynomial.polynomial.polyroots(p))
+    assume(np.min(np.abs(moduli - 1.0)) >= 1e-6)
+    if np.any(moduli <= 1.0):
+        with pytest.raises(PreconditionError, match="Schur-Cohn test gives"):
+            _require_zero_free(dinv)
+    else:
+        _require_zero_free(dinv)
