@@ -2,12 +2,12 @@
 
 The one estimator, :func:`decay_rate`, fits log |c_n| against n over an
 index window by least squares, which suppresses oscillating-coefficient
-noise better than pointwise |c_n|^{-1/n}.  Its default window is the
-trailing half; the suites' difference series fit their signal prefix
-above a rounding floor instead.  Verification suites package measured
-radii and deviations into deterministic reports.  The four radius suites
-run their legs through ``_report``, the one place where an estimator
-failure becomes an inconclusive (failed) report rather than an exception.
+noise better than pointwise |c_n|^{-1/n}.  The four radius suites make
+all nine fits through ``_fit``, the one place that picks the window (the
+trailing half, or a difference series' signal prefix above its rounding
+floor), cuts one too short and caches the fits suites share.  They run
+their legs through ``_report``, the one place where an estimator failure
+becomes an inconclusive (failed) report rather than an exception.
 """
 
 import math
@@ -159,24 +159,48 @@ class VerificationReport:
 
 
 def _signal_prefix(values: np.ndarray, floor: np.ndarray, lo: int) -> int:
-    """Last index of the contiguous run from lo that clears the floor.
-
-    Cancellation-limited difference series decay like the true signal only
-    up to the point where rounding noise takes over; beyond it the entries
-    can wander back above a magnitude-proportional floor.  Accumulated
-    rounding noise sits a modest multiple above the single-operation floor,
-    so a clean margin (``_SIGNAL_GUARD``) is required as well; truncating at
-    the first failure keeps the regression on the genuine-signal prefix.
-    """
+    """Last index of the contiguous run from lo that clears the floor
+    ``_SIGNAL_GUARD`` times over, as accumulated rounding noise sits a modest
+    multiple above one operation's.  A cancelling difference decays like its
+    signal only until rounding noise takes over, after which its entries can
+    wander back above the floor, so the run stops at the first failure."""
     v = values[lo:]
     clear = np.hypot(v.real, v.imag) > _SIGNAL_GUARD * floor[lo : len(values)]
     fails = np.flatnonzero(~clear)
     return lo - 1 + int(fails[0] if fails.size else len(v))
 
 
-def _rounding_floor(scale):
-    """Rounding-noise level of sums whose terms have absolute sum ``scale``."""
-    return 20.0 * _EPS * scale + UNDERFLOW_FLOOR
+def _signal_ends(values, scale):
+    """(signal prefix end from index 2, last index clearing the floor or 0)
+    of sums whose terms have absolute sums ``scale``: 20 eps scale +
+    ``UNDERFLOW_FLOOR`` bounds their rounding noise, which an entry must
+    clear ``_SIGNAL_GUARD`` times over, as in :func:`_signal_prefix`."""
+    floor = 20.0 * _EPS * scale + UNDERFLOW_FLOOR
+    live = np.flatnonzero(np.hypot(values.real, values.imag) > _SIGNAL_GUARD * floor)
+    return _signal_prefix(values, floor, 2), int(live[-1]) if live.size else 0
+
+
+def _fit(values, scale=None, share=None):
+    """The suites' one radius fit: (radius, usable points, window end).
+
+    The window is :func:`decay_rate`'s trailing half or, given ``scale``,
+    the signal prefix (2, hi) of a series of sums (see :func:`_signal_ends`).
+    There hi < 2 gives the infinite sentinel, and hi < 10 no radius (None)
+    for the caller to report under its series' name.  A fit that several
+    suites read passes ``share = (coeffs._cache, key)`` and is kept there;
+    its ``values`` may be a function that builds them, called on a miss.
+    """
+    cache, key = share or ({}, None)
+    if key not in cache:
+        values = values() if callable(values) else values
+        window = None if scale is None else (2, _signal_ends(values, scale)[0])
+        if window and window[1] < 10:
+            cache[key] = (math.inf if window[1] < 2 else None), 0, window[1]
+        else:
+            # a prefix clears its floor throughout, so every point is used
+            est = decay_rate(values, window)
+            cache[key] = est.radius, est.n_points, est.window[1]
+    return cache[key]
 
 
 def _report(check_id: str, tolerance: float, legs) -> VerificationReport:
@@ -220,8 +244,8 @@ def verify_nevai_totik(coeffs: VerblunskyCoeffs, order: int = 64,
     must produce the infinite sentinel on both sides.
     """
     def legs():
-        r_alpha = _alpha_decay_radius(coeffs, order)
-        r_d = decay_rate(dinv_from_alphas(coeffs, order).coeffs).radius
+        r_alpha = _fit(coeffs.slice(order + 1), share=(coeffs._cache, ("alpha_fit", order)))[0]
+        r_d = _fit(dinv_from_alphas(coeffs, order).coeffs)[0]
         return _agree(("alpha_decay_radius", "dinv_radius"), r_alpha, r_d, rel_tol)
 
     return _report("nevai-totik", rel_tol, legs)
@@ -231,7 +255,7 @@ def _mapped_decay_radius(coeffs: VerblunskyCoeffs) -> float:
     """Radius R with limsup (|b_n| + |a_n^2 - 1|)^(1/2n) = 1/R.
 
     Finitely supported alpha map to parameters that are free past the
-    support, so R is infinite and no delta is built; R is cached on ``coeffs``.
+    support, so R is infinite and no delta is built; the fit is shared.
     """
     if coeffs.is_finitely_supported:
         return math.inf
@@ -239,13 +263,12 @@ def _mapped_decay_radius(coeffs: VerblunskyCoeffs) -> float:
     if count < 16:
         raise InvalidParameterError(f"{len(coeffs.alpha)} stored alphas give {max(count, 0)} "
                                     "mapped coefficients; the decay fit needs 16")
-    key = ("mapped_radius", count)
-    if key not in coeffs._cache:
+
+    def delta():
         b, asq1 = geronimus_deltas(coeffs, count)
-        delta = np.abs(b) + np.abs(asq1)
-        fit = np.any(delta > UNDERFLOW_FLOOR)
-        coeffs._cache[key] = math.sqrt(decay_rate(delta).radius) if fit else math.inf
-    return coeffs._cache[key]
+        return np.abs(b) + np.abs(asq1)
+
+    return math.sqrt(_fit(delta, share=(coeffs._cache, ("deltas_fit", count)))[0])
 
 
 def verify_damanik_simon(coeffs: VerblunskyCoeffs, order: int = 64,
@@ -260,7 +283,7 @@ def verify_damanik_simon(coeffs: VerblunskyCoeffs, order: int = 64,
 
     def legs():
         r_jacobi = _mapped_decay_radius(coeffs)
-        r_u = decay_rate(u_from_dinv(coeffs, order=order).u.coeffs).radius
+        r_u = _fit(u_from_dinv(coeffs, order=order).u.coeffs)[0]
         return _agree(("jacobi_decay_radius", "jost_radius"), r_jacobi, r_u, rel_tol)
 
     return _report("damanik-simon", rel_tol, legs)
@@ -344,35 +367,28 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
         if not np.any(np.abs(alpha) > UNDERFLOW_FLOOR):
             return ({"difference_radius": math.inf, "threshold": math.inf}, True,
                     "alpha is zero; r - S vanishes identically")
-        r_alpha = _alpha_decay_radius(coeffs, order)
-        r_s = decay_rate(s).radius
+        r_alpha = _fit(alpha, share=(coeffs._cache, ("alpha_fit", order)))[0]
+        r_s = _fit(s)[0]
         # the fits read the trailing half of r and the signal prefix of r - S;
         # no other r_k is formed, and the arrays keep their full length
         r_pos = np.zeros(order + 1, dtype=complex)
         tail = (order + 1) // 2
         r_pos[tail:] = r_range(tail, order)
-        r_r = decay_rate(r_pos).radius
+        r_r = _fit(r_pos)[0]
         done = 0
         while True:
             grown = min(max(2 * done, 16), tail)
             r_pos[done:grown] = r_range(done, grown - 1)
             done = grown
-            diff = r_pos - s
-            floor = _rounding_floor(np.abs(r_pos) + np.abs(s))
-            hi = _signal_prefix(diff, floor, 2)
+            diff, scale = r_pos - s, np.abs(r_pos) + np.abs(s)
             # r_0 .. r_{done - 1} and the trailing half are formed, so a
             # failure below done is the first one of the full series
-            if done == tail or hi + 1 < done:
+            if done == tail or _signal_ends(diff, scale)[0] + 1 < done:
                 break
-        if hi < 2:
-            r_diff, used = math.inf, 0
-        elif hi < 10:
+        r_diff, used, hi = _fit(diff, scale)
+        if r_diff is None:
             raise NumericalDegeneracyError(
-                f"difference signal survives rounding only through index {hi}"
-            )
-        else:
-            est = decay_rate(diff, window=(2, hi), floor=floor)
-            r_diff, used = est.radius, est.n_points
+                f"difference signal survives rounding only through index {hi}")
         sane = _relative_gap(r_s, r_alpha) <= rel_tol and _relative_gap(r_r, r_alpha) <= rel_tol
         threshold = math.inf if math.isinf(r_alpha) else (r_alpha ** 3) * (1.0 - slack)
         measured = {
@@ -388,14 +404,6 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
             "" if sane else "sanity leg failed: r or S radius is off the alpha decay")
 
     return _report("r-minus-s", slack, legs)
-
-
-def _alpha_decay_radius(coeffs: VerblunskyCoeffs, order: int) -> float:
-    """Fitted decay radius of alpha_0 .. alpha_order, cached on ``coeffs``."""
-    key = ("alpha_radius", order)
-    if key not in coeffs._cache:
-        coeffs._cache[key] = decay_rate(coeffs.slice(order + 1)).radius
-    return coeffs._cache[key]
 
 
 def jost_b_combination(u: TaylorSeries, b: TaylorSeries, order: int):
@@ -513,34 +521,25 @@ def verify_jost_b_combination(coeffs: VerblunskyCoeffs, order: int = 64,
         u = u_from_dinv(coeffs, order=order).u
         bser = b_series_from_deltas(b_arr, asq1, order)
         pos, neg, pos_scale, neg_scale = jost_b_combination(u, bser, order)
-        pos_floor = _rounding_floor(pos_scale)
-        neg_floor = _rounding_floor(neg_scale)
         if coeffs.is_finitely_supported:
-            # u and B are exact polynomials, so the combination is a
-            # Laurent polynomial: both tails terminate and the annulus is
-            # all of C minus the origin.  Reading the degrees needs no fit,
-            # but orders below 9 stay inconclusive, as they were when this
-            # branch fitted the window (2, order).
+            # u and B are exact polynomials, so the combination is a Laurent
+            # polynomial: both tails terminate and the annulus is all of C minus
+            # the origin.  Reading the degrees needs no fit, but orders below 9
+            # stay inconclusive, as they were when this branch fitted (2, order).
             if order < 9:
                 raise InvalidParameterError(
                     f"series order {order} is too short to read the tails; need >= 9")
-            live_pos = np.nonzero(np.abs(pos) > _SIGNAL_GUARD * pos_floor)[0]
-            live_neg = np.nonzero(np.abs(neg) > _SIGNAL_GUARD * neg_floor)[0]
-            d_pos = int(live_pos.max()) if live_pos.size else 0
-            d_neg = int(live_neg.max()) if live_neg.size else 0
+            d_pos, d_neg = _signal_ends(pos, pos_scale)[1], _signal_ends(neg, neg_scale)[1]
             outer, inner = math.inf, 0.0
             notes = (f"finitely supported parameters; Laurent polynomial "
                      f"tails end at degrees (+{d_pos}, -{d_neg})")
         else:
-            pos_hi = _signal_prefix(pos, pos_floor, 2)
-            neg_hi = _signal_prefix(neg, neg_floor, 2)
-            if pos_hi < 10 or neg_hi < 10:
-                raise NumericalDegeneracyError(
-                    f"combination tails survive rounding only through indices "
-                    f"({pos_hi}, {neg_hi})"
-                )
-            outer = decay_rate(pos, window=(2, pos_hi), floor=pos_floor).radius
-            r_neg = decay_rate(neg, window=(2, neg_hi), floor=neg_floor).radius
+            outer, pos_used, pos_hi = _fit(pos, pos_scale)
+            r_neg, neg_used, neg_hi = _fit(neg, neg_scale)
+            # a tail cut short, or lost to rounding from index 2, is no evidence
+            if not (pos_used and neg_used):
+                raise NumericalDegeneracyError("combination tails survive rounding only "
+                                               f"through indices ({pos_hi}, {neg_hi})")
             inner = 0.0 if math.isinf(r_neg) else 1.0 / r_neg
             notes = ""
         if math.isinf(r_map):

@@ -220,15 +220,16 @@ def finite_range_jost_data(params: JacobiParams) -> JostData:
 def _bound_state_zeros(params: JacobiParams, u: TaylorSeries, ell: int) -> np.ndarray:
     """Disk zeros of the range-``ell`` Jost polynomial ``u``, each polished once.
 
-    Bound states are real, so each root of :func:`_disk_roots` keeps its
-    real part and takes one Newton step whose residual u(z0), a few
-    rounding units of its terms in double precision, is taken at 40 digits
-    by :func:`_jost_value`.  The zeros come back complex, with imaginary
-    parts of zero.
+    Bound states are real: a root of :func:`_disk_roots` with |Im| > 1e-6
+    lies just outside the circle, where rounding moved it in, and is
+    dropped.  Each other root keeps its real part and takes one Newton step
+    whose residual u(z0), a few rounding units of its terms, is taken at 40
+    digits by :func:`_jost_value`.  The zeros come back with zero imaginary parts.
     """
     du = TaylorSeries(np.polynomial.polynomial.polyder(u.coeffs))
-    return np.array([z - _jost_value(params, ell, z) / du(z) for z in _disk_roots(u).real],
-                    dtype=complex)
+    roots = _disk_roots(u)
+    return np.array([z - _jost_value(params, ell, z) / du(z)
+                     for z in roots[np.abs(roots.imag) <= 1e-6].real], dtype=complex)
 
 
 def _jost_value(params: JacobiParams, ell: int, z: float) -> float:

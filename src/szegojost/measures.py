@@ -122,11 +122,21 @@ class MeasureSpec:
                 except ValueError as exc:
                     raise InvalidParameterError(f"bad acWeight parameter list {rest!r}") from exc
         elif isinstance(ac, dict) and "samples" in ac:
-            samples = tuple(ac["samples"])
+            samples = ac["samples"]
+            if not (isinstance(samples, list) and all(isinstance(s, (int, float, str))
+                                                      for s in samples)):
+                raise InvalidParameterError(f"samples must be a list of numbers, got {samples!r}")
+            samples = tuple(samples)
         else:
             raise InvalidParameterError("acWeight must be 'family:params' or {'samples': [...]}")
+        masses = doc.get("pointMasses", [])
+        if not isinstance(masses, list) or not all(
+                isinstance(m, list) and len(m) == 2 and isinstance(m[0], (int, float, str))
+                and isinstance(m[1], (int, float)) and not isinstance(m[1], bool) for m in masses):
+            raise InvalidParameterError("pointMasses must be a list of [location, mass] pairs "
+                                        f"with a numeric mass, got {masses!r}")
         masses = tuple((m[0] if not isinstance(m[0], str) else complex(m[0]), m[1])
-                       for m in doc.get("pointMasses", ()))
+                       for m in masses)
         return cls(
             kind=doc["kind"],
             family=family,

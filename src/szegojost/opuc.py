@@ -51,12 +51,12 @@ class VerblunskyCoeffs:
     means the sequence is known only up to the stored length and reading
     past it raises :class:`OutOfRangeError`.
 
-    Each instance carries a private cache of what the suites derive from it
-    (1/D, the mapped Jacobi deltas, and the fitted decay radii of alpha and
-    of those deltas), so the suites of one ``verify`` run share them.  It
-    lives as long as the instance and is not a dataclass field (it takes no
-    part in ``repr`` or ``==``).  ``alpha`` is stored as a read-only copy, so
-    the cache cannot go stale.
+    Each instance privately caches what the suites of one ``verify`` run
+    share: 1/D under ``("dinv", order)``, the mapped Jacobi deltas under
+    ``("deltas", count)``, and the ``analysis._fit`` results of alpha and of
+    those deltas under ``("alpha_fit", order)`` and ``("deltas_fit", count)``.
+    The cache is no dataclass field (no part in ``repr`` or ``==``), and
+    ``alpha`` is stored as a read-only copy, so the cache cannot go stale.
     """
 
     alpha: np.ndarray

@@ -1,6 +1,9 @@
 """Decay-rate fitting, verification suites, product sets, pole probes."""
 
+import contextlib
+import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import NEAR_EDGE, geometric_alphas, real_alphas
 from szegojost import analysis
+from szegojost.cli import main
 from szegojost.analysis import (
     UNDERFLOW_FLOOR,
     PadePole,
@@ -359,6 +363,53 @@ def test_suite_report_rows_are_pinned(make, rows):
     assert make().rows() == rows
 
 
+# report rows read off a fitted radius r, each with the map it goes through
+_FITTED_ROWS = {
+    **dict.fromkeys(("alpha_decay_radius", "dinv_radius", "jost_radius", "s_radius",
+                     "r_radius", "difference_radius", "outer_radius"), lambda r: r),
+    "jacobi_decay_radius": math.sqrt,
+    "mapped_decay_radius": math.sqrt,
+    "inner_radius": lambda r: 1.0 / r,
+}
+
+
+# the order-1024 panel of bench/workloads.py, R = 2 at order 64, and a finite list
+@pytest.mark.filterwarnings("ignore::szegojost.errors.ConvergenceWarning")
+@pytest.mark.parametrize("alpha, order", [
+    *((f"geometric:C={c},R={r}", 1024)
+      for c, r in ((-0.3, 1.2), (-0.6, 2.5), (0.2, 3.0), (-0.15, 3.2), (0.1, 3.4))),
+    ("geometric:C=0.5,R=2", 64),
+    ("0.6,0,0,-0.3,0,0,0,0.1", 64),
+])
+def test_every_suite_fit_runs_through_fit(monkeypatch, alpha, order):
+    """``verify all`` reaches decay_rate only through _fit, and every radius
+    row it writes is a value _fit returned in that run."""
+    callers, radii = [], []
+    decay_rate_, fit_ = analysis.decay_rate, analysis._fit
+
+    def recording_decay_rate(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return decay_rate_(*args, **kwargs)
+
+    def recording_fit(*args, **kwargs):
+        result = fit_(*args, **kwargs)
+        radii.append(result[0])
+        return result
+
+    monkeypatch.setattr(analysis, "decay_rate", recording_decay_rate)
+    monkeypatch.setattr(analysis, "_fit", recording_fit)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "all", f"--alpha={alpha}", "--order", str(order)]) in (0, 1)
+    assert callers and set(callers) == {"_fit"}
+    rows = [line.split(",") for line in out.getvalue().splitlines()[2:]]
+    fitted = [(suite, field, value) for suite, field, value in rows if field in _FITTED_ROWS]
+    assert fitted
+    for suite, field, value in fitted:
+        allowed = {"%.17g" % _FITTED_ROWS[field](r) for r in radii if r is not None}
+        assert value in allowed, (suite, field, value)
+
+
 # the mapped radius as it was fitted before finite support short-cut it to
 # inf, kept verbatim as the reference
 def _mapped_decay_radius_with_window(coeffs: VerblunskyCoeffs, window) -> float:
@@ -588,7 +639,7 @@ def _r_minus_s_before(coeffs, order=96, rel_tol=0.05, slack=0.1):
         r_s = decay_rate(s).radius
         r_r = decay_rate(r_pos).radius
         diff = r_pos - s
-        floor = analysis._rounding_floor(np.abs(r_pos) + np.abs(s))
+        floor = 20.0 * np.finfo(float).eps * (np.abs(r_pos) + np.abs(s)) + UNDERFLOW_FLOOR
         hi = analysis._signal_prefix(diff, floor, 2)
         if hi < 2:
             r_diff, used = math.inf, 0

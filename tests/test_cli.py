@@ -201,6 +201,26 @@ def test_readme_measure_document_ingests(capsys, tmp_path):
     assert len(parse_table(out)[1]) == 8
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"kind": "circle", "acWeight": "uniform", "pointMasses": [[1]]}, "pointMasses"),
+    ({"kind": "circle", "acWeight": "uniform", "pointMasses": [1]}, "pointMasses"),
+    ({"kind": "circle", "acWeight": "uniform", "pointMasses": [[1, None]]}, "pointMasses"),
+    ({"kind": "circle", "acWeight": {"samples": 5}}, "samples"),
+    ({"kind": "circle", "acWeight": {"samples": [None] + [1.0] * 7}}, "samples"),
+], ids=["mass-without-weight", "mass-not-a-pair", "mass-null", "samples-not-a-list",
+        "samples-null"])
+def test_malformed_measure_document_exits_two_naming_the_field(tmp_path, doc, field):
+    """A point mass that is not a [location, mass] pair with a numeric mass,
+    and samples that are not a list of numbers, are malformed input: exit 2
+    with one error line, not exit 1 with a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    proc = _in_fresh_interpreter("coeffs", "--from-measure", str(path), "--n", "2")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and field in proc.stderr
+
+
 def test_szego_dinv_single_alpha(capsys):
     code, out = run(capsys, ["szego", "--alpha", "0.5", "--order", "8"])
     assert code == 0
@@ -319,6 +339,22 @@ def test_jost_zeros_single_b(capsys):
     assert len(rows) == 1
     assert abs(float(rows[0]["re"]) - 2.0 / 3.0) < 1e-12
     assert abs(float(rows[0]["eig_re"]) - 13.0 / 6.0) < 1e-12
+
+
+@pytest.mark.parametrize("command", [["jost", "--what", "zeros"], ["verify", "canonical-weights"]],
+                         ids=["jost-zeros", "canonical-weights"])
+def test_complex_disk_root_is_no_bound_state(command):
+    """With a_1 = 1e-8 and b_1 = 1, u has a complex pair of zeros of modulus
+    sqrt(1e8 / (1e8 - 1)), just outside the disk, which rounding moves in.
+    Bound states are real, so the pair is dropped: no bound state, exit 0
+    and nothing on stderr."""
+    proc = _in_fresh_interpreter(*command, "--a", "1e-8", "--b", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    if command[0] == "jost":
+        assert proc.stdout.splitlines()[2:] == []
+    else:
+        assert "canonical-weights,n_zeros,0" in proc.stdout.splitlines()
 
 
 def test_carmona_free_density(capsys):

@@ -27,7 +27,9 @@ lists, run in one process, so that the default canonical-weights report,
 built once per process, is reused across the commands.
 ``FINITE_RANGE_DIGEST`` pins, in the same way, ``verify canonical-weights``
 and ``jost --what zeros`` over 300 seeded finite ranges and four ``--b1``
-rows.
+rows.  ``FIT_BRANCH_DIGEST`` pins ``verify all`` on the inputs whose
+radius fits take the branches ``CORPUS`` never reaches: short orders,
+zero and constant alpha, underflowing windows and R near 1.
 
 Regenerate a file or the digest only together with a CHANGES.md entry that
 declares the output change; CHANGES.md keeps the history of every
@@ -151,6 +153,22 @@ FINITE_RANGE_CORPUS = [
 ]
 FINITE_RANGE_DIGEST = "f5432bb98123d16946984d2ea5a3213f2abe7bc251fa1d7bb55d1a65623718d0"
 
+# ``verify all`` on the fit branches CORPUS misses: orders around the
+# 8-index window, the 16 mapped coefficients and the 10-index signal
+# prefix; zero and constant alpha; the underflow sentinel at order 4096;
+# two ``known-defects`` verdict inputs; and R near 1
+FIT_BRANCH_CORPUS = [
+    ["verify", "all", f"--alpha={alpha}", "--order", str(order)]
+    for alpha in ("geometric:C=0.5,R=2", "0.5,-0.2")
+    for order in (1, 2, 8, 9, 15, 16, 17, 33)
+] + [
+    ["verify", "all", f"--alpha={alpha}", "--order", str(order)]
+    for alpha, order in (("0", 64), ("constant:c=0.3", 64), ("geometric:C=0.5,R=2", 4096),
+                         ("geometric:C=0.5,R=5", 1024), ("geometric:C=0.2256,R=4.715", 64),
+                         ("geometric:C=0.1,R=1.01", 1024), ("geometric:C=0.1,R=1.01", 8192))
+]
+FIT_BRANCH_DIGEST = "71c29f1d68a3fa6a3989ca8a2dea93cb0f1ef7aa47a6c7a4c8240e7e64e94944"
+
 # runs a corpus (read as JSON on stdin) through one interpreter and prints the digest
 _CORPUS_RUNNER = """
 import contextlib, hashlib, io, json, sys
@@ -229,3 +247,9 @@ def test_finite_range_corpus_matches_its_digest():
     """Exit codes and stdout of the canonical-weights report and the Jost
     zero table over FINITE_RANGE_CORPUS hash to FINITE_RANGE_DIGEST."""
     assert _corpus_digest(FINITE_RANGE_CORPUS) == FINITE_RANGE_DIGEST
+
+
+def test_fit_branch_corpus_matches_its_digest():
+    """Exit codes and stdout of ``verify all`` over FIT_BRANCH_CORPUS hash
+    to FIT_BRANCH_DIGEST."""
+    assert _corpus_digest(FIT_BRANCH_CORPUS) == FIT_BRANCH_DIGEST
