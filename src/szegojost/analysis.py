@@ -7,7 +7,7 @@ all nine fits through ``_fit``, the one place that picks the window (the
 trailing half, or a difference series' signal prefix above its rounding
 floor), cuts one too short and caches the fits suites share.  They run
 their legs through ``_report``, the one place where an estimator failure
-becomes an inconclusive (failed) report rather than an exception.
+becomes an inconclusive report rather than an exception.
 """
 
 import math
@@ -25,7 +25,7 @@ from .jost import b_series_from_deltas, finite_range_jost_data, geronimus_deltas
 from .oprl import JacobiParams, eval_polys
 from .opuc import VerblunskyCoeffs
 from .series import TaylorSeries
-from .szego import _taylor_r, dinv_from_alphas, s_series
+from .szego import _support_end, _taylor_r, dinv_from_alphas, s_series
 
 __all__ = [
     "RadiusEstimate",
@@ -52,6 +52,7 @@ _ROW_STOP = 2.0 ** -110
 _SIGNAL_GUARD = 64.0
 # most candidate products gset tries, see gset (about 1 s at ~12 us each)
 _GSET_MAX_CANDIDATES = 100_000
+_VERDICTS = ("pass", "fail", "inconclusive")
 
 
 @dataclass(frozen=True)
@@ -124,23 +125,36 @@ def decay_rate(seq, window=None, floor=UNDERFLOW_FLOOR) -> RadiusEstimate:
 class VerificationReport:
     """Outcome of one verification suite.
 
-    ``measured`` is stored as a tuple of (name, value) pairs sorted by name
-    so equal inputs give equal (and identically serialized) reports.
+    ``verdict`` is "pass", "fail" or "inconclusive", the last where double
+    precision cannot decide the claim.  The notes start with "inconclusive"
+    exactly when the verdict is, so :meth:`rows`, which writes ``pass`` as
+    true only for a pass, still tells the three apart.  ``measured`` is
+    stored as a tuple of (name, value) pairs sorted by name so equal inputs
+    give equal (and identically serialized) reports.
     """
 
     check_id: str
     measured: tuple
     tolerance: float
-    passed: bool
+    verdict: str
     notes: str = ""
 
     def __post_init__(self):
+        if self.verdict not in _VERDICTS:
+            raise InvalidParameterError(f"verdict must be one of {_VERDICTS}, got {self.verdict!r}")
+        if (self.verdict == "inconclusive") != self.notes.startswith("inconclusive"):
+            raise InvalidParameterError("the notes must start with 'inconclusive' exactly when "
+                                        f"the verdict is, got {self.verdict!r} with {self.notes!r}")
         items = self.measured
         if isinstance(items, dict):
             items = tuple(sorted(items.items()))
         else:
             items = tuple(sorted((str(k), v) for k, v in items))
         object.__setattr__(self, "measured", items)
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
 
     def value(self, name: str):
         for key, val in self.measured:
@@ -206,16 +220,17 @@ def _fit(values, scale=None, share=None):
 def _report(check_id: str, tolerance: float, legs) -> VerificationReport:
     """Run a radius suite's ``legs`` and package what they return.
 
-    ``legs()`` returns (measured, passed, notes).  An estimator failure
-    (NumericalDegeneracyError or InvalidParameterError) becomes an
-    inconclusive, failed report with nothing measured.
+    ``legs()`` returns (measured, verdict, notes), and an inconclusive leg
+    keeps what it measured.  An estimator failure (NumericalDegeneracyError
+    or InvalidParameterError) becomes an inconclusive report with nothing
+    measured.
     """
     try:
-        measured, passed, notes = legs()
+        measured, verdict, notes = legs()
     except (NumericalDegeneracyError, InvalidParameterError) as exc:
-        measured, passed, notes = (), False, f"inconclusive: {exc}"
+        measured, verdict, notes = (), "inconclusive", f"inconclusive: {exc}"
     return VerificationReport(check_id=check_id, measured=measured,
-                              tolerance=tolerance, passed=bool(passed), notes=notes)
+                              tolerance=tolerance, verdict=verdict, notes=notes)
 
 
 def _relative_gap(x: float, y: float) -> float:
@@ -232,7 +247,8 @@ def _agree(names: tuple, first: float, second: float, rel_tol: float):
     gap = _relative_gap(first, second)
     notes = "both sides report the infinite-radius sentinel" if (
         math.isinf(first) and math.isinf(second)) else ""
-    return {names[0]: first, names[1]: second, "relative_gap": gap}, gap <= rel_tol, notes
+    verdict = "pass" if gap <= rel_tol else "fail"
+    return {names[0]: first, names[1]: second, "relative_gap": gap}, verdict, notes
 
 
 def verify_nevai_totik(coeffs: VerblunskyCoeffs, order: int = 64,
@@ -315,7 +331,7 @@ def canonical_weight_check(params: JacobiParams) -> VerificationReport:
     if zeros.size == 0:
         return VerificationReport(
             check_id=check, measured={"n_zeros": 0.0}, tolerance=rel_tol,
-            passed=True, notes="no disk zeros; nothing to check",
+            verdict="pass", notes="no disk zeros; nothing to check",
         )
     du = TaylorSeries(np.polynomial.polynomial.polyder(u.coeffs))
     measured = {"n_zeros": float(zeros.size)}
@@ -338,7 +354,7 @@ def canonical_weight_check(params: JacobiParams) -> VerificationReport:
     measured["worst_relative_deviation"] = worst
     return VerificationReport(
         check_id=check, measured=measured, tolerance=rel_tol,
-        passed=bool(worst <= rel_tol), notes="",
+        verdict="pass" if worst <= rel_tol else "fail", notes="",
     )
 
 
@@ -365,7 +381,7 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
         s = s_series(coeffs, order).coeffs
         r_range = _taylor_r(coeffs, dinv, order)
         if not np.any(np.abs(alpha) > UNDERFLOW_FLOOR):
-            return ({"difference_radius": math.inf, "threshold": math.inf}, True,
+            return ({"difference_radius": math.inf, "threshold": math.inf}, "pass",
                     "alpha is zero; r - S vanishes identically")
         r_alpha = _fit(alpha, share=(coeffs._cache, ("alpha_fit", order)))[0]
         r_s = _fit(s)[0]
@@ -395,12 +411,19 @@ def verify_r_minus_s(coeffs: VerblunskyCoeffs, order: int = 96, rel_tol: float =
             "alpha_decay_radius": r_alpha,
             "s_radius": r_s,
             "r_radius": r_r,
-            "difference_radius": r_diff,
             "threshold": threshold,
             "usable_points": float(used),
         }
+        # _fit reads a difference at its floor from index 2 as one that
+        # vanishes identically, which holds only for alphas that end within
+        # the order; otherwise it underflowed and no radius was read
+        if sane and hi < 2 and _support_end(coeffs) > order:
+            return measured, "inconclusive", (
+                f"inconclusive: difference signal survives rounding only through index {hi} "
+                "though alpha does not end within the order")
+        measured["difference_radius"] = r_diff
         claim = math.isinf(r_diff) or r_diff >= threshold
-        return measured, sane and claim, (
+        return measured, "pass" if sane and claim else "fail", (
             "" if sane else "sanity leg failed: r or S radius is off the alpha decay")
 
     return _report("r-minus-s", slack, legs)
@@ -515,7 +538,7 @@ def verify_jost_b_combination(coeffs: VerblunskyCoeffs, order: int = 64,
         # an empty delta (order or stored alphas too short) is no evidence of
         # free parameters; _mapped_decay_radius reports the shortage
         if delta.size and not np.any(delta > UNDERFLOW_FLOOR):
-            return ({"outer_radius": math.inf, "inner_radius": 0.0}, True,
+            return ({"outer_radius": math.inf, "inner_radius": 0.0}, "pass",
                     "free parameters; the combination is entire")
         r_map = _mapped_decay_radius(coeffs)
         u = u_from_dinv(coeffs, order=order).u
@@ -555,7 +578,7 @@ def verify_jost_b_combination(coeffs: VerblunskyCoeffs, order: int = 64,
             "inner_target": inner_target,
         }
         passed = (math.isinf(outer) or outer >= outer_target) and inner <= inner_target
-        return measured, passed, notes
+        return measured, "pass" if passed else "fail", notes
 
     return _report("jost-combination", slack, legs)
 

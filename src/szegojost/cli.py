@@ -17,13 +17,12 @@ least-squares solve (``lstsq``) inside ``np.polyfit`` of every radius fit
 in ``decay_rate``.  The package imports numpy and the standard library,
 nothing else.
 
-Exit codes: 0 success, 1 failed verification (report still written),
-2 malformed input or invalid parameters.
+Exit codes: 0 success, 1 a verification suite that fails or is
+inconclusive (report still written), 2 malformed input or invalid
+parameters.
 """
 
 import argparse
-import hashlib
-import json
 import sys
 from functools import lru_cache
 
@@ -80,6 +79,8 @@ def _write_output(args, table: str, header: list, template: str, rows,
     lines.extend(map(template.__mod__, rows))
     text = "\n".join(lines) + "\n"
     if args.output:
+        import json
+
         # hashed before the CSV is written, in case the output path is the input
         input_hash = _hash_input(args)
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -111,6 +112,8 @@ def _write_jacobi(args, params: JacobiParams, config: ExperimentConfig) -> None:
 
 
 def _hash_input(args) -> str:
+    import hashlib
+
     path = getattr(args, "from_measure", None)
     if path:
         with open(path, "rb") as fh:
@@ -413,7 +416,7 @@ def main(argv=None) -> int:
         if "order" in vars(args) and args.order is None:
             args.order = config.series_order
         return args.func(args, config)
-    except (SzegojostError, json.JSONDecodeError, OSError, ValueError) as exc:
+    except (SzegojostError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

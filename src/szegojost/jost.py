@@ -2,11 +2,10 @@
 
 Finite-range Jost polynomials, the real coefficient map between Verblunsky
 and Jacobi parameters, the scaled reciprocal-Szego route to u(z), the
-Jacobi-side coefficient series B(z), M-functions in the Joukowski variable,
-and Blaschke products.
+Jacobi-side coefficient series B(z), and the finite-range M-function in the
+Joukowski variable.
 """
 
-import decimal
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from .errors import (
     NumericalDegeneracyError,
     PoleError,
 )
-from .oprl import JacobiParams, PointMeasure
+from .oprl import JacobiParams
 from .opuc import VerblunskyCoeffs
 from .series import TaylorSeries
 from .szego import dinv_from_alphas
@@ -29,10 +28,7 @@ __all__ = [
     "geronimus_deltas",
     "geronimus_map",
     "u_from_dinv",
-    "m_function",
     "m_finite_range",
-    "blaschke",
-    "z_from_e",
     "e_from_z",
 ]
 
@@ -45,17 +41,6 @@ def e_from_z(z):
     if np.any(z == 0):
         raise DomainError("the Joukowski map needs z != 0")
     return z + 1.0 / z
-
-def z_from_e(e: complex) -> complex:
-    """The Joukowski preimage inside the closed unit disk.
-
-    Root of z^2 - E z + 1 = 0 with |z| <= 1 (the two roots multiply to 1);
-    |z| = 1 exactly when E lies on [-2, 2].
-    """
-    e = complex(e)
-    s = np.sqrt(e * e - 4.0 + 0.0j)
-    r1, r2 = (e + s) / 2.0, (e - s) / 2.0
-    return r1 if abs(r1) <= abs(r2) else r2
 
 
 def jost_g_ell(params: JacobiParams, ell: int | None = None) -> TaylorSeries:
@@ -234,6 +219,8 @@ def _bound_state_zeros(params: JacobiParams, u: TaylorSeries, ell: int) -> np.nd
 
 def _jost_value(params: JacobiParams, ell: int, z: float) -> float:
     """u(z) = q_l(z) - z^2 q_{l-1}(z) at real z by the recursion of jost_g_ell, at 40 digits."""
+    import decimal
+
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         z = decimal.Decimal(z)
@@ -317,32 +304,3 @@ def m_finite_range(params: JacobiParams, z) -> complex | np.ndarray:
             raise PoleError(z, context=f"continued fraction at depth {j}")
         m = 1.0 / den
     return m
-
-
-def m_function(measure, z) -> complex:
-    """Borel transform in the Joukowski variable: M(z) = integral d rho/(z + 1/z - x).
-
-    Accepts a :class:`PointMeasure` (exact sum) or free-tailed
-    :class:`JacobiParams` (exact continued fraction, also valid outside the
-    disk as the analytic continuation).  Measure-side inputs are restricted
-    to 0 < |z| < 1 where the integral representation converges.
-    """
-    if isinstance(measure, JacobiParams):
-        return m_finite_range(measure, z)
-    z = complex(z)
-    if not 0.0 < abs(z) < 1.0:
-        raise DomainError("the integral form of M needs 0 < |z| < 1")
-    if isinstance(measure, PointMeasure):
-        return measure.stieltjes(z + 1.0 / z)
-    raise InvalidParameterError(f"cannot evaluate M for {type(measure).__name__}")
-
-
-def blaschke(zeros, z):
-    """Product of (z - z_j)/(1 - conj(z_j) z) over the listed disk zeros."""
-    z = np.asarray(z, dtype=complex)
-    result = np.ones_like(z)
-    for zj in np.asarray(zeros, dtype=complex):
-        if abs(zj) >= 1.0:
-            raise InvalidParameterError("Blaschke zeros must lie inside the disk")
-        result = result * (z - zj) / (1.0 - np.conj(zj) * z)
-    return result

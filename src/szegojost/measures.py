@@ -8,7 +8,6 @@ to a large PointMeasure on Gauss nodes of a reference free matrix, after an
 integrability precheck on the endpoint behavior of the weight.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -147,6 +146,8 @@ class MeasureSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "MeasureSpec":
+        import json
+
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
@@ -469,6 +470,8 @@ def load_config(path: str | None = None) -> ExperimentConfig:
         path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return ExperimentConfig()
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

@@ -2,8 +2,7 @@
 
 Covers the coefficient side of the circle theory: the Szego recursion for
 orthonormal polynomials, paraorthogonal polynomials and their
-point measures, Bernstein-Szego approximants, and the Caratheodory transform
-of a sampled circle measure.
+point measures, and Bernstein-Szego approximants.
 """
 
 import cmath
@@ -14,7 +13,6 @@ import numpy as np
 
 from .errors import (
     AliasingError,
-    DomainError,
     InvalidParameterError,
     NumericalDegeneracyError,
     OutOfRangeError,
@@ -32,11 +30,9 @@ __all__ = [
     "popuc_point_measure",
     "bernstein_szego",
     "popuc_average_check",
-    "caratheodory",
     "roots_of_unity",
 ]
 
-_polyval = np.polynomial.polynomial.polyval
 # how far the total mass of a CircleMeasure may sit from 1
 _MASS_TOL = 1e-10
 
@@ -232,10 +228,10 @@ class CirclePolyPair:
         return self.phi / self.kappa
 
     def __call__(self, z):
-        return _polyval(np.asarray(z, dtype=complex), self.phi)
+        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.phi)
 
     def star(self, z):
-        return _polyval(np.asarray(z, dtype=complex), self.phi_star)
+        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.phi_star)
 
 
 def szego_recursion(coeffs: VerblunskyCoeffs, n: int) -> CirclePolyPair:
@@ -259,7 +255,7 @@ class ParaOrthogonalPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        return _polyval(np.asarray(z, dtype=complex), self.coeffs)
+        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.coeffs)
 
 
 def popuc(coeffs: VerblunskyCoeffs, n: int, omega: complex) -> ParaOrthogonalPoly:
@@ -357,7 +353,7 @@ def _phase_zeros(alpha: np.ndarray, omega: complex) -> np.ndarray | None:
         # columns c_k and k c_k: one Horner sweep gives Phi_n and z Phi_n'
         pairs = np.stack((phi, np.arange(n + 1) * phi), axis=1)
         for _ in range(_NEWTON_STEPS):
-            value, slope = _polyval(np.exp(1j * theta), pairs)
+            value, slope = np.polynomial.polynomial.polyval(np.exp(1j * theta), pairs)
             res = (1 - n) * theta - target + 2.0 * np.angle(value)
             res -= 2.0 * math.pi * np.round(res / (2.0 * math.pi))
             step = res / ((1 - n) + 2.0 * (slope / value).real)
@@ -687,18 +683,3 @@ def popuc_average_check(
     carath = complex(taylor_mul(psi_star, taylor_reciprocal(phi_star, m), m).coeffs[m])
     reference = carath if k == 0 else carath / 2.0
     return avg, reference.conjugate() if k < 0 else reference
-
-
-def caratheodory(measure: CircleMeasure, z: complex) -> complex:
-    """F(z) = integral of (zeta + z)/(zeta - z) d mu(zeta) for |z| < 1.
-
-    Trapezoid sum over the weight grid (spectrally accurate for smooth
-    weights) plus exact kernel terms for the atoms.  F(0) = 1 and Re F > 0.
-    """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError("the Caratheodory transform is evaluated inside the disk")
-    zeta = measure.points()
-    val = complex(np.mean(measure.weight * (zeta + z) / (zeta - z)))
-    val += sum(m * (p + z) / (p - z) for p, m in measure.point_masses)
-    return val

@@ -30,8 +30,6 @@ __all__ = [
     "r_series",
 ]
 
-_polyval = np.polynomial.polynomial.polyval
-
 # how far sum |r_k|^2 may exceed 1 before r_series refuses
 _PARSEVAL_SLACK = 1e-9
 # log (2^-110 / 2)^2: the terms of D left out may move r_k by 2^-110 of its size,
@@ -150,7 +148,7 @@ def recover_alpha_geronimus_freud(
     kappa_inf = dinv.coeffs[0]
     zeta = measure.points()
     phi_next = _monic(coeffs, n + 1)
-    vals = np.conj(_polyval(zeta, phi_next)) * dinv(zeta)
+    vals = np.conj(np.polynomial.polynomial.polyval(zeta, phi_next)) * dinv(zeta)
     return complex(-kappa_inf * _boundary_integral(measure, vals))
 
 
@@ -173,7 +171,7 @@ def recover_alpha_simon(
     zeta = measure.points()
     phi_n = _monic(coeffs, n)
     centered = dinv(zeta) - dinv.coeffs[0]
-    vals = np.conj(_polyval(zeta, phi_n)) * centered * np.conj(zeta)
+    vals = np.conj(np.polynomial.polynomial.polyval(zeta, phi_n)) * centered * np.conj(zeta)
     kappa_n_sq = coeffs.kappa(n) ** 2
     return complex(-(kappa_n_sq / kappa_inf) * _boundary_integral(measure, vals))
 
@@ -358,9 +356,8 @@ def _taylor_r(coeffs: VerblunskyCoeffs, dinv: TaylorSeries, order: int):
         count = np.searchsorted(tails, log_sq_size + _FELT_LOG_BOUND, side="right")
         return max(0, int(np.max(top - count - ks)))
 
-    support = np.flatnonzero(coeffs.alpha)
     built = top
-    if (int(support[-1]) + 1 if support.size else 0) <= order:
+    if _support_end(coeffs) <= order:
         ks = np.arange(min(top, order) + 1)
         # |D_0| = 1 / |(1/D)_0|
         built = reach(ks, log_sq[ks] - log_sq[0])
@@ -381,6 +378,12 @@ def _taylor_r(coeffs: VerblunskyCoeffs, dinv: TaylorSeries, order: int):
             d_conj[: built + 1] = np.conj(taylor_reciprocal(dinv, built).coeffs)
 
     return r_range
+
+
+def _support_end(coeffs: VerblunskyCoeffs) -> int:
+    """One past the last nonzero stored alpha, or 0 when none is."""
+    support = np.flatnonzero(coeffs.alpha)
+    return int(support[-1]) + 1 if support.size else 0
 
 
 def _require_constant_term(dinv: TaylorSeries) -> None:

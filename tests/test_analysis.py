@@ -99,8 +99,8 @@ def test_radius_estimate_record_validation():
 
 
 def test_verification_report_is_deterministic():
-    a = VerificationReport("demo", {"zeta": 1.0, "alpha": 2.0}, 0.1, True)
-    b = VerificationReport("demo", (("alpha", 2.0), ("zeta", 1.0)), 0.1, True)
+    a = VerificationReport("demo", {"zeta": 1.0, "alpha": 2.0}, 0.1, "pass")
+    b = VerificationReport("demo", (("alpha", 2.0), ("zeta", 1.0)), 0.1, "pass")
     assert a == b
     assert a.measured[0][0] == "alpha"
     assert a.value("zeta") == 1.0
@@ -109,6 +109,28 @@ def test_verification_report_is_deterministic():
     rows = a.rows()
     assert rows[0] == ("check", "demo")
     assert ("pass", "true") in rows
+
+
+@pytest.mark.parametrize(("verdict", "notes", "cell"), [
+    ("pass", "", "true"), ("fail", "sanity leg failed", "false"),
+    ("inconclusive", "inconclusive: too short", "false")])
+def test_verification_report_writes_each_verdict_in_its_pass_row(verdict, notes, cell):
+    """Only a pass writes ``pass,true``; an inconclusive report is told
+    from a failed one by its note alone."""
+    report = VerificationReport("demo", {}, 0.1, verdict, notes)
+    assert report.passed == (verdict == "pass")
+    assert report.rows() == [("check", "demo"), ("pass", cell), ("tolerance", 0.1)] + (
+        [("notes", notes)] if notes else [])
+
+
+@pytest.mark.parametrize(("verdict", "notes"), [
+    ("passed", ""), (True, ""), ("inconclusive", ""), ("inconclusive", "window too short"),
+    ("fail", "inconclusive: too short"), ("pass", "inconclusive")])
+def test_verification_report_refuses_a_verdict_its_notes_contradict(verdict, notes):
+    """An unknown verdict is refused, and so is a note that starts with
+    "inconclusive" on any verdict but inconclusive, or lacks it on one."""
+    with pytest.raises(InvalidParameterError):
+        VerificationReport("demo", {}, 0.1, verdict, notes)
 
 
 def _signal_prefix_loop(values, floor, lo):
@@ -306,8 +328,7 @@ def test_r_minus_s_zero_alpha_trivial():
 def test_r_minus_s_fast_decay_is_inconclusive():
     """When the remainder dives under rounding immediately, say so and fail."""
     report = verify_r_minus_s(geometric_alphas(0.5, 16.0), order=64)
-    assert not report.passed
-    assert report.notes.startswith("inconclusive")
+    assert report.verdict == "inconclusive"
 
 
 def _finite(*alphas):
@@ -337,6 +358,8 @@ PINNED_ROWS = [
      [('check', 'r-minus-s'), ('pass', 'false'), ('tolerance', 0.1), ('alpha_decay_radius', 1.01), ('difference_radius', 2.1880900976612367), ('r_radius', 2.1950312673916303), ('s_radius', 1.01), ('threshold', 0.9272709000000001), ('usable_points', 95.0), ('notes', 'sanity leg failed: r or S radius is off the alpha decay')]),
     ("r-minus-s-empty-prefix", lambda: verify_r_minus_s(_finite(0.5), 64),
      [('check', 'r-minus-s'), ('pass', 'true'), ('tolerance', 0.1), ('alpha_decay_radius', math.inf), ('difference_radius', math.inf), ('r_radius', math.inf), ('s_radius', math.inf), ('threshold', math.inf), ('usable_points', 0.0)]),
+    ("r-minus-s-underflow", lambda: verify_r_minus_s(geometric_alphas(1e-200, 2.0, 256), 256),
+     [('check', 'r-minus-s'), ('pass', 'false'), ('tolerance', 0.1), ('alpha_decay_radius', 2.0000000000000018), ('r_radius', 2.0000000000000018), ('s_radius', 2.0000000000000018), ('threshold', 7.20000000000002), ('usable_points', 0.0), ('notes', 'inconclusive: difference signal survives rounding only through index 1 though alpha does not end within the order')]),
     ("r-minus-s-short-prefix", lambda: verify_r_minus_s(geometric_alphas(0.5, 16.0), 64),
      [('check', 'r-minus-s'), ('pass', 'false'), ('tolerance', 0.1), ('notes', 'inconclusive: difference signal survives rounding only through index 4')]),
     ("jost-combination-pass", lambda: verify_jost_b_combination(geometric_alphas(0.5, 2.0), 64),
@@ -626,14 +649,15 @@ def test_combination_suite_rows_match_the_row_kernel(monkeypatch, c, r, order):
 
 def _r_minus_s_before(coeffs, order=96, rel_tol=0.05, slack=0.1):
     """verify_r_minus_s before it formed only the r_k its fits read, verbatim
-    but for the retired ``_r_by_product``, written out as its two calls."""
+    but for the retired ``_r_by_product``, written out as its two calls, and
+    its verdicts, spelled as ``_report`` reads them now."""
     def legs():
         alpha = coeffs.slice(order + 1)
         dinv = dinv_from_alphas(coeffs, order)
         s = s_series(coeffs, order).coeffs
         r_pos = _r_dots(dinv, _reflected_d(dinv, 0, order), 0, order)
         if not np.any(np.abs(alpha) > UNDERFLOW_FLOOR):
-            return ({"difference_radius": math.inf, "threshold": math.inf}, True,
+            return ({"difference_radius": math.inf, "threshold": math.inf}, "pass",
                     "alpha is zero; r - S vanishes identically")
         r_alpha = decay_rate(alpha).radius
         r_s = decay_rate(s).radius
@@ -662,7 +686,7 @@ def _r_minus_s_before(coeffs, order=96, rel_tol=0.05, slack=0.1):
             "usable_points": float(used),
         }
         claim = math.isinf(r_diff) or r_diff >= threshold
-        return measured, sane and claim, (
+        return measured, "pass" if sane and claim else "fail", (
             "" if sane else "sanity leg failed: r or S radius is off the alpha decay")
 
     return analysis._report("r-minus-s", slack, legs)

@@ -30,7 +30,7 @@ from szegojost.szego import dinv_from_alphas
 
 
 def test_package_exports_are_pinned():
-    assert len(szegojost.__all__) == 84
+    assert len(szegojost.__all__) == 80
     assert set(szegojost.__all__) == {
         "analysis", "errors", "jost", "measures", "oprl", "opuc", "series", "szego",
         "PadePole", "ProductSet", "RadiusEstimate", "VerificationReport",
@@ -41,16 +41,15 @@ def test_package_exports_are_pinned():
         "IllConditionedError", "InvalidParameterError", "NumericalDegeneracyError",
         "OutOfRangeError", "PoleError", "PreconditionError", "SzegoConditionError",
         "SzegojostError", "SzegojostWarning",
-        "JostData", "blaschke", "e_from_z", "finite_range_jost_data", "geronimus_deltas",
-        "geronimus_map", "jost_g_ell", "m_finite_range", "m_function", "u_from_dinv",
-        "z_from_e",
+        "JostData", "e_from_z", "finite_range_jost_data", "geronimus_deltas",
+        "geronimus_map", "jost_g_ell", "m_finite_range", "u_from_dinv",
         "ExperimentConfig", "MeasureSpec", "ingest_circle", "ingest_line", "load_config",
         "parse_alpha_spec", "realize_circle", "realize_line",
         "JacobiParams", "PointMeasure", "PolyEval", "carmona_density", "carmona_moment",
         "eval_polys", "orthonormal_poly_coeffs",
         "spectral_measure_oracle", "truncated_matrix",
         "CircleMeasure", "CirclePolyPair", "ParaOrthogonalPoly", "PopucMeasure",
-        "VerblunskyCoeffs", "bernstein_szego", "caratheodory", "popuc",
+        "VerblunskyCoeffs", "bernstein_szego", "popuc",
         "popuc_average_check", "popuc_point_measure", "roots_of_unity",
         "szego_recursion",
         "TaylorSeries", "taylor_exp", "taylor_mul", "taylor_reciprocal",
@@ -551,6 +550,22 @@ def test_verify_low_order_is_inconclusive(capsys):
     assert notes["jost-combination"].startswith("inconclusive")
 
 
+def test_verify_underflowed_r_minus_s_is_inconclusive(capsys):
+    """r - S of C = 1e-200 is at its floor from index 2 while alpha runs on
+    past the order: exit 1 with the radii it read and an inconclusive note,
+    not a pass on an infinite radius from no usable point."""
+    code, out = run(capsys, ["verify", "r-minus-s", "--alpha", "geometric:C=1e-200,R=2",
+                             "--order", "256"])
+    assert code == 1
+    _, rows = parse_table(out)
+    fields = {r["field"]: r["value"] for r in rows}
+    assert fields["pass"] == "false"
+    assert fields["usable_points"] == "0"
+    assert {"alpha_decay_radius", "r_radius", "s_radius", "threshold"} < set(fields)
+    assert "difference_radius" not in fields
+    assert fields["notes"].startswith("inconclusive")
+
+
 @pytest.mark.parametrize(("argv", "inconclusive"), [
     (["jost-combination", "--alpha=0.3,-0.2", "--order", "64"], set()),
     (["all", "--alpha", "geometric:C=0.5,R=1.6e8", "--order", "64"],
@@ -903,6 +918,15 @@ def test_verify_all_leaves_scipy_unloaded():
                             "from szegojost.cli import main\n"
                             "with contextlib.redirect_stdout(io.StringIO()):\n"
                             f"    assert main({argv!r}) in (0, 1)\n")
+
+
+def test_cli_import_leaves_late_modules_unloaded():
+    """Start-up loads neither hashlib, json nor decimal, which only ``-o``,
+    config and measure documents and the finite-range Jost zeros use, nor
+    numpy.polynomial, which numpy loads on first use."""
+    _run_with_scipy_blocked("import szegojost.cli\n"
+                            "late = {'hashlib', 'json', 'decimal', 'numpy.polynomial'}\n"
+                            "assert not late & set(sys.modules), late & set(sys.modules)\n")
 
 
 def test_no_subcommand_loads_scipy():

@@ -29,7 +29,9 @@ built once per process, is reused across the commands.
 and ``jost --what zeros`` over 300 seeded finite ranges and four ``--b1``
 rows.  ``FIT_BRANCH_DIGEST`` pins ``verify all`` on the inputs whose
 radius fits take the branches ``CORPUS`` never reaches: short orders,
-zero and constant alpha, underflowing windows and R near 1.
+zero and constant alpha, underflowing windows and R near 1.  The reports
+of all three corpora, run in-process, mark *inconclusive* in the verdict
+and the notes alike.
 
 Regenerate a file or the digest only together with a CHANGES.md entry that
 declares the output change; CHANGES.md keeps the history of every
@@ -44,6 +46,7 @@ LAPACK only on inputs whose Phi_n has a zero near the circle, so
 """
 
 import cmath
+import collections
 import json
 import os
 import random
@@ -54,6 +57,9 @@ from pathlib import Path
 import pytest
 
 import szegojost
+from szegojost import cli
+from szegojost.errors import SzegojostError
+from szegojost.measures import ExperimentConfig, parse_alpha_spec
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 MEASURES = Path(__file__).parent / "data" / "measures"
@@ -253,3 +259,33 @@ def test_fit_branch_corpus_matches_its_digest():
     """Exit codes and stdout of ``verify all`` over FIT_BRANCH_CORPUS hash
     to FIT_BRANCH_DIGEST."""
     assert _corpus_digest(FIT_BRANCH_CORPUS) == FIT_BRANCH_DIGEST
+
+
+def _corpus_reports():
+    """Every suite report of the corpora's ``verify`` commands, run in-process
+    through the CLI's suite table; a suite that refuses its input (exit 2)
+    gives none."""
+    parser, config = cli._build_parser(), ExperimentConfig()
+    for argv in CORPUS + FIT_BRANCH_CORPUS + FINITE_RANGE_CORPUS:
+        args = parser.parse_args(argv)
+        if args.command != "verify":
+            continue
+        coeffs = args.alpha and parse_alpha_spec(args.alpha, args.order)
+        for name in list(cli._SUITES) if args.suite == "all" else [args.suite]:
+            try:
+                yield cli._SUITES[name](args, config, coeffs)
+            except SzegojostError:
+                pass
+
+
+@pytest.mark.filterwarnings("ignore::szegojost.errors.ConvergenceWarning")
+def test_corpus_reports_mark_inconclusive_in_verdict_and_notes_alike():
+    """A report's notes start with "inconclusive" exactly when its verdict
+    is, and it passes exactly when its verdict is "pass"; the corpora reach
+    all three verdicts."""
+    tally = collections.Counter()
+    for report in _corpus_reports():
+        assert report.notes.startswith("inconclusive") == (report.verdict == "inconclusive")
+        assert report.passed == (report.verdict == "pass")
+        tally[report.verdict] += 1
+    assert set(tally) == {"pass", "fail", "inconclusive"}, tally

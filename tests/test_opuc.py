@@ -10,7 +10,6 @@ from conftest import complex_alphas, monic_pair_two_buffers, real_alphas, zero_t
 from szegojost.measures import parse_alpha_spec
 from szegojost.errors import (
     AliasingError,
-    DomainError,
     InvalidParameterError,
     OutOfRangeError,
 )
@@ -19,7 +18,6 @@ from szegojost.opuc import (
     CircleMeasure,
     VerblunskyCoeffs,
     bernstein_szego,
-    caratheodory,
     popuc,
     popuc_average_check,
     popuc_point_measure,
@@ -693,28 +691,6 @@ def test_circle_measure_moments_with_atom():
     measure = CircleMeasure(weight=0.6 * np.ones(128), point_masses=((1.0j, 0.4),))
     assert np.isclose(measure.moment(0), 1.0)
     assert np.isclose(measure.moment(2), 0.4 * (1.0j) ** (-2))
-
-
-def test_caratheodory_lebesgue_and_atom():
-    lebesgue = CircleMeasure.lebesgue(256)
-    for z in (0.0, 0.3 - 0.4j):
-        assert np.isclose(caratheodory(lebesgue, z), 1.0, atol=1e-12)
-    mixed = CircleMeasure(weight=0.8 * np.ones(256), point_masses=((1.0, 0.2),))
-    z = 0.37 + 0.11j
-    expected = 0.8 + 0.2 * (1.0 + z) / (1.0 - z)
-    assert np.isclose(caratheodory(mixed, z), expected, atol=1e-12)
-
-
-def test_caratheodory_positive_real_part(rng):
-    c = complex_alphas(rng, 4)
-    measure = bernstein_szego(c, 4, grid_size=1024)
-    zs = 0.95 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 20))
-    for z in zs:
-        val = caratheodory(measure, complex(z))
-        assert val.real > 0.0
-    assert np.isclose(caratheodory(measure, 0.0), 1.0, atol=1e-12)
-    with pytest.raises(DomainError):
-        caratheodory(measure, 1.0)
 
 
 def test_roots_of_unity():
