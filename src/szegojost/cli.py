@@ -61,16 +61,12 @@ _PAIR_ROW = "%d,%.17g,%.17g"
 
 
 def _fmt(value) -> str:
-    """One cell of the ``verify`` report, whose values mix types."""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    """One cell of the ``verify`` report, whose values mix types (an integer as under ``%d``)."""
     if isinstance(value, (complex, np.complexfloating)):
         return "%.17g%+.17gj" % (value.real, value.imag)
     if isinstance(value, (float, np.floating)):
         return "%.17g" % value
-    return str(value)
+    return "%d" % value if isinstance(value, (int, np.integer, np.bool_)) else str(value)
 
 
 def _write_output(args, table: str, header: list, template: str, rows,

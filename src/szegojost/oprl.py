@@ -6,6 +6,7 @@ second-kind polynomial evaluation, truncated matrices, the averaged
 tests and demo 03 check bound-state weights against.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,6 @@ from .errors import (
     InvalidParameterError,
     NumericalDegeneracyError,
     OutOfRangeError,
-    PoleError,
 )
 
 __all__ = [
@@ -139,10 +139,6 @@ class PolyEval:
     p: np.ndarray
     q: np.ndarray
 
-    @property
-    def order(self) -> int:
-        return len(self.p) - 1
-
     def wronskian(self, n: int, a_n: float) -> np.ndarray:
         return a_n * (self.p[n - 1] * self.q[n] - self.p[n] * self.q[n - 1])
 
@@ -213,9 +209,11 @@ def carmona_density(params: JacobiParams, n: int, x) -> np.ndarray:
     """
     if n < 1:
         raise InvalidParameterError("the averaged density needs n >= 1")
-    ev = eval_polys(params, n, np.asarray(x, dtype=float))
-    a_n = params.a_entry(n)
-    return 1.0 / (np.pi * (a_n**2 * ev.p[n] ** 2 + ev.p[n - 1] ** 2))
+    # where p_n overflows the density reads 0
+    with np.errstate(over="ignore"):
+        ev = eval_polys(params, n, np.asarray(x, dtype=float))
+        a_n = params.a_entry(n)
+        return 1.0 / (np.pi * (a_n**2 * ev.p[n] ** 2 + ev.p[n - 1] ** 2))
 
 
 def carmona_moment(params: JacobiParams, n: int, ell: int) -> float:
@@ -223,7 +221,8 @@ def carmona_moment(params: JacobiParams, n: int, ell: int) -> float:
 
     The density is 1/(pi Q(x)) with Q of degree 2n and no real zeros, so for
     ell <= 2n-2 the integral is 2i times the sum of residues of x^ell/Q over
-    the upper half-plane.  Higher moments diverge and are refused.
+    the upper half-plane.  Higher moments diverge and are refused, and so is
+    a Q or a residue sum that is not finite in double precision.
     """
     if n < 1:
         raise InvalidParameterError("the averaged density needs n >= 1")
@@ -231,21 +230,26 @@ def carmona_moment(params: JacobiParams, n: int, ell: int) -> float:
         raise InvalidParameterError(
             f"moment {ell} of the order-{n} averaged measure diverges"
         )
-    coeffs = orthonormal_poly_coeffs(params, n)
-    a_n = params.a_entry(n)
-    q_poly = a_n**2 * np.convolve(coeffs[n], coeffs[n])
-    q_poly[: 2 * n - 1] += np.convolve(coeffs[n - 1], coeffs[n - 1])
-    roots = np.polynomial.polynomial.polyroots(q_poly)
-    dq = np.polynomial.polynomial.polyder(q_poly)
-    total = 0.0 + 0.0j
-    scale = float(np.max(np.abs(q_poly)))
-    for zeta in roots[roots.imag > 0]:
-        dq_val = np.polynomial.polynomial.polyval(zeta, dq)
-        if abs(dq_val) < 1e-10 * scale:
-            raise NumericalDegeneracyError(
-                "near-multiple root in the averaged-density denominator"
-            )
-        total += zeta**ell / dq_val
+    # at extreme parameters Q or the residues overflow: refused below, not warned about
+    with np.errstate(all="ignore"):
+        coeffs = orthonormal_poly_coeffs(params, n)
+        a_n = params.a_entry(n)
+        q_poly = a_n**2 * np.convolve(coeffs[n], coeffs[n])
+        q_poly[: 2 * n - 1] += np.convolve(coeffs[n - 1], coeffs[n - 1])
+        finite = np.all(np.isfinite(q_poly))
+        roots = np.polynomial.polynomial.polyroots(q_poly) if finite else np.empty(0)
+        dq = np.polynomial.polynomial.polyder(q_poly)
+        total = 0.0 + 0.0j
+        scale = float(np.max(np.abs(q_poly)))
+        for zeta in roots[roots.imag > 0]:
+            dq_val = np.polynomial.polynomial.polyval(zeta, dq)
+            if abs(dq_val) < 1e-10 * scale:
+                raise NumericalDegeneracyError(
+                    "near-multiple root in the averaged-density denominator"
+                )
+            total += zeta**ell / dq_val
+    if not (finite and cmath.isfinite(total)):
+        raise NumericalDegeneracyError(f"moment {ell} of the order-{n} averaged density is not finite")
     # (1/pi) * 2*pi*i * sum(residues) = 2i * sum(residues)
     return float((2j * total).real)
 
@@ -296,14 +300,3 @@ class PointMeasure:
 
     def moment(self, ell: int) -> float:
         return float(np.dot(self.weights, self.nodes**ell))
-
-    def stieltjes(self, e: complex) -> complex:
-        """Borel transform sum w_j/(e - x_j) in the resolvent variable."""
-        gaps = np.abs(e - self.nodes)
-        j = int(np.argmin(gaps))
-        if gaps[j] < 1e-12:
-            err = PoleError(e, context="Borel transform at a point mass")
-            err.residue = float(self.weights[j])
-            err.node = float(self.nodes[j])
-            raise err
-        return complex(np.sum(self.weights / (e - self.nodes)))

@@ -110,22 +110,10 @@ class VerblunskyCoeffs:
         out[:stored] = self.alpha[:stored]
         return out
 
-    def rho(self, n: int) -> float:
-        return float(np.sqrt(1.0 - abs(self.entry(n)) ** 2))
-
     def kappa(self, n: int) -> float:
         """kappa_n = prod_{j<n} rho_j^{-1}; nondecreasing in n."""
         al = self.slice(n)
         return float(np.prod(1.0 / np.sqrt(1.0 - np.abs(al) ** 2)))
-
-    def kappa_inf(self) -> float:
-        """Limit of kappa_n; finite because sum |alpha_n|^2 < infinity here."""
-        if not self.is_finitely_supported:
-            raise InvalidParameterError(
-                "kappa_inf needs a finitely supported tail; pass the stored "
-                "length to kappa() for a truncated estimate"
-            )
-        return self.kappa(len(self.alpha))
 
     def negated(self) -> "VerblunskyCoeffs":
         return VerblunskyCoeffs(-self.alpha, zero_after=self.zero_after)
@@ -215,23 +203,8 @@ class CirclePolyPair:
     phi_star: np.ndarray
     kappa: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=complex))
-        object.__setattr__(self, "phi_star", np.asarray(self.phi_star, dtype=complex))
-
-    @property
-    def degree(self) -> int:
-        return len(self.phi) - 1
-
-    @property
-    def monic(self) -> np.ndarray:
-        return self.phi / self.kappa
-
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.phi)
-
-    def star(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.phi_star)
 
 
 def szego_recursion(coeffs: VerblunskyCoeffs, n: int) -> CirclePolyPair:
@@ -249,13 +222,6 @@ class ParaOrthogonalPoly:
     coeffs: np.ndarray
     zeros: np.ndarray
     omega: complex
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), self.coeffs)
 
 
 def popuc(coeffs: VerblunskyCoeffs, n: int, omega: complex) -> ParaOrthogonalPoly:
@@ -602,10 +568,6 @@ class CircleMeasure:
         grid = np.mean(self.weight * np.exp(-1j * k * self.thetas()))
         atoms = sum(m * z ** (-k) for z, m in self.point_masses)
         return complex(grid + atoms)
-
-    @classmethod
-    def lebesgue(cls, grid_size: int = 4096) -> "CircleMeasure":
-        return cls(np.ones(grid_size))
 
 
 def _bernstein_szego_weight(coeffs: VerblunskyCoeffs, n: int, thetas: np.ndarray) -> np.ndarray:

@@ -72,18 +72,14 @@ class TaylorSeries:
         return bool(np.all(self.coeffs.imag == 0.0))
 
 
-def taylor_mul(a: TaylorSeries, b: TaylorSeries, order: int | None = None) -> TaylorSeries:
-    """Cauchy product truncated at ``order`` (default: min of the inputs)."""
-    if order is None:
-        order = min(a.order, b.order)
+def taylor_mul(a: TaylorSeries, b: TaylorSeries, order: int) -> TaylorSeries:
+    """Cauchy product truncated at ``order``."""
     full = np.convolve(a.coeffs, b.coeffs)
     return TaylorSeries(full).truncated(order)
 
 
-def taylor_reciprocal(a: TaylorSeries, order: int | None = None) -> TaylorSeries:
-    """Series of 1/a; requires a(0) != 0."""
-    if order is None:
-        order = a.order
+def taylor_reciprocal(a: TaylorSeries, order: int) -> TaylorSeries:
+    """Series of 1/a through ``order``; requires a(0) != 0."""
     c = a.coeffs
     c0 = c[0]
     if c0 == 0:
@@ -104,10 +100,8 @@ def taylor_reciprocal(a: TaylorSeries, order: int | None = None) -> TaylorSeries
     return TaylorSeries(rev[::-1].copy())
 
 
-def taylor_exp(a: TaylorSeries, order: int | None = None) -> TaylorSeries:
-    """Series of exp(a) via the derivative recursion e' = a' e."""
-    if order is None:
-        order = a.order
+def taylor_exp(a: TaylorSeries, order: int) -> TaylorSeries:
+    """Series of exp(a) through ``order`` via the derivative recursion e' = a' e."""
     g = a.coeffs
     dot = np.dot
     # rev[order - n] holds e_n, so e_n .. e_{n-kmax} is a forward slice

@@ -17,7 +17,6 @@ from szegojost.analysis import (
     UNDERFLOW_FLOOR,
     PadePole,
     ProductSet,
-    RadiusEstimate,
     VerificationReport,
     canonical_weight_check,
     decay_rate,
@@ -64,7 +63,7 @@ def test_decay_rate_with_polynomial_prefactor():
 def test_decay_rate_infinite_sentinel():
     seq = np.concatenate([[1.0, 0.5, 0.25], np.zeros(61)])
     est = decay_rate(seq)
-    assert est.is_infinite
+    assert math.isinf(est.radius)
     assert est.n_points == 0
 
 
@@ -89,13 +88,6 @@ def test_decay_rate_floor_array_masks_noise():
     est = decay_rate(seq, window=(2, 63), floor=floor)
     assert abs(est.radius - 2.0) < 1e-8
     assert est.n_points == 38
-
-
-def test_radius_estimate_record_validation():
-    with pytest.raises(InvalidParameterError):
-        RadiusEstimate(1.0, (0, 5), 0.0, 4)
-    with pytest.raises(InvalidParameterError):
-        RadiusEstimate(-2.0, (0, 20), 0.0, 4)
 
 
 def test_verification_report_is_deterministic():

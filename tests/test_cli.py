@@ -788,6 +788,44 @@ def test_verify_canonical_weights_at_range_sixteen(capsys):
     assert float(measured["worst_relative_deviation"]) < 1e-9
 
 
+# a = 1 and b_k = 3 2^-k over 64 rows: u(1/z0) at the deep bound state
+# z0 = 0.304207 is lost to the growing solution of the forward p_k(E)
+_RANGE_64 = [f"--a={','.join(['1'] * 64)}",
+             f"--b={','.join(repr(3.0 * 2.0**-k) for k in range(64))}"]
+
+
+@pytest.mark.parametrize(("flags", "z0"), [
+    (["--b1", "1e152"], "1e-152+0j"),
+    (["--b1", "1e160"], "1e-160+0j"),
+    (_RANGE_64, "0.304207+0j"),
+], ids=["b1-1e152", "b1-1e160", "range-64"])
+def test_verify_canonical_weights_inconclusive_where_double_precision_fails(flags, z0):
+    """A Jost residue that underflows to 0 (b_1 = 1e152), residues that are
+    nan (b_1 = 1e160) and a vanishing u(1/z0) are inconclusive, with the
+    zero named and no RuntimeWarning.  They printed a plain fail with
+    deviation inf, a pass on nan, and exit 2 with a false collision."""
+    proc = _in_fresh_interpreter("verify", "canonical-weights", *flags)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    _, rows = parse_table(proc.stdout)
+    measured = {row["field"]: row["value"] for row in rows}
+    assert measured["pass"] == "false"
+    assert measured["notes"] == f"inconclusive: double precision loses the identity at z0 = {z0}"
+    if flags[0] == "--b1":
+        assert measured["worst_relative_deviation"] in ("inf", "nan")
+
+
+@pytest.mark.parametrize("b1, n", [("1e80", "3"), ("1e308", "2")])
+def test_carmona_refuses_moments_that_are_not_finite(b1, n):
+    """Moments lost to overflow are refused with one error line; b_1 = 1e80
+    printed nan moment columns with exit 0, and b_1 = 1e308 RuntimeWarnings
+    and then LAPACK's complaint about infs."""
+    proc = _in_fresh_interpreter("carmona", "--b1", b1, "--n", n, "--grid=-3:3:3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: moment 0 of the order-{n} averaged density is not finite\n"
+
+
 def test_config_overrides_default_order(capsys, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"seriesOrder": 16, "gridSize": 128}))

@@ -209,7 +209,7 @@ def test_u_prefactor_value(rng):
     c = VerblunskyCoeffs.finitely_supported(al)
     data = u_from_dinv(c, order=16)
     scale = np.sqrt((1.0 - al[0] ** 2) * (1.0 - al[1]))
-    assert np.isclose(data.u.coeffs[0].real, scale * c.kappa_inf())
+    assert np.isclose(data.u.coeffs[0].real, scale * c.kappa(len(c.alpha)))
 
 
 def test_u_matches_finite_range_polynomial(rng):

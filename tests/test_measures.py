@@ -167,7 +167,7 @@ def test_realize_line_merges_an_atom_onto_a_gauss_node(offset):
 
 
 def test_ingest_circle_uniform_gives_zero_alpha():
-    got = ingest_circle(CircleMeasure.lebesgue(512), 6)
+    got = ingest_circle(CircleMeasure(np.ones(512)), 6)
     assert np.max(np.abs(got.alpha)) < 1e-12
 
 

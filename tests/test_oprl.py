@@ -9,7 +9,6 @@ from conftest import NEAR_EDGE, mild_jacobi, wide_jacobi
 from szegojost.errors import (
     InvalidParameterError,
     OutOfRangeError,
-    PoleError,
 )
 from szegojost.oprl import (
     JacobiParams,
@@ -267,11 +266,3 @@ def test_point_measure_validation():
         PointMeasure(nodes=[0.0, 1.0], weights=[1.1, -0.1])
 
 
-def test_point_measure_stieltjes_and_pole():
-    pm = PointMeasure(nodes=[-1.0, 1.0], weights=[0.5, 0.5])
-    z = 0.3 + 0.4j
-    assert np.isclose(pm.stieltjes(z), 0.5 / (z + 1.0) + 0.5 / (z - 1.0))
-    with pytest.raises(PoleError) as excinfo:
-        pm.stieltjes(1.0)
-    assert excinfo.value.residue == 0.5
-    assert excinfo.value.node == 1.0

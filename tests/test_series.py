@@ -59,8 +59,6 @@ def test_taylor_mul_matches_convolution():
     b = TaylorSeries([1.0, -1.0])
     prod = taylor_mul(a, b, order=2)
     assert np.allclose(prod.coeffs, [1.0, 0.0, -1.0])
-    # default order is the min of the inputs
-    assert taylor_mul(a, b).order == 1
 
 
 def test_taylor_reciprocal_geometric():
@@ -74,7 +72,7 @@ def test_taylor_reciprocal_geometric():
 
 def test_taylor_reciprocal_needs_constant_term():
     with pytest.raises(DomainError):
-        taylor_reciprocal(TaylorSeries([0.0, 1.0]))
+        taylor_reciprocal(TaylorSeries([0.0, 1.0]), 4)
 
 
 def _taylor_reciprocal_loop(c, order):
